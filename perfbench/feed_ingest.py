@@ -82,7 +82,7 @@ class Sizes:
 
     base_rows: int = 100_000
     batch_rows: int = 1_000
-    setup_repeats: int = 3
+    setup_repeats: int = 5
     warmup_cycles: int = 2
     min_cycles: int = 12
 
@@ -258,18 +258,17 @@ def run_phase(inputs: Inputs, tracer=NULL_TRACER) -> Phase:
                 phase.setup.append(launch + time.perf_counter() - start)
         cursor = _datum(-1)
         phase_start = time.perf_counter()
+        phase.attempted = inputs.cycles
         with HttpSession(server.port) as session:
             for batch in range(inputs.sizes.warmup_cycles + inputs.cycles):
                 timed = batch >= inputs.sizes.warmup_cycles
                 if batch == inputs.sizes.warmup_cycles:
                     phase_start = time.perf_counter()
-                phase.attempted += timed
                 start = time.perf_counter()
                 try:
                     cycle = _run_op(gate, connector, cursor, store, session,
                                     tracer if timed else NULL_TRACER, batch)
                 except Exception:  # stop feeding: later batches would build on a broken state
-                    phase.failed += 1
                     traceback.print_exc(file=sys.stderr)
                     break
                 if timed:
@@ -277,6 +276,7 @@ def run_phase(inputs: Inputs, tracer=NULL_TRACER) -> Phase:
                 cycles.append(cycle)
                 cursor = _datum(batch)
         phase.elapsed = time.perf_counter() - phase_start
+        phase.failed = phase.attempted - len(phase.latencies)  # the failed batch and every one after it
         phase.peak_rss_mb = server.peak_rss_mb() + own_peak_rss_mb()
         phase.mismatches = _check(inputs, store, gate, cycles)
     finally:
@@ -322,8 +322,9 @@ def _layer_metrics(spans, inputs: Inputs, cycles: list[_Cycle], gate: _Gate) -> 
     layers["serve.startup_s"] = root_medians(spans)["serve.startup"]
     timed = cycles[inputs.sizes.warmup_cycles:]
     delta_bytes = inputs.batch_bytes[inputs.sizes.warmup_cycles:]
-    layers["store.write_amplification"] = float(
-        np.median([c.bytes_written / size for c, size in zip(timed, delta_bytes)])
-    )
+    if timed:
+        layers["store.write_amplification"] = float(
+            np.median([c.bytes_written / size for c, size in zip(timed, delta_bytes)])
+        )
     layers["feeds.incremental_share"] = len(gate.profile.incremental_criteria) / len(GATE_CRITERIA)
     return layers

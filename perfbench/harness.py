@@ -316,7 +316,11 @@ class Tail:
     beyond: int
 
 
-def tail_percentile(values: Sequence[float], min_beyond: int = 10) -> Tail:
+#: Samples the tail percentile must leave beyond it.
+TAIL_MIN_BEYOND = 10
+
+
+def tail_percentile(values: Sequence[float], min_beyond: int = TAIL_MIN_BEYOND) -> Tail:
     """The highest percentile that has at least ``min_beyond`` samples beyond it.
 
     Percentiles use the nearest-rank definition: the q-th percentile of n

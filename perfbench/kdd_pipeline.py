@@ -62,9 +62,12 @@ class Sizes:
 
     small_rows: int = 600
     large_factor: int = 4
+    #: CSV rows per companion entity.  At one entity per ten rows parsing the
+    #: companion costs about as much as salvaging the CSV; one per row would
+    #: make it about ten times as much (README.md, "Layer shares").
     companion_divisor: int = 10
     kb_rows: int = 200
-    setup_repeats: int = 3
+    setup_repeats: int = 5
     min_cycles: int = 28
 
 

@@ -47,8 +47,25 @@ def _digest(work: dict) -> str:
     return hashlib.sha256(json.dumps(work, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
+def code_digest(root: Path = ROOT) -> str:
+    """A digest of the code a run exercises: every file under ``src/`` and ``perfbench/``."""
+    digest = hashlib.sha256()
+    for top in (root / "src", root / "perfbench"):
+        for path in sorted(top.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                digest.update(f"{path.relative_to(root)}\0{path.stat().st_size}\0".encode("utf-8"))
+                digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def end_to_end(phase, harness) -> tuple[dict[str, float], object]:
-    """The five end-to-end metric values of an untraced phase, plus its tail."""
+    """The five end-to-end metric values of an untraced phase, plus its tail.
+
+    A phase that completed too few ops for a tail percentile reports 0 for
+    every metric and no tail; its failed ops already make the run incorrect.
+    """
+    if len(phase.latencies) <= harness.TAIL_MIN_BEYOND or phase.elapsed <= 0:
+        return dict.fromkeys(harness.END_TO_END_UNITS, 0.0), None
     tail = harness.tail_percentile(phase.latencies)
     values = {
         "setup_s": statistics.median(phase.setup),
@@ -62,36 +79,45 @@ def end_to_end(phase, harness) -> tuple[dict[str, float], object]:
 
 def per_layer(untraced, traced, harness, probes: list[dict]) -> dict[str, float]:
     """Every per-layer metric value; 0 for a layer the workload never calls."""
-    breakdowns = harness.op_breakdowns(traced.spans)
-    traced_p50 = statistics.median([b.wall for b in breakdowns])
-    unattributed = statistics.median([b.unattributed for b in breakdowns])
     values = {name: 0.0 for name in harness.PER_LAYER_UNITS}
     values.update(traced.layers)
     values.update({
-        "trace.op_p50_ms": traced_p50 * 1e3,
-        "trace.overhead_ms": (traced_p50 - statistics.median(untraced.latencies)) * 1e3,
-        "trace.unattributed_ms": unattributed * 1e3,
-        "trace.unattributed_share": unattributed / traced_p50,
         "host.probe_py_ms": statistics.median([p["py_ms"] for p in probes]),
         "host.probe_np_ms": statistics.median([p["np_ms"] for p in probes]),
     })
+    breakdowns = harness.op_breakdowns(traced.spans)
+    if breakdowns and untraced.latencies:
+        traced_p50 = statistics.median([b.wall for b in breakdowns])
+        unattributed = statistics.median([b.unattributed for b in breakdowns])
+        values.update({
+            "trace.op_p50_ms": traced_p50 * 1e3,
+            "trace.overhead_ms": (traced_p50 - statistics.median(untraced.latencies)) * 1e3,
+            "trace.unattributed_ms": unattributed * 1e3,
+            "trace.unattributed_share": unattributed / traced_p50,
+        })
     unknown = set(values) - set(harness.PER_LAYER_UNITS)
     if unknown:
         raise RuntimeError(f"workload reported metrics missing from the catalogue: {sorted(unknown)}")
     return values
 
 
-def _check_recorded_work(workload: str, seed: int, seconds: int, work: dict) -> str | None:
-    """Compare ``work`` with the record of an earlier run of the same seed in this checkout."""
-    records = ROOT / ".perfbench" / "work"
-    records.mkdir(parents=True, exist_ok=True)
-    path = records / f"{workload}-seed{seed}-seconds{seconds}.json"
+def check_recorded_work(records: Path, key: str, work: dict, clean: bool) -> str | None:
+    """Compare ``work`` with the record of an earlier run under ``key``.
+
+    ``key`` names the workload, seed, seconds and code digest, so only runs
+    of the same code are compared: a change that legitimately changes the
+    work gets a record of its own.  A run with no record yet writes one, but
+    only when ``clean`` (no failed op, no failed check), so a broken run
+    never becomes the reference.
+    """
+    path = records / f"{key}.json"
     if path.exists():
-        earlier = json.loads(path.read_text(encoding="utf-8"))
-        if earlier != work:
-            return f"work differs from an earlier run of seed {seed} (recorded in {path.relative_to(ROOT)})"
+        if json.loads(path.read_text(encoding="utf-8")) != work:
+            return f"work differs from an earlier run of the same code and seed (recorded in {path.name})"
         return None
-    path.write_text(json.dumps(work, sort_keys=True, indent=1), encoding="utf-8")
+    if clean:
+        records.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(work, sort_keys=True, indent=1), encoding="utf-8")
     return None
 
 
@@ -122,15 +148,18 @@ def main(argv: list[str] | None = None) -> int:
     probes.append(harness.calibration_probe())
 
     problems = list(untraced.mismatches)
-    recorded = _check_recorded_work(args.workload, args.seed, args.seconds, untraced.work)
-    if recorded:
-        problems.append(recorded)
     if traced is not None:
         problems += traced.mismatches
         if traced.work != untraced.work:
             problems.append("the traced phase did different work than the untraced one")
+    op_failures = untraced.failed + (traced.failed if traced else 0)
+    code = code_digest()
+    recorded = check_recorded_work(out / "work", f"{args.workload}-seed{args.seed}-seconds{args.seconds}-{code}",
+                                   untraced.work, clean=not problems and op_failures == 0)
+    if recorded:
+        problems.append(recorded)
     attempted = untraced.attempted + (traced.attempted if traced else 0)
-    failed = min(attempted, untraced.failed + len(problems) + (traced.failed if traced else 0))
+    failed = min(attempted, op_failures + len(problems))
 
     values, tail = end_to_end(untraced, harness)
     layers = per_layer(untraced, traced, harness, probes) if traced is not None else None
@@ -147,11 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         "host": host,
         "probe_before": probes[0],
         "probe_after": probes[1],
-        "tail": {"percentile": tail.percentile, "samples": tail.n, "beyond": tail.beyond},
+        "tail": tail and {"percentile": tail.percentile, "samples": tail.n, "beyond": tail.beyond},
         "timed_seconds": untraced.elapsed,
         "setup_trials_s": untraced.setup,
         "work": untraced.work,
         "work_digest": _digest(untraced.work),
+        "code_digest": code,
         "problems": problems,
         "end_to_end": values,
         "per_layer": layers,
@@ -165,9 +195,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"perfbench {args.workload} seed={args.seed} seconds={args.seconds} trace={args.trace}")
     print(f"  host: {json.dumps(host, sort_keys=True)}")
     print(f"  probe before: {json.dumps(probes[0])}  after: {json.dumps(probes[1])}")
-    print(f"  latency_tail_ms is p{tail.percentile:.2f} of {tail.n} ops ({tail.beyond} beyond it); "
-          f"timed phase {untraced.elapsed:.2f} s; set-up trials {[round(s, 3) for s in untraced.setup]}")
-    print(f"  work digest {report['work_digest']}")
+    if tail is not None:
+        print(f"  latency_tail_ms is p{tail.percentile:.2f} of {tail.n} ops ({tail.beyond} beyond it); "
+              f"timed phase {untraced.elapsed:.2f} s; set-up trials {[round(s, 3) for s in untraced.setup]}")
+    print(f"  work digest {report['work_digest']} (code digest {code})")
     for problem in problems:
         print(f"  PROBLEM: {problem}")
     if traced is None:

@@ -166,6 +166,45 @@ def test_feed_ingest_tiny_run_passes_its_checks(tmp_path, sequential):
     assert layers["serve.fresh.profile_ms"] > 0 and layers["feeds.incremental_share"] > 0
 
 
+def test_a_broken_serve_session_counts_the_rest_of_its_stream_as_failed(tmp_path, sequential, monkeypatch):
+    replay = serve_mix._replay_stream
+
+    def broken_after_five(connection, session, stream, *rest):
+        replay(connection, session, stream[:5] if session == 1 else stream, *rest)
+        if session == 1:
+            raise ConnectionError("the server closed the connection")
+
+    monkeypatch.setattr(serve_mix, "_replay_stream", broken_after_five)
+    sizes = serve_mix.Sizes(request_rows=400, graph_entities=60, kb_rows=60, setup_repeats=1, min_stream=200)
+    phase = serve_mix.run_phase(serve_mix.prepare(5, 1, tmp_path, sizes))
+    assert phase.attempted == 2 * 200 and len(phase.latencies) == 200 + 5
+    assert phase.failed == 200 - 5 and phase.elapsed > 0
+
+
+# -- recorded work --------------------------------------------------------------------
+
+
+def test_recorded_work_is_kept_only_from_clean_runs_and_compared_per_key(tmp_path):
+    work = {"hits": 9, "misses": 1}
+    assert run.check_recorded_work(tmp_path, "a", work, clean=False) is None
+    assert not list(tmp_path.iterdir())  # a broken run never becomes the reference
+    assert run.check_recorded_work(tmp_path, "a", work, clean=True) is None
+    assert run.check_recorded_work(tmp_path, "a", work, clean=True) is None
+    assert run.check_recorded_work(tmp_path, "a", {"hits": 8, "misses": 2}, clean=True) is not None
+    assert run.check_recorded_work(tmp_path, "b", {"hits": 8, "misses": 2}, clean=True) is None
+
+
+def test_code_digest_follows_the_code(tmp_path):
+    for top in ("src/repro", "perfbench/__pycache__"):
+        (tmp_path / top).mkdir(parents=True)
+    (tmp_path / "src/repro/__init__.py").write_text("x = 1\n")
+    before = run.code_digest(tmp_path)
+    (tmp_path / "perfbench/__pycache__/run.cpython.pyc").write_bytes(b"\0")
+    assert run.code_digest(tmp_path) == before
+    (tmp_path / "src/repro/__init__.py").write_text("x = 2\n")
+    assert run.code_digest(tmp_path) != before
+
+
 # -- the runner's contract -------------------------------------------------------------
 
 
