@@ -72,7 +72,7 @@ CUBE_QUERY = {
 MAX_STALE = 20
 #: Seconds one cycle takes on the reference host; only used to turn
 #: ``--seconds`` into a fixed cycle count.
-NOMINAL_CYCLE_S = 0.33
+NOMINAL_CYCLE_S = 0.375
 _BASE_DATUM = datetime(2026, 1, 1)
 
 

@@ -512,15 +512,24 @@ class ServerProcess:
         return vm_hwm_mb(self.proc.pid)
 
     def stop(self) -> None:
-        """SIGTERM the server and wait until it has ended (SIGKILL after 15 s)."""
+        """SIGTERM the server and wait until it has ended (SIGKILL after 15 s).
+
+        A SIGTERM that arrives while the server is accepting a connection is
+        caught by its per-request error handler and ignored, so the signal
+        is repeated every second until the server exits.
+        """
         if self.proc is None:
             return
-        if self.proc.poll() is None:
-            self.proc.send_signal(signal.SIGTERM)
-            try:
-                self.proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
+        deadline = time.perf_counter() + 15
+        while self.proc.poll() is None:
+            if time.perf_counter() > deadline:
                 self.proc.kill()
                 self.proc.wait()
+                break
+            self.proc.send_signal(signal.SIGTERM)
+            try:
+                self.proc.wait(timeout=1)
+            except subprocess.TimeoutExpired:
+                pass
         self.proc.stdout.close()
         self.proc = None

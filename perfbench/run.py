@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload kdd_pipeline --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload kdd_pipeline --seed 1 --seconds 25 --trace 0
 
 Run it from the root of a checkout.  The last line of standard output is one
 JSON object with the keys ``correct``, ``attempted``, ``failed`` and

@@ -50,8 +50,9 @@ from perfbench.kdd_pipeline import build_knowledge_base, knowledge_base_samples
 SESSIONS = 2
 #: One request in ``ADHOC_EVERY`` is a unique ad-hoc query.
 ADHOC_EVERY = 10
-#: One ad-hoc query in ``PARITY_EVERY`` is re-checked against a direct call.
-PARITY_EVERY = 8
+#: Ad-hoc queries per endpoint and session re-checked against a direct call
+#: (a fixed number, so the check costs the same at every ``--seconds``).
+PARITY_PER_ENDPOINT = 4
 ZIPF_EXPONENT = 1.1
 #: Large enough that the timed phase never evicts (see the module docstring).
 CACHE_ENTRIES = 1_000_000
@@ -216,7 +217,11 @@ def session_stream(seed: int, session: int, length: int) -> list[Request]:
              for _ in range(count)]
     slots += [(-1, j) for j in range(n_adhoc)]
     rng = np.random.default_rng([seed, session])
-    checked = set(rng.choice(n_adhoc, size=n_adhoc // PARITY_EVERY, replace=False).tolist())
+    checked: set[int] = set()
+    for slot in range(len(ADHOC_ENDPOINTS)):
+        on_endpoint = range(slot, n_adhoc, len(ADHOC_ENDPOINTS))
+        picks = rng.choice(len(on_endpoint), size=min(PARITY_PER_ENDPOINT, len(on_endpoint)), replace=False)
+        checked.update(on_endpoint[i] for i in picks.tolist())
     stream = []
     for position in rng.permutation(len(slots)):
         catalogue, j = slots[position]

@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,9 @@ def test_serve_mix_is_fixed_and_adhoc_queries_are_unique():
         catalogue = {harness.encode_request(path, params) for path, params in serve_mix.CATALOGUE}
         assert not catalogue & set(adhoc)
     assert {r.path for r in streams[0]} == set(serve_mix.ADHOC_ENDPOINTS)
+    for stream in streams:  # the parity sample: a fixed number of ad-hoc queries per endpoint
+        checked = [r.path for r in stream if r.checked]
+        assert sorted(checked) == sorted(serve_mix.ADHOC_ENDPOINTS * serve_mix.PARITY_PER_ENDPOINT)
 
 
 def test_kdd_pool_and_feed_batches_are_seeded():
@@ -176,9 +180,32 @@ def test_a_broken_serve_session_counts_the_rest_of_its_stream_as_failed(tmp_path
 
     monkeypatch.setattr(serve_mix, "_replay_stream", broken_after_five)
     sizes = serve_mix.Sizes(request_rows=400, graph_entities=60, kb_rows=60, setup_repeats=1, min_stream=200)
-    phase = serve_mix.run_phase(serve_mix.prepare(5, 1, tmp_path, sizes))
-    assert phase.attempted == 2 * 200 and len(phase.latencies) == 200 + 5
-    assert phase.failed == 200 - 5 and phase.elapsed > 0
+    inputs = serve_mix.prepare(5, 1, tmp_path, sizes)
+    phase = serve_mix.run_phase(inputs)
+    n = inputs.stream_length
+    assert phase.attempted == 2 * n and len(phase.latencies) == n + 5
+    assert phase.failed == n - 5 and phase.elapsed > 0
+
+
+def test_stop_repeats_a_sigterm_the_server_ignored(tmp_path):
+    script = tmp_path / "deaf_once.py"
+    script.write_text(
+        "import signal, sys, time\n"
+        "heard = []\n"
+        "signal.signal(signal.SIGTERM, lambda *_: sys.exit(0) if heard else heard.append(1))\n"
+        "print('ready', flush=True)\n"
+        "while True:\n"
+        "    time.sleep(0.05)\n"
+    )
+    server = harness.ServerProcess(ROOT / "src", [])
+    server.proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True)
+    assert server.proc.stdout.readline() == "ready\n"
+    proc = server.proc
+    started = time.perf_counter()
+    server.stop()
+    assert proc.returncode == 0  # ended by the repeated SIGTERM, not by SIGKILL
+    assert time.perf_counter() - started < 5
+    assert server.proc is None
 
 
 # -- recorded work --------------------------------------------------------------------
