@@ -387,8 +387,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         verbose=args.verbose,
     )
 
-    class _Shutdown(Exception):
-        """Raised by the signal handlers to break out of serve_forever."""
+    class _Shutdown(BaseException):
+        """Raised by the signal handlers to break out of serve_forever.
+
+        A ``BaseException``: socketserver logs and swallows an ``Exception``
+        raised while it hands a connection to a handler thread, but closes
+        the connection and re-raises anything else.
+        """
 
     def _signalled(signum, _frame):
         raise _Shutdown(signal.Signals(signum).name)
@@ -458,10 +463,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             return 0
         merged = base.append_rows(rows)
         tmp = store_path.with_name(store_path.name + ".tmp")
-        merged.save(tmp)
+        try:
+            merged.save(tmp)
+            os.replace(tmp, store_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     finally:
         base.close()
-    os.replace(tmp, store_path)
     print(f"appended {len(rows)} rows to {store_path} ({merged.n_rows} rows total)")
     if args.reload_url:
         reply = _post_reload(args.reload_url, args.reload_name or store_path.stem)

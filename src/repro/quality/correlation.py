@@ -7,10 +7,11 @@ expected value" (§3.1).  The criterion therefore scores how *non-redundant*
 the feature set is.
 
 The encoded path computes Pearson directly on the cached float views (no
-per-cell list round-trips) and Cramér's V from a ``bincount`` contingency
-table over code pairs; both replicate the reference arithmetic of
-:mod:`repro.tabular.stats` operation for operation, so the scores are
-bit-identical.
+per-cell list round-trips) and Cramér's V from one ``bincount`` over the
+shifted code pairs of all rows, whose missing row and column are dropped and
+whose remaining levels are laid out in sorted-string order; both replicate
+the reference arithmetic of :mod:`repro.tabular.stats` operation for
+operation, so the scores are bit-identical.
 """
 
 from __future__ import annotations
@@ -138,29 +139,27 @@ def _pearson_encoded(encoded: EncodedDataset, name_a: str, name_b: str) -> float
 
 
 def _cramers_v_encoded(encoded: EncodedDataset, name_a: str, name_b: str) -> float:
-    """:func:`repro.tabular.stats.cramers_v` from bincounts over code pairs.
+    """:func:`repro.tabular.stats.cramers_v` from one bincount over code pairs.
 
-    The contingency table is laid out with levels in sorted-string order —
-    exactly how the reference builds it — because the float reductions over
-    the table (``sum``, ``nansum``) are order-sensitive in the last bit.
+    Codes shift by one, so pairs with a missing cell land in row or column 0
+    of the count table, which are dropped.  The levels kept are those with a
+    nonzero margin in what remains — the reference's
+    ``sorted({str(x) for x, _ in pairs})`` over the complete pairs — laid out
+    in sorted-string order exactly like the reference, because the float
+    reductions over the table (``sum``, ``nansum``) are order-sensitive in
+    the last bit.
     """
     codes_a, vocab_a, _ = encoded.codes_view(name_a)
     codes_b, vocab_b, _ = encoded.codes_view(name_b)
-    both = (codes_a >= 0) & (codes_b >= 0)
-    if not both.any():
-        return 0.0
-    pairs_a = codes_a[both]
-    pairs_b = codes_b[both]
-    ranks_a = _sorted_level_ranks(pairs_a, vocab_a)
-    ranks_b = _sorted_level_ranks(pairs_b, vocab_b)
-    n_a, n_b = ranks_a.max() + 1, ranks_b.max() + 1
+    width = len(vocab_b) + 1
+    counts = np.bincount((codes_a + 1) * width + (codes_b + 1), minlength=(len(vocab_a) + 1) * width)
+    counts = counts.reshape(len(vocab_a) + 1, width)[1:, 1:]
+    rows = _levels_by_string(counts.sum(axis=1), vocab_a)
+    cols = _levels_by_string(counts.sum(axis=0), vocab_b)
+    n_a, n_b = len(rows), len(cols)
     if n_a < 2 or n_b < 2:
         return 0.0
-    table = (
-        np.bincount(ranks_a * n_b + ranks_b, minlength=n_a * n_b)
-        .reshape(n_a, n_b)
-        .astype(float)
-    )
+    table = counts[np.ix_(rows, cols)].astype(float)
     n = table.sum()
     row_sums = table.sum(axis=1, keepdims=True)
     col_sums = table.sum(axis=0, keepdims=True)
@@ -168,21 +167,9 @@ def _cramers_v_encoded(encoded: EncodedDataset, name_a: str, name_b: str) -> flo
     with np.errstate(divide="ignore", invalid="ignore"):
         chi2 = np.nansum(np.where(expected > 0, (table - expected) ** 2 / expected, 0.0))
     phi2 = chi2 / n
-    k = min(n_a - 1, n_b - 1)
-    if k == 0:
-        return 0.0
-    return float(math.sqrt(phi2 / k))
+    return float(math.sqrt(phi2 / min(n_a - 1, n_b - 1)))
 
 
-def _sorted_level_ranks(present_codes: np.ndarray, vocabulary: list[str]) -> np.ndarray:
-    """Map codes to contiguous ranks ordered by the level *string*.
-
-    Restricting to the levels actually present and ranking them by sorted
-    string mirrors the reference's ``sorted({str(x) for x, _ in pairs})``.
-    """
-    level_codes = np.unique(present_codes)
-    strings = [vocabulary[code] for code in level_codes.tolist()]
-    rank_of = np.empty(level_codes.size, dtype=np.int64)
-    for rank, position in enumerate(sorted(range(len(strings)), key=strings.__getitem__)):
-        rank_of[position] = rank
-    return rank_of[np.searchsorted(level_codes, present_codes)]
+def _levels_by_string(margin: np.ndarray, vocabulary: list[str]) -> list[int]:
+    """Codes of the levels with a nonzero ``margin``, ordered by level string."""
+    return sorted(np.flatnonzero(margin).tolist(), key=vocabulary.__getitem__)

@@ -7,8 +7,9 @@ cells differ only by normalisation (case, accents, whitespace).
 
 The encoded path replaces the per-row key tuples with per-column ``int64``
 key-code arrays over the shared encoded views — two cells get equal codes
-exactly when their row-path keys would compare equal — and counts duplicates
-by hashing whole code rows at once.
+exactly when their row-path keys would compare equal — combines them into one
+composite ``int64`` key per row (:func:`~repro.tabular.encoded.row_keys`) and
+counts the distinct keys with one sort.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from repro.lod.linker import normalise_string
 from repro.quality.criteria import Criterion, CriterionMeasure, register_criterion
 from repro.tabular.dataset import ColumnRole, ColumnType, Dataset, is_missing_value
-from repro.tabular.encoded import EncodedDataset, merge_missing_level
+from repro.tabular.encoded import EncodedDataset, count_distinct, merge_missing_level, row_keys
 
 #: Column types whose canonical cell representation is ``str`` (the types the
 #: fuzzy pass normalises; booleans stay raw ``bool`` cells on the row path).
@@ -111,8 +112,8 @@ class DuplicationCriterion(Criterion):
                 # Boolean cells are raw ``bool`` on the row path — fuzzy keys
                 # equal exact keys.
                 fuzzy_codes.append(merged)
-        exact_duplicates = n - _count_distinct_rows(exact_codes, n)
-        fuzzy_duplicates = (n - _count_distinct_rows(fuzzy_codes, n)) if self.fuzzy else 0
+        exact_duplicates = n - count_distinct(row_keys(exact_codes, n))
+        fuzzy_duplicates = (n - count_distinct(row_keys(fuzzy_codes, n))) if self.fuzzy else 0
         return self._build_measure(n, exact_duplicates, fuzzy_duplicates)
 
     @staticmethod
@@ -145,17 +146,3 @@ class DuplicationCriterion(Criterion):
                 "n_rows": n,
             },
         )
-
-
-def _count_distinct_rows(code_columns: list[np.ndarray], n_rows: int) -> int:
-    """Number of distinct rows of the (n_rows, n_columns) int64 code matrix.
-
-    Rows are compared as raw bytes (codes are plain int64, so byte equality is
-    code equality), which sidesteps the per-row Python tuples of the reference
-    path.
-    """
-    if not code_columns:
-        return min(n_rows, 1)
-    matrix = np.ascontiguousarray(np.column_stack(code_columns))
-    as_rows = matrix.view(np.dtype((np.void, matrix.dtype.itemsize * matrix.shape[1])))
-    return int(np.unique(as_rows).size)

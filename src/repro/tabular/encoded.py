@@ -316,14 +316,9 @@ class EncodedDataset:
         if cached is not None:
             return cached
         columns = [self.group_codes_view(k) for k in key]
-        if len(columns) == 1:
-            _, first_index, inverse = np.unique(columns[0], return_index=True, return_inverse=True)
-        else:
-            stacked = np.stack(columns, axis=1)
-            _, first_index, inverse = np.unique(
-                stacked, axis=0, return_index=True, return_inverse=True
-            )
-        inverse = inverse.reshape(-1)
+        _, first_index, inverse = np.unique(
+            row_keys(columns, self.n_rows), return_index=True, return_inverse=True
+        )
         # np.unique numbers groups in sorted order; renumber by first occurrence.
         rank = np.empty(first_index.size, dtype=np.int64)
         rank[np.argsort(first_index, kind="stable")] = np.arange(first_index.size)
@@ -363,6 +358,49 @@ class EncodedDataset:
         encoded = EncodedDataset(subset, _parent=self, _parent_indices=indices)
         setattr(subset, _CACHE_ATTR, encoded)
         return subset
+
+
+#: Exclusive upper bound of an int64 row key: ``2**63``.
+_KEY_LIMIT = 1 << 63
+
+
+def row_keys(code_columns: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
+    """One int64 key per row, equal for two rows exactly when all their codes are.
+
+    Each column holds ``n_rows`` int64 codes ``>= -1`` (``-1`` marking a
+    missing cell).  The columns are combined by mixed radix,
+    ``key * width + (code + 1)`` with ``width`` one past the column's largest
+    shifted code, so distinct code tuples get distinct keys.  When the next
+    multiply could pass int64, the running key is first densified to its
+    sort rank (``np.unique(..., return_inverse=True)``), which keeps the
+    partition and bounds the key by the row count.  No columns give every
+    row the key ``0``.
+    """
+    key = np.zeros(n_rows, dtype=np.int64)
+    radix = 1  # every key so far is < radix
+    for codes in code_columns:
+        width = int(codes.max()) + 2 if n_rows else 1
+        if radix * width > _KEY_LIMIT:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64, copy=False)
+            radix = int(key.max()) + 1
+        key *= width
+        key += codes
+        key += 1
+        radix *= width
+    return key
+
+
+def count_distinct(keys: np.ndarray) -> int:
+    """Number of distinct values in the 1-D array ``keys``.
+
+    Sorts and counts the boundaries.  A plain ``np.unique(keys)`` takes
+    numpy's hash path for integers, which measured far slower than a sort
+    on row-sized key arrays.
+    """
+    if keys.size == 0:
+        return 0
+    ordered = np.sort(keys)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def map_codes_to_index(

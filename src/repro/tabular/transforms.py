@@ -163,6 +163,7 @@ class _GroupSegments:
         self.view = view
         self.keys = keys
         self.aggregations = dict(aggregations)
+        self._order: np.ndarray | None = None
         self._measures: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, str]] | None = None
 
     def __getstate__(self) -> dict[str, Any]:
@@ -172,14 +173,28 @@ class _GroupSegments:
     def __setstate__(self, state: dict[str, Any]) -> None:
         """Restore the inputs with the derived state unset."""
         self.__dict__.update(state)
+        self._order = None
         self._measures = None
+
+    def order(self) -> np.ndarray:
+        """The stable argsort of the group ids, computed once.
+
+        The ids are sorted as the narrowest unsigned dtype that holds every
+        id: numpy's stable sort of integers up to 16 bits is a radix sort,
+        and a stable sort's permutation does not depend on the dtype.
+        """
+        if self._order is None:
+            group_ids, n_groups = encode_dataset(self.view.resolve()).group_keys(self.keys)
+            narrow = group_ids.astype(np.min_scalar_type(max(n_groups - 1, 0)))
+            self._order = np.argsort(narrow, kind="stable")
+        return self._order
 
     def measures(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, str]]:
         """``{out_name: (present, present_counts, ends, agg)}``, derived lazily."""
         if self._measures is None:
             encoded = encode_dataset(self.view.resolve())
             group_ids, n_groups = encoded.group_keys(self.keys)
-            order = np.argsort(group_ids, kind="stable")
+            order = self.order()
             sorted_ids = group_ids[order]
             measures: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, str]] = {}
             for out_name, (source, agg) in self.aggregations.items():
@@ -316,17 +331,16 @@ def _grouped_rows_encoded(
     group_ids, n_groups = encoded.group_keys(keys)
     if n_groups == 0:
         return []
-    order = np.argsort(group_ids, kind="stable")
+    view = ViewHandle(dataset)
+    segments = _GroupSegments(view, keys, aggregations)
     counts = np.bincount(group_ids, minlength=n_groups)
     starts = np.zeros(n_groups, dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
-    first_rows = order[starts]
+    first_rows = segments.order()[starts]
 
     out_rows: list[dict[str, Any]] = [
         {key: dataset[key][first_rows[g]] for key in keys} for g in range(n_groups)
     ]
-    view = ViewHandle(dataset)
-    segments = _GroupSegments(view, keys, aggregations)
     n_workers = effective_n_jobs(n_jobs)
     reduced = None
     if n_workers > 1 and n_groups > 1:

@@ -14,6 +14,7 @@ ordering) and the no-mutation contract on the shared encoded views.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_group_by_every_aggregation_identical(sales, agg):
 @pytest.mark.parametrize(
     "keys",
     [["region"], ["district"], ["year"], ["flagged"], ["region", "district"],
-     ["district", "year"], ["region", "district", "year", "flagged"]],
+     ["district", "year"], ["region", "district", "year", "flagged"], ["region", "district", "year"]],
 )
 def test_group_by_key_combinations_identical(sales, keys):
     aggs = {f"amount_{agg}": ("amount", agg) for agg in AGGREGATIONS}
@@ -172,6 +173,71 @@ def test_group_by_numeric_key_nan_group_identical():
     _assert_identical_datasets(fast, slow)
     assert fast.n_rows == 3  # 1.0, the nan group, 2.0 — in first-seen order
     assert fast["s"].tolist() == [50.0, 70.0, 30.0]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"k": [], "x": []},
+        {"x": [1.0, -0.0, 0.0, None, 1.0, -0.0, None]},
+        {"k": [None, None, None], "x": [1.0, 2.0, 3.0]},
+        {"k": [0.0, None, -0.0, 2.0, None, 0.0], "j": ["a", "b", "a", "a", "b", None],
+         "x": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]},
+    ],
+    ids=["zero-rows", "single-column", "all-missing-key", "signed-zero-and-nan-keys"],
+)
+def test_group_by_edge_inputs_identical(columns):
+    ds = Dataset.from_dict(columns, ctypes={"k": ColumnType.NUMERIC, "x": ColumnType.NUMERIC})
+    keys = [name for name in columns if name != "x"] or ["x"]
+    aggs = {f"x_{agg}": ("x", agg) for agg in AGGREGATIONS}
+    try:
+        slow = group_by(ds, keys, aggs, force_row=True)
+    except ReproError as exc:
+        with pytest.raises(type(exc)):
+            group_by(ds, keys, aggs)
+        return
+    _assert_identical_datasets(group_by(ds, keys, aggs), slow)
+
+
+@pytest.mark.parametrize("n_groups", [257, 65_537])
+def test_group_by_past_the_narrow_sort_dtype_boundaries_identical(n_groups):
+    # Group ids are sorted as uint8 up to 256 groups and as uint16 up to
+    # 65,536; these inputs need the next width up.
+    rng = np.random.default_rng(n_groups)
+    keys = np.concatenate([np.arange(n_groups), rng.integers(n_groups, size=500)])
+    rng.shuffle(keys)
+    ds = Dataset.from_dict(
+        {"k": (keys * 0.5).tolist(), "x": np.round(rng.normal(size=keys.size), 3).tolist()}
+    )
+    aggs = {"s": ("x", "sum"), "n": ("x", "count")}
+    fast = group_by(ds, ["k"], aggs)
+    assert fast.n_rows == n_groups
+    _assert_identical_datasets(fast, group_by(ds, ["k"], aggs, force_row=True))
+
+
+def test_group_by_wide_distinct_keys_overflow_the_radix_and_densify():
+    # Five key columns of 8,191 distinct values each: every radix width is
+    # 2**13, so the composite key reaches 2**65 and is densified on the way.
+    # The last two rows differ only in the first key, by 4,096 codes, and
+    # would share a wrapped int64 key without that step.
+    n = 8_191
+    rng = np.random.default_rng(31)
+    rows = np.concatenate([np.arange(n), [5, 17, 0, 0]])
+    first = np.arange(n, dtype=float)[rows]
+    first[-2:] = [100.0, 4_196.0]
+    columns = {"n0": first.tolist()}
+    for j in range(1, 5):
+        values = rng.permutation(n)[rows]
+        columns[f"k{j}"] = (values * 0.25).tolist() if j % 2 == 0 else [f"L{v}" for v in values.tolist()]
+    columns["x"] = np.round(rng.normal(size=rows.size), 3).tolist()
+    ds = Dataset.from_dict(columns)
+    keys = [name for name in columns if name != "x"]
+    encoded = encode_dataset(ds)
+    assert math.prod(int(encoded.group_codes_view(k).max()) + 2 for k in keys) == 2**65
+    aggs = {"s": ("x", "sum"), "n": ("x", "count")}
+    fast = group_by(ds, keys, aggs)
+    assert fast.n_rows == n + 2
+    _assert_identical_datasets(fast, group_by(ds, keys, aggs, force_row=True))
 
 
 def test_group_by_float_summation_order_is_sequential(sales):
@@ -497,7 +563,7 @@ def test_take_slices_group_codes_consistently(sales):
     fold = encoded.take(indices)
     fold_encoded = getattr(fold, "_encoded_cache")
     fresh = encode_dataset(fold.copy())
-    for keys in (["district"], ["region", "year"]):
+    for keys in (["district"], ["region", "year"], ["region", "district", "year"]):
         a_ids, a_n = fold_encoded.group_keys(keys)
         b_ids, b_n = fresh.group_keys(keys)
         assert a_n == b_n

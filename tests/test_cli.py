@@ -362,6 +362,22 @@ class TestIngestCommandErrors:
         assert code == 2
         assert "cannot reach the server" in capsys.readouterr().err
 
+    def test_failed_save_leaves_the_store_and_no_tmp_file(self, ingest_feed, ingest_store, monkeypatch):
+        from pathlib import Path
+
+        from repro.tabular.dataset import Dataset
+
+        def failing_save(self, path):
+            Path(path).write_bytes(b"partial store")
+            raise OSError("disk full")
+
+        before = ingest_store.read_bytes()
+        monkeypatch.setattr(Dataset, "save", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            main(["ingest", str(ingest_feed), str(ingest_store)])
+        assert ingest_store.read_bytes() == before
+        assert sorted(p.name for p in ingest_store.parent.iterdir()) == ["feed.jsonl", "requests.rps"]
+
     def test_schema_incompatible_delta_is_an_error(self, ingest_store, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"citta": "Roma"}\n', encoding="utf-8")
@@ -428,5 +444,46 @@ class TestServeCommand:
         finally:
             if process.poll() is None:
                 process.kill()
+        assert process.returncode == 0, output
+        assert "shutting down (SIGTERM)" in output
+
+    def test_serve_sigterm_while_accepting_a_connection_is_a_clean_shutdown(self, store_path):
+        """A SIGTERM that lands inside ``process_request`` still stops the server."""
+        import os
+        import socket
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import os, signal, sys\n"
+            "from repro.cli import main\n"
+            "from repro.serve.server import ReproServer\n"
+            "accept = ReproServer.process_request\n"
+            "def process_request(self, request, client_address):\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    accept(self, request, client_address)\n"
+            "ReproServer.process_request = process_request\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-c", script, "serve", "--store", str(store_path), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            banner = process.stdout.readline()
+            assert "serving requests on http://" in banner
+            host, port = banner.split("http://", 1)[1].split()[0].split(":")
+            with socket.create_connection((host, int(port)), timeout=5):
+                process.wait(timeout=5)
+        finally:
+            if process.poll() is None:
+                process.kill()
+            output = process.communicate()[0]
         assert process.returncode == 0, output
         assert "shutting down (SIGTERM)" in output

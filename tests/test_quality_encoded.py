@@ -218,13 +218,51 @@ def test_fuzzy_duplicates_case_accents_whitespace():
 
 
 def test_numeric_rounding_keys_match_row_path():
-    # round(·, 6) merges near-equal floats; ±0.0 share one key on both paths.
+    # round(·, 6) merges near-equal floats; ±0.0 share one key and every nan
+    # shares the missing key on both paths.
+    nan = float("nan")
     dataset = Dataset(
-        [Column("x", [1.0000001, 1.00000012, 1.0, -0.0, 0.0, 2.5], ctype=ColumnType.NUMERIC)],
+        [Column("x", [1.0000001, 1.00000012, 1.0, -0.0, 0.0, 2.5, nan, -0.0, nan], ctype=ColumnType.NUMERIC)],
         name="rounding",
     )
     criterion = DuplicationCriterion()
     _assert_identical(criterion.measure(dataset), criterion._measure_encoded(encode_dataset(dataset)))
+    assert criterion.measure(dataset).details["n_exact_duplicates"] == 5
+
+
+def test_single_column():
+    _assert_all_criteria_identical(
+        Dataset(
+            [Column("c", ["a", None, "b", "a", None, "A "], ctype=ColumnType.CATEGORICAL)],
+            name="single-column",
+        )
+    )
+
+
+def test_wide_distinct_keys_overflow_the_radix_and_densify():
+    # Five key columns of 8,191 distinct values each: every radix width is
+    # 2**13, so the composite row key reaches 2**65 and is densified on the
+    # way.  The last two rows differ only in the first column, by 4,096
+    # codes, and would share a wrapped int64 key without that step.  Rows
+    # 5 and 17 come back as true duplicates.
+    n = 8_191
+    rng = np.random.default_rng(29)
+    rows = np.concatenate([np.arange(n), [5, 17, 0, 0]])
+    first = np.arange(n, dtype=float)[rows]
+    first[-2:] = [100.0, 4_196.0]
+    columns = [Column("n0", first.tolist(), ctype=ColumnType.NUMERIC)]
+    for j in range(1, 5):
+        values = rng.permutation(n)[rows]
+        if j % 2:
+            columns.append(Column(f"s{j}", [f"L{v}" for v in values.tolist()], ctype=ColumnType.STRING))
+        else:
+            columns.append(Column(f"n{j}", (values * 0.25).tolist(), ctype=ColumnType.NUMERIC))
+    dataset = Dataset(columns, name="wide-distinct")
+    for fuzzy in (True, False):
+        criterion = DuplicationCriterion(fuzzy=fuzzy)
+        row = criterion.measure(dataset)
+        _assert_identical(row, criterion._measure_encoded(encode_dataset(dataset)))
+        assert row.details["n_exact_duplicates"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +318,19 @@ def test_correlation_cap_exits_both_loops_identically(max_pairs, monkeypatch):
     assert calls["n"] == max_pairs, "encoded path evaluated associations past the cap"
     _assert_identical(row, enc)
     assert row.details["n_pairs"] == max_pairs
+
+
+def test_cramers_v_leaves_out_a_level_seen_only_beside_missing():
+    # "z" occurs only where b is missing: the reference builds its table
+    # from complete pairs, so "z" gets no row on either path (a row for it
+    # would raise min(levels_a, levels_b) - 1 from 1 to 2).
+    a = Column("a", ["x", "y", "x", "y", "z", "x", "y", "z", "x"], ctype=ColumnType.CATEGORICAL)
+    b = Column("b", ["p", "q", "r", "p", None, "q", "r", None, "r"], ctype=ColumnType.CATEGORICAL)
+    dataset = Dataset([a, b], name="beside-missing")
+    criterion = CorrelationCriterion()
+    row = criterion.measure(dataset)
+    assert row.details["mean_association"] > 0.0
+    _assert_identical(row, criterion._measure_encoded(encode_dataset(dataset)))
 
 
 # ---------------------------------------------------------------------------
