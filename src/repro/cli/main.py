@@ -367,12 +367,41 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
     return 0
 
 
+#: glibc ``mallopt`` settings ``repro serve`` pins before it opens snapshots:
+#: ``M_MMAP_THRESHOLD`` (-3) at 32 MiB and ``M_TRIM_THRESHOLD`` (-1) at 64 MiB,
+#: the values glibc's own dynamic thresholds converge to at their ceiling.
+_SERVE_MALLOPT = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _keep_heap_resident() -> None:
+    """Keep the heap a long-lived server frees, instead of returning it to the kernel.
+
+    Each ``/reload`` frees the retired snapshot's arrays.  With glibc's
+    defaults, the freed heap is trimmed and the next snapshot's slightly
+    larger arrays are mapped afresh, so every fresh query after a reload
+    faults tens of MB back in (docs/serving.md, "Memory").  Only the CLI
+    process sets this: a library must not change the allocator of the
+    process that imports it.  Skipped where ``mallopt`` is not available.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for parameter, value in _SERVE_MALLOPT:
+        mallopt(parameter, value)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve snapshots over HTTP until SIGTERM/SIGINT (see docs/serving.md)."""
     import signal
 
     from repro.serve import ENDPOINTS, create_server
 
+    _keep_heap_resident()
     for path in (args.store or []) + (args.graph or []):
         if not Path(path).exists():
             raise ReproError(f"snapshot file {path} does not exist")

@@ -16,6 +16,7 @@ changes the store, so reads between mutations share one build.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -52,6 +53,12 @@ class ColumnarTriples:
     then raises :class:`~repro.exceptions.LODError` rather than silently
     mixing the frozen term table with the mutated dict indexes.  Callers
     must not modify the returned arrays.
+
+    The store owns its snapshot; the snapshot refers back to the store only
+    weakly, so a dropped store and its arrays are freed by reference
+    counting rather than by the cyclic garbage collector.  A snapshot that
+    outlives its store keeps serving the orderings it already holds, and
+    materialising a missing one raises the stale-snapshot error.
     """
 
     __slots__ = ("terms", "term_ids", "_store", "_orders", "_blocks")
@@ -77,7 +84,7 @@ class ColumnarTriples:
 
         self.terms = list(term_ids)
         self.term_ids = term_ids
-        self._store = store
+        self._store = weakref.ref(store)
         self._orders: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {"spo": spo}
         self._blocks: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -96,17 +103,18 @@ class ColumnarTriples:
 
     def _build_order(self, index: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Materialise the POS or OSP ordering from the store's dict indexes."""
-        if self._store._columnar is not self:
+        store = self._store()
+        if store is None or store._columnar is not self:
             raise LODError(
-                "stale ColumnarTriples snapshot: the store was mutated after this "
-                "snapshot was taken; call store.columnar() again for a fresh one"
+                "stale ColumnarTriples snapshot: the store was mutated or dropped after "
+                "this snapshot was taken; call store.columnar() again for a fresh one"
             )
         term_ids = self.term_ids
         s_col: list[int] = []
         p_col: list[int] = []
         o_col: list[int] = []
         if index == "pos":
-            for p, by_object in self._store._pos.items():
+            for p, by_object in store._pos.items():
                 p_code = term_ids[p]
                 for o, subjects in by_object.items():
                     s_codes = [term_ids[s] for s in subjects]
@@ -114,7 +122,7 @@ class ColumnarTriples:
                     p_col += [p_code] * len(s_codes)
                     o_col += [term_ids[o]] * len(s_codes)
         elif index == "osp":
-            for o, by_subject in self._store._osp.items():
+            for o, by_subject in store._osp.items():
                 o_code = term_ids[o]
                 for s, predicates in by_subject.items():
                     p_codes = [term_ids[p] for p in predicates]
@@ -143,6 +151,7 @@ class ColumnarTriples:
         the middle of the array), so they are dropped and lazily rebuilt
         from the mutated dict indexes on next use.
         """
+        spo = self._store()._spo  # the caller holds the store
         term_ids = self.term_ids
         terms = self.terms
 
@@ -158,7 +167,7 @@ class ColumnarTriples:
         p_col: list[int] = []
         o_col: list[int] = []
         for s in new_subjects:
-            by_predicate = self._store._spo.get(s)
+            by_predicate = spo.get(s)
             if not by_predicate:
                 continue
             s_code = intern(s)

@@ -24,6 +24,7 @@ the round-trip test suite enforces).
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -341,7 +342,7 @@ def open_graph(path: Path | str, force_memory: bool = False, verify: bool = Fals
     snapshot = ColumnarTriples.__new__(ColumnarTriples)
     snapshot.terms = terms
     snapshot.term_ids = term_ids
-    snapshot._store = store
+    snapshot._store = weakref.ref(store)
     snapshot._orders = orders
     snapshot._blocks = blocks
     store._columnar = snapshot

@@ -668,7 +668,7 @@ class Dataset:
             from repro.tabular.encoded import _CACHE_ATTR, encode_dataset, extend_encoding
 
             base_encoded = getattr(self, _CACHE_ATTR, None)
-            if base_encoded is not None and base_encoded.dataset is self:
+            if base_encoded is not None and base_encoded.owned_by(self):
                 extend_encoding(base_encoded, encode_dataset(other), result)
         return result
 

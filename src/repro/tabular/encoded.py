@@ -22,7 +22,10 @@ the vectorized paths can broadcast over:
 
 Encodings are cached on the dataset instance via :func:`encode_dataset`.  This
 is safe because every ``Dataset``/``Column`` operation returns a new object;
-nothing in the library mutates column arrays in place.
+nothing in the library mutates column arrays in place.  The dataset owns its
+encoding; the encoding keeps the dataset's column map and only a weak
+reference back, so reference counting frees a dropped dataset and its
+encoded arrays at once, without waiting for the cyclic garbage collector.
 
 Fold slicing is supported without re-encoding: :meth:`EncodedDataset.take`
 returns a new dataset whose encoded views are produced by slicing the parent's
@@ -33,6 +36,7 @@ statistics remain identical to encoding the slice from scratch).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -56,10 +60,16 @@ class EncodedDataset:
     the dataset) or :meth:`take` (which derives fold views by index slicing).
     Views for column names absent from the dataset are materialised as
     all-missing, mirroring ``row.get(name) -> None`` in the row path.
+
+    The encoding reads the dataset's column map, kept here, and refers to
+    the dataset itself only weakly, so that an encoded dataset is not a
+    reference cycle; :attr:`dataset` covers an encoding that outlives it.
     """
 
     __slots__ = (
-        "dataset",
+        "_columns",
+        "_name",
+        "_owner",
         "_numeric",
         "_categorical",
         "_normalised",
@@ -75,7 +85,9 @@ class EncodedDataset:
         _parent: "EncodedDataset | None" = None,
         _parent_indices: np.ndarray | None = None,
     ) -> None:
-        self.dataset = dataset
+        self._columns = dataset._columns
+        self._name = dataset.name
+        self._owner = weakref.ref(dataset)
         self._numeric: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._categorical: dict[str, tuple[np.ndarray, list[str], dict[str, int]]] = {}
         self._normalised: dict[str, list[str]] = {}
@@ -100,8 +112,30 @@ class EncodedDataset:
         )
 
     @property
+    def dataset(self) -> Dataset:
+        """The dataset this encoding belongs to.
+
+        While that dataset is alive this is the dataset itself.  Once it is
+        gone, it is a facade :class:`Dataset` over the kept columns whose
+        cached encoding is this one, so ``encode_dataset(enc.dataset) is enc``
+        still holds.  The facade is held weakly too, and rebuilt when needed.
+        """
+        dataset = self._owner()
+        if dataset is None:
+            dataset = Dataset.__new__(Dataset)
+            dataset.name = self._name
+            dataset._columns = self._columns
+            setattr(dataset, _CACHE_ATTR, self)
+            self._owner = weakref.ref(dataset)
+        return dataset
+
+    def owned_by(self, dataset: Dataset) -> bool:
+        """Whether ``dataset`` is the live dataset this encoding belongs to."""
+        return self._owner() is dataset
+
+    @property
     def n_rows(self) -> int:
-        return self.dataset.n_rows
+        return len(next(iter(self._columns.values())))
 
     # -- numeric view --------------------------------------------------------
 
@@ -110,7 +144,7 @@ class EncodedDataset:
         cached = self._numeric.get(name)
         if cached is not None:
             return cached
-        if name not in self.dataset:
+        if name not in self._columns:
             n = self.n_rows
             view = (np.full(n, np.nan), np.ones(n, dtype=bool))
         elif self._parent is not None:
@@ -122,7 +156,7 @@ class EncodedDataset:
         return view
 
     def _encode_numeric(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        column = self.dataset[name]
+        column = self._columns[name]
         if column.is_numeric():
             values = column.values.astype(float, copy=False)
             return values, np.isnan(values)
@@ -148,7 +182,7 @@ class EncodedDataset:
         cached = self._categorical.get(name)
         if cached is not None:
             return cached
-        if name not in self.dataset:
+        if name not in self._columns:
             view = (np.full(self.n_rows, -1, dtype=np.int64), [], {})
         elif self._parent is not None:
             view = self._slice_codes(name)
@@ -158,7 +192,7 @@ class EncodedDataset:
         return view
 
     def _encode_categorical(self, name: str) -> tuple[np.ndarray, list[str], dict[str, int]]:
-        column = self.dataset[name]
+        column = self._columns[name]
         missing = column.missing_mask()
         codes = np.full(len(column), -1, dtype=np.int64)
         index: dict[str, int] = {}
@@ -218,8 +252,9 @@ class EncodedDataset:
         exact masks the row-at-a-time criteria derive cell by cell, so counts
         taken from this view are bit-identical to the row path.
         """
-        if name in self.dataset and not self.dataset[name].is_numeric():
-            return self.dataset[name].missing_mask()
+        column = self._columns.get(name)
+        if column is not None and not column.is_numeric():
+            return column.missing_mask()
         return self.numeric_view(name)[1]
 
     def normalised_levels(self, name: str) -> list[str]:
@@ -288,9 +323,9 @@ class EncodedDataset:
         cached = self._group_codes.get(name)
         if cached is not None:
             return cached
-        if name not in self.dataset:
+        if name not in self._columns:
             codes = np.zeros(self.n_rows, dtype=np.int64)
-        elif self.dataset[name].is_numeric():
+        elif self._columns[name].is_numeric():
             values, missing = self.numeric_view(name)
             codes = np.full(values.shape, -1, dtype=np.int64)
             present = ~missing
@@ -447,7 +482,7 @@ def merge_missing_level(
 def encode_dataset(dataset: Dataset) -> EncodedDataset:
     """Return the cached :class:`EncodedDataset` for ``dataset``, creating it lazily."""
     encoded = getattr(dataset, _CACHE_ATTR, None)
-    if encoded is not None and encoded.dataset is dataset:
+    if encoded is not None and encoded.owned_by(dataset):
         return encoded
     encoded = EncodedDataset(dataset)
     try:
