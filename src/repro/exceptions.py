@@ -40,16 +40,6 @@ class OLAPError(ReproError):
     """An OLAP cube operation was invalid (unknown dimension, measure…)."""
 
 
-class ParallelError(ReproError):
-    """The parallel execution tier was misconfigured or a dispatch failed.
-
-    Worker failures inside a specific subsystem surface as that
-    subsystem's own error class (:class:`MiningError`,
-    :class:`DataQualityError`, …); this class covers the dispatch layer
-    itself (bad ``REPRO_N_JOBS`` values, sharing-protocol violations).
-    """
-
-
 class ServeError(ReproError):
     """The serving tier rejected a request or was misconfigured.
 

@@ -37,7 +37,6 @@ from repro.exceptions import LODError
 from repro.lod.graph import Graph
 from repro.lod.terms import IRI, Literal, Predicate, Subject, Triple
 from repro.lod.vocabulary import OWL
-from repro.parallel import ViewHandle, effective_n_jobs, parallel_map
 
 #: When active (inside ``EntityLinker.link``/``score_pair``), memoises
 #: ``normalise_string`` per distinct raw string so the costly Unicode
@@ -322,37 +321,6 @@ def _edit_bound_candidates(
     return np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
 
 
-def _score_block(context: dict, block_index: int) -> "Link | None":
-    """Score one left subject's candidate block; the unit shared by both tiers.
-
-    Candidates in a block share one left subject; they are scored against
-    that subject in ascending right-subject order — exactly the order the
-    sequential block loop used — and the block's strict best is returned
-    as a :class:`Link` (or ``None`` below threshold).
-    """
-    linker = context["linker"]
-    left_graph = context["left_view"].resolve()
-    right_graph = context["right_view"].resolve()
-    right_subjects = context["right_subjects"]
-    n_right = context["n_right"]
-    block = context["blocks"][block_index]
-    left = context["left_subjects"][int(block[0]) // n_right]
-    best_right = None
-    best_score = 0.0
-    with linker._cached_lookups():
-        for key in block.tolist():  # ascending key = right_subjects order
-            right = right_subjects[key % n_right]
-            if left == right:
-                continue
-            score = linker.score_pair(left_graph, left, right_graph, right)
-            if score > best_score:
-                best_score = score
-                best_right = right
-    if best_right is not None and best_score >= linker.threshold:
-        return Link(left, best_right, best_score)
-    return None
-
-
 class EntityLinker:
     """Discover ``owl:sameAs`` links between two graphs (or within one graph).
 
@@ -360,17 +328,13 @@ class EntityLinker:
     with the weighted average of its rules and keeps pairs above ``threshold``.
     Candidate generation is blocked and vectorized by default (see the module
     docstring); ``_force_pairwise_link`` routes back to the exhaustive
-    reference tier.  ``n_jobs`` fans the candidate blocks of the blocked
-    tier over a worker pool (see :mod:`repro.parallel`); the link set and
-    scores stay identical at any worker count.
+    reference tier.
     """
 
     #: Escape hatch: force the exhaustive pairwise reference tier.
     _force_pairwise_link = False
 
-    def __init__(
-        self, rules: Sequence[LinkRule], threshold: float = 0.85, n_jobs: int | None = None
-    ) -> None:
+    def __init__(self, rules: Sequence[LinkRule], threshold: float = 0.85) -> None:
         """Validate the rules and the threshold."""
         if not rules:
             raise LODError("EntityLinker needs at least one LinkRule")
@@ -378,21 +342,9 @@ class EntityLinker:
             raise LODError("threshold must be in (0, 1]")
         self.rules = list(rules)
         self.threshold = threshold
-        self.n_jobs = n_jobs
         #: (graph, subject, predicate) → value strings, active during a
         #: ``link``/``score_pair`` run (keys hold the graphs by identity).
         self._value_cache: dict[tuple[Graph, Subject, Predicate], list[str]] | None = None
-
-    def __getstate__(self) -> dict:
-        """Pickle without the transient value cache (it holds whole graphs).
-
-        The cache is only ever populated inside a linking run; a snapshot
-        dispatch pickles the linker mid-run, and shipping the cache would
-        drag both graphs through the pipe.  Workers rebuild it lazily.
-        """
-        state = dict(self.__dict__)
-        state["_value_cache"] = None
-        return state
 
     @contextmanager
     def _cached_lookups(self):
@@ -466,20 +418,25 @@ class EntityLinker:
         right_subjects: Sequence[Subject],
     ) -> list[Link]:
         """Reference tier: score every pair; keep each left's first strict best."""
-        links: list[Link] = []
-        for left in left_subjects:
-            best_right = None
-            best_score = 0.0
-            for right in right_subjects:
-                if left == right:
-                    continue
-                score = self.score_pair(left_graph, left, right_graph, right)
-                if score > best_score:
-                    best_score = score
-                    best_right = right
-            if best_right is not None and best_score >= self.threshold:
-                links.append(Link(left, best_right, best_score))
-        return links
+        links = (self._best_link(left_graph, left, right_graph, right_subjects) for left in left_subjects)
+        return [link for link in links if link is not None]
+
+    def _best_link(
+        self, left_graph: Graph, left: Subject, right_graph: Graph, candidates: Sequence[Subject]
+    ) -> "Link | None":
+        """``left``'s first strict best among ``candidates``, if it reaches the threshold."""
+        best_right = None
+        best_score = 0.0
+        for right in candidates:
+            if left == right:
+                continue
+            score = self.score_pair(left_graph, left, right_graph, right)
+            if score > best_score:
+                best_score = score
+                best_right = right
+        if best_right is not None and best_score >= self.threshold:
+            return Link(left, best_right, best_score)
+        return None
 
     def _flatten_norms(
         self, graph: Graph, subjects: Sequence[Subject], predicate: IRI
@@ -538,27 +495,18 @@ class EntityLinker:
             return []
         keys = np.unique(np.concatenate(survivor_keys))
 
+        # One block per left subject; ascending keys keep right_subjects order.
         splits = np.flatnonzero(np.diff(keys // n_right)) + 1
-        blocks = np.split(keys, splits)
-        left_view = ViewHandle(left_graph)
-        context = {
-            "linker": self,
-            "left_view": left_view,
-            "right_view": left_view if right_graph is left_graph else ViewHandle(right_graph),
-            "left_subjects": list(left_subjects),
-            "right_subjects": list(right_subjects),
-            "n_right": n_right,
-            "blocks": blocks,
-        }
-        n_workers = effective_n_jobs(self.n_jobs)
-        results = None
-        if n_workers > 1 and len(blocks) > 1:
-            results = parallel_map(
-                _score_block, len(blocks), context=context, n_jobs=n_workers, error_cls=LODError
+        links = (
+            self._best_link(
+                left_graph,
+                left_subjects[int(block[0]) // n_right],
+                right_graph,
+                [right_subjects[key % n_right] for key in block.tolist()],
             )
-        if results is None:
-            results = [_score_block(context, i) for i in range(len(blocks))]
-        return [link for link in results if link is not None]
+            for block in np.split(keys, splits)
+        )
+        return [link for link in links if link is not None]
 
     def materialise(self, target_graph: Graph, links: Sequence[Link]) -> int:
         """Write ``owl:sameAs`` triples for the links into ``target_graph``."""

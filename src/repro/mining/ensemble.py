@@ -26,29 +26,8 @@ import numpy as np
 from repro.exceptions import MiningError
 from repro.mining.base import Classifier, check_fitted
 from repro.mining.tree import DecisionTreeClassifier
-from repro.parallel import ViewHandle, effective_n_jobs, parallel_map
 from repro.tabular.dataset import Column, ColumnRole, Dataset, is_missing_value
 from repro.tabular.encoded import EncodedDataset, encode_dataset
-
-
-def _fit_member(context: dict[str, Any], member_index: int) -> Classifier:
-    """Fit one committee member from its pre-drawn sampling plan.
-
-    The unit shared by the sequential and parallel fit tiers: every random
-    decision (bootstrap indices, subspace columns) was drawn up front in
-    :meth:`BaggingClassifier._fit`, so fitting member ``i`` is a pure
-    function of the plan — independent of every other member, hence safe
-    to run in any order on any worker.
-    """
-    dataset = context["view"].resolve()
-    indices, chosen = context["plans"][member_index]
-    subset = dataset.take(indices)
-    if chosen is not None:
-        kept = [c.name for c in subset.columns if c.role != ColumnRole.FEATURE or c.name in chosen]
-        subset = subset.select_columns(kept)
-    member = context["factory"]()
-    member.fit(subset)
-    return member
 
 
 class BaggingClassifier(Classifier):
@@ -67,12 +46,6 @@ class BaggingClassifier(Classifier):
         1.0 disables subspacing.
     seed:
         Seed controlling both the bootstraps and the subspaces.
-    n_jobs:
-        Worker count for fitting members in parallel (``None`` reads the
-        ``REPRO_N_JOBS`` environment variable; 1 is the sequential tier).
-        The fitted committee is identical at any worker count: every
-        random draw happens up front, in the parent, in the historical
-        sequential order.
     """
 
     name = "bagged_trees"
@@ -84,7 +57,6 @@ class BaggingClassifier(Classifier):
         sample_fraction: float = 1.0,
         feature_fraction: float = 1.0,
         seed: int = 0,
-        n_jobs: int | None = None,
     ) -> None:
         super().__init__()
         if n_estimators < 1:
@@ -98,7 +70,6 @@ class BaggingClassifier(Classifier):
         self.sample_fraction = sample_fraction
         self.feature_fraction = feature_fraction
         self.seed = seed
-        self.n_jobs = n_jobs
         self.estimators_: list[Classifier] = []
         self.estimator_features_: list[list[str]] = []
 
@@ -107,15 +78,9 @@ class BaggingClassifier(Classifier):
     ) -> list[tuple[list[int], list[str] | None]]:
         """Pre-draw every member's ``(bootstrap_indices, subspace_or_None)`` plan.
 
-        All draws happen here, on one RNG, in the exact order the old
-        sequential fit loop made them (member ``i``'s bootstrap, then its
-        subspace).  This is what makes member fits independent: the loop
-        used to interleave drawing with fitting, so member ``i``'s sample
-        depended on the RNG state left behind by members ``0..i-1`` —
-        correct sequentially, but unreproducible the moment fits run out
-        of order.  Drawing up front keeps the historical streams (seeded
-        models are bit-identical to every release since the ensemble
-        landed) while making each plan a self-contained work unit.
+        All draws happen here, on one RNG, member by member: member ``i``'s
+        bootstrap, then its subspace.  That order is the seeded stream;
+        changing it changes every seeded model.
         """
         rng = random.Random(self.seed)
         n_subspace = max(1, int(round(self.feature_fraction * len(feature_names))))
@@ -133,15 +98,15 @@ class BaggingClassifier(Classifier):
             raise MiningError("no labelled rows to train on")
         feature_names = [column.name for column in features]
         plans = self._draw_plans(labelled, feature_names)
-        context = {"view": ViewHandle(dataset), "factory": self.base_factory, "plans": plans}
-        n_workers = effective_n_jobs(self.n_jobs)
-        members = None
-        if n_workers > 1 and len(plans) > 1:
-            members = parallel_map(
-                _fit_member, len(plans), context=context, n_jobs=n_workers, error_cls=MiningError
-            )
-        if members is None:
-            members = [_fit_member(context, i) for i in range(len(plans))]
+        members: list[Classifier] = []
+        for indices, chosen in plans:
+            subset = dataset.take(indices)
+            if chosen is not None:
+                kept = [c.name for c in subset.columns if c.role != ColumnRole.FEATURE or c.name in chosen]
+                subset = subset.select_columns(kept)
+            member = self.base_factory()
+            member.fit(subset)
+            members.append(member)
         self.estimators_ = members
         self.estimator_features_ = [
             chosen if chosen is not None else list(feature_names) for _, chosen in plans
@@ -269,7 +234,6 @@ class RandomSubspaceForest(BaggingClassifier):
         n_estimators: int = 15,
         feature_fraction: float = 0.6,
         seed: int = 0,
-        n_jobs: int | None = None,
     ) -> None:
         super().__init__(
             base_factory=lambda: DecisionTreeClassifier(max_depth=8, min_samples_split=4),
@@ -277,5 +241,4 @@ class RandomSubspaceForest(BaggingClassifier):
             sample_fraction=1.0,
             feature_fraction=feature_fraction,
             seed=seed,
-            n_jobs=n_jobs,
         )

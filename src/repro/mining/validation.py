@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.exceptions import MiningError
 from repro.mining.metrics import classification_report
-from repro.parallel import ViewHandle, effective_n_jobs, parallel_map
 from repro.tabular.dataset import Dataset, is_missing_value
 from repro.tabular.encoded import encode_dataset
 
@@ -113,43 +112,16 @@ class EvaluationResult:
         }
 
 
-def _cv_fold(
-    context: dict[str, Any], fold_index: int
-) -> tuple[list[str], list[str], float, str]:
-    """Train and evaluate one CV fold; the unit shared by both execution tiers.
-
-    Returns ``(truth, predicted, fold_accuracy, algorithm_name)`` for the
-    fold, so :func:`cross_validate` merges folds identically whether they
-    ran in-process or on a worker pool.
-    """
-    working = context["view"].resolve()
-    encoded = encode_dataset(working)
-    target_name = context["target_name"]
-    train_idx, test_idx = context["folds"][fold_index]
-    train, test = encoded.take(train_idx), encoded.take(test_idx)
-    model = context["factory"]()
-    model.fit(train)
-    predicted = [str(p) for p in model.predict(test)]
-    truth = [str(v) for v in test[target_name].tolist()]
-    correct = sum(1 for a, b in zip(truth, predicted) if a == b)
-    return truth, predicted, correct / len(truth), getattr(model, "name", type(model).__name__)
-
-
 def cross_validate(
     classifier_factory: Callable[[], Any],
     dataset: Dataset,
     k: int = 5,
     seed: int = 0,
-    n_jobs: int | None = None,
 ) -> EvaluationResult:
     """Stratified k-fold cross-validation of a classifier factory.
 
     ``classifier_factory`` is called once per fold so every fold trains a
     fresh model.  Rows whose target is missing are excluded from evaluation.
-    ``n_jobs`` fans the folds over a worker pool (see :mod:`repro.parallel`);
-    the merged result is bit-identical to the sequential run at any worker
-    count, because both tiers run the same per-fold unit and folds are
-    merged in fold order.
     """
     target_name = dataset.target_column().name
     labelled = [i for i, v in enumerate(dataset[target_name].tolist()) if not is_missing_value(v)]
@@ -165,30 +137,22 @@ def cross_validate(
         working = dataset
     else:
         working = encode_dataset(dataset).take(labelled)
-    encode_dataset(working)  # seed the instance cache shared with workers
-    folds = stratified_kfold(working, k=k, seed=seed)
-    context = {
-        "view": ViewHandle(working),
-        "factory": classifier_factory,
-        "target_name": target_name,
-        "folds": folds,
-    }
-    n_workers = effective_n_jobs(n_jobs)
-    fold_results = None
-    if n_workers > 1 and len(folds) > 1:
-        fold_results = parallel_map(
-            _cv_fold, len(folds), context=context, n_jobs=n_workers, error_cls=MiningError
-        )
-    if fold_results is None:
-        fold_results = [_cv_fold(context, i) for i in range(len(folds))]
+    encoded = encode_dataset(working)
     truths: list[str] = []
     predictions: list[str] = []
     fold_accuracies: list[float] = []
     algorithm_name = "unknown"
-    for truth, predicted, fold_accuracy, algorithm_name in fold_results:
+    for train_idx, test_idx in stratified_kfold(working, k=k, seed=seed):
+        train, test = encoded.take(train_idx), encoded.take(test_idx)
+        model = classifier_factory()
+        model.fit(train)
+        predicted = [str(p) for p in model.predict(test)]
+        truth = [str(v) for v in test[target_name].tolist()]
+        correct = sum(1 for a, b in zip(truth, predicted) if a == b)
         truths.extend(truth)
         predictions.extend(predicted)
-        fold_accuracies.append(fold_accuracy)
+        fold_accuracies.append(correct / len(truth))
+        algorithm_name = getattr(model, "name", type(model).__name__)
     report = classification_report(truths, predictions)
     return EvaluationResult(
         algorithm=algorithm_name,

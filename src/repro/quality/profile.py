@@ -15,8 +15,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import DataQualityError
-from repro.parallel import ViewHandle, effective_n_jobs, parallel_map
-from repro.quality.criteria import Criterion, CriterionMeasure, get_criterion
+from repro.quality.criteria import CRITERIA_REGISTRY, Criterion, CriterionMeasure, get_criterion
 from repro.tabular.dataset import Dataset
 from repro.tabular.encoded import encode_dataset
 
@@ -136,23 +135,17 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _measure_criterion(context: dict[str, Any], index: int) -> CriterionMeasure:
-    """Measure one criterion over the shared encoded views (both tiers' unit)."""
-    encoded = encode_dataset(context["view"].resolve())
-    return context["criteria"][index].measure_encoded(encoded)
-
-
 def measure_quality(
     dataset: Dataset,
     criteria: Sequence[str | Criterion] | None = None,
-    n_jobs: int | None = None,
     **criterion_kwargs: Mapping[str, Any],
 ) -> DataQualityProfile:
     """Measure a dataset against a set of criteria and return its profile.
 
     ``criteria`` may mix registered criterion names and already constructed
     :class:`~repro.quality.criteria.Criterion` instances; per-criterion
-    keyword arguments can be passed as ``criterion_kwargs[name] = {...}``.
+    keyword arguments can be passed as ``criterion_kwargs[name] = {...}``;
+    a keyword that names no registered criterion is a ``TypeError``.
 
     The dataset is encoded **once** (via the instance cache of
     :func:`~repro.tabular.encoded.encode_dataset`) and the same
@@ -160,11 +153,11 @@ def measure_quality(
     criterion — and by whatever mining runs on the same dataset instance
     afterwards, e.g. the cross-validation following the advisor's advice.
     Criteria with ``_force_row_measure`` set take their row-at-a-time
-    reference path; both paths are bit-identical.  ``n_jobs`` fans the
-    criteria over a worker pool (see :mod:`repro.parallel`); measures are
-    merged back in criterion order, so the profile is bit-identical to the
-    sequential run at any worker count.
+    reference path; both paths are bit-identical.
     """
+    unknown = sorted(set(criterion_kwargs) - set(CRITERIA_REGISTRY))
+    if unknown:
+        raise TypeError(f"measure_quality() got unexpected keyword arguments {unknown}")
     selected: list[Criterion] = []
     for item in criteria if criteria is not None else DEFAULT_CRITERIA:
         if isinstance(item, Criterion):
@@ -172,21 +165,8 @@ def measure_quality(
         else:
             kwargs = dict(criterion_kwargs.get(item, {})) if criterion_kwargs else {}
             selected.append(get_criterion(str(item), **kwargs))
-    encode_dataset(dataset)  # seed the instance cache shared with workers
-    context = {"view": ViewHandle(dataset), "criteria": selected}
-    n_workers = effective_n_jobs(n_jobs)
-    measures = None
-    if n_workers > 1 and len(selected) > 1:
-        measures = parallel_map(
-            _measure_criterion,
-            len(selected),
-            context=context,
-            n_jobs=n_workers,
-            error_cls=DataQualityError,
-        )
-    if measures is None:
-        measures = [_measure_criterion(context, i) for i in range(len(selected))]
+    encoded = encode_dataset(dataset)
     profile = DataQualityProfile(dataset_name=dataset.name)
-    for criterion, measure in zip(selected, measures):
-        profile.measures[criterion.name] = measure
+    for criterion in selected:
+        profile.measures[criterion.name] = criterion.measure_encoded(encoded)
     return profile

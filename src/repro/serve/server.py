@@ -18,12 +18,6 @@ The concurrency contract, in one place:
   result computed on retired content is unreachable the moment the swap
   publishes a new fingerprint — stale hits are impossible by key
   construction, not by invalidation discipline;
-* handler threads run endpoints inside
-  :func:`repro.parallel.thread_sequential`, pinning every ``n_jobs``
-  resolution to 1: forking a worker pool from a request thread is unsafe
-  (see that function's docstring), and the parallel tier is bit-identical
-  to the sequential tier anyway, so responses don't change — only the
-  fork does;
 * a cache hit replays the exact bytes the first computation produced
   (the cache stores serialized bodies), so hot and cold responses are
   bit-identical by construction.
@@ -44,7 +38,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro._version import __version__
 from repro.exceptions import ReproError, ServeError
-from repro.parallel import thread_sequential
 from repro.serve.cache import DEFAULT_MAX_ENTRIES, ResultCache, canonical_query
 from repro.serve.endpoints import ENDPOINTS, encode_response, evaluate
 from repro.serve.registry import SnapshotRegistry
@@ -126,8 +119,7 @@ class ReproApp:
             if body is not None:
                 headers[CACHE_HEADER] = "hit"
                 return 200, headers, body
-            with thread_sequential():
-                result = evaluate(path, snapshot.payload, params, self.knowledge_base)
+            result = evaluate(path, snapshot.payload, params, self.knowledge_base)
             body = encode_response(result)
             self.cache.put(snapshot.fingerprint, path, query, body)
             headers[CACHE_HEADER] = "miss"
@@ -195,8 +187,20 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def _dispatch(self, method: str) -> None:
-        """Parse parameters, run the app, serialize the reply."""
+        """Read the body, parse parameters, run the app, serialize the reply.
+
+        The body is read in full before anything is parsed, whatever the
+        method, so an early 400 never leaves body bytes on a keep-alive
+        connection to be read as the next request.  A ``Content-Length``
+        that is not a byte count cannot frame the body, so its 400 also
+        closes the connection.
+        """
         try:
+            declared = (self.headers.get("Content-Length") or "0").strip()
+            if not declared.isdecimal():
+                self.close_connection = True
+                raise ValueError(f"Content-Length {declared!r} is not a byte count")
+            raw = self.rfile.read(int(declared))
             split = urlsplit(self.path)
             params: dict[str, Any] = {
                 key: values[0] for key, values in parse_qs(split.query).items()
@@ -207,14 +211,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 if not isinstance(decoded, dict):
                     raise ValueError("the q= query parameter must hold a JSON object")
                 params.update(decoded)
-            if method == "POST":
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else b""
-                if raw.strip():
-                    decoded = json.loads(raw)
-                    if not isinstance(decoded, dict):
-                        raise ValueError("the request body must hold a JSON object")
-                    params.update(decoded)
+            if method == "POST" and raw.strip():
+                decoded = json.loads(raw)
+                if not isinstance(decoded, dict):
+                    raise ValueError("the request body must hold a JSON object")
+                params.update(decoded)
         except (ValueError, UnicodeDecodeError) as exc:
             status, headers, body = ReproApp._error(400, f"malformed request: {exc}")
         else:

@@ -305,8 +305,7 @@ class StoreFile:
         map is closed — without an explicit release it survives for the
         whole lifetime of the ``StoreFile`` (and of any ``Dataset``/
         ``Graph`` holding it), so a long-lived process that opens many
-        stores, or a worker pool forking per dispatch, accumulates
-        descriptors it can never drop.  After ``close()`` the header and
+        stores accumulates descriptors it can never drop.  After ``close()`` the header and
         directory metadata stay readable, but payload accessors
         (:meth:`array`, :meth:`strings`, :meth:`json`, :meth:`verify`)
         raise :class:`~repro.exceptions.StoreError`, and any zero-copy view

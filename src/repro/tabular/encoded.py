@@ -100,15 +100,13 @@ class EncodedDataset:
         """Refuse pickling: encoded views must never cross a process boundary.
 
         A pickled view would drag its (possibly memory-mapped) arrays
-        through the pipe, defeating the zero-copy design.  The parallel
-        tier shares views by fork inheritance or by reopening the backing
-        ``.rps`` store worker-side (see ``repro.parallel``); anything else
-        is a bug worth failing loudly on.
+        through the pipe, defeating the zero-copy design.  Another process
+        should reopen the backing ``.rps`` store (:meth:`Dataset.open`) and
+        encode there; anything else is a bug worth failing loudly on.
         """
         raise TypeError(
-            "EncodedDataset cannot be pickled: share encoded views across processes "
-            "via repro.parallel (fork inheritance or a store-file snapshot), not by "
-            "serialising the view itself"
+            "EncodedDataset cannot be pickled: reopen the dataset's .rps store in the "
+            "other process and encode it there, instead of serialising the view itself"
         )
 
     @property

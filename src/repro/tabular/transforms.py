@@ -14,7 +14,6 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import SchemaError
-from repro.parallel import ViewHandle, effective_n_jobs, parallel_map
 from repro.tabular.dataset import Column, ColumnRole, ColumnType, Dataset, is_missing_value
 from repro.tabular.encoded import MISSING_KEY_SENTINEL, encode_dataset
 
@@ -140,105 +139,11 @@ _AGGREGATIONS: dict[str, Callable[[list[float]], float]] = {
 }
 
 
-class _GroupSegments:
-    """Per-measure sorted segment arrays behind the encoded ``group_by`` tiers.
-
-    Holds the (possibly expensive) derived state — the stable sort order,
-    the per-measure present-value segments and their group boundaries —
-    computed lazily from the dataset's encoded views.  In fork-mode
-    dispatch the computed arrays are shared with workers copy-on-write; in
-    snapshot mode only the :class:`~repro.parallel.ViewHandle`, the keys
-    and the aggregation spec are pickled, and each worker re-derives the
-    segments from the reopened store — deterministically, so both modes
-    reduce the exact same float sequences.
-    """
-
-    def __init__(
-        self,
-        view: ViewHandle,
-        keys: list[str],
-        aggregations: Mapping[str, tuple[str, str]],
-    ) -> None:
-        """Capture the inputs; derived arrays are computed on first use."""
-        self.view = view
-        self.keys = keys
-        self.aggregations = dict(aggregations)
-        self._order: np.ndarray | None = None
-        self._measures: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, str]] | None = None
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle only the inputs — workers re-derive the segment arrays."""
-        return {"view": self.view, "keys": self.keys, "aggregations": self.aggregations}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        """Restore the inputs with the derived state unset."""
-        self.__dict__.update(state)
-        self._order = None
-        self._measures = None
-
-    def order(self) -> np.ndarray:
-        """The stable argsort of the group ids, computed once.
-
-        The ids are sorted as the narrowest unsigned dtype that holds every
-        id: numpy's stable sort of integers up to 16 bits is a radix sort,
-        and a stable sort's permutation does not depend on the dtype.
-        """
-        if self._order is None:
-            group_ids, n_groups = encode_dataset(self.view.resolve()).group_keys(self.keys)
-            narrow = group_ids.astype(np.min_scalar_type(max(n_groups - 1, 0)))
-            self._order = np.argsort(narrow, kind="stable")
-        return self._order
-
-    def measures(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, str]]:
-        """``{out_name: (present, present_counts, ends, agg)}``, derived lazily."""
-        if self._measures is None:
-            encoded = encode_dataset(self.view.resolve())
-            group_ids, n_groups = encoded.group_keys(self.keys)
-            order = self.order()
-            sorted_ids = group_ids[order]
-            measures: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, str]] = {}
-            for out_name, (source, agg) in self.aggregations.items():
-                values, missing = encoded.numeric_view(source)
-                keep = ~missing[order]
-                present = values[order][keep]
-                present_counts = np.bincount(sorted_ids[keep], minlength=n_groups)
-                ends = np.cumsum(present_counts)
-                measures[out_name] = (present, present_counts, ends, agg)
-            self._measures = measures
-        return self._measures
-
-    def reduce_range(self, start: int, stop: int) -> list[dict[str, float]]:
-        """Reduce every measure over groups ``start..stop`` (exclusive).
-
-        Applies the same ``_AGGREGATIONS`` callables to the same Python
-        float lists as the row-at-a-time reference, keeping every float
-        operation — summation order included — bit-identical regardless
-        of how the group range was partitioned across workers.
-        """
-        rows: list[dict[str, float]] = [{} for _ in range(stop - start)]
-        for out_name, (present, present_counts, ends, agg) in self.measures().items():
-            fn = _AGGREGATIONS[agg]
-            for g in range(start, stop):
-                xs = present[ends[g] - present_counts[g] : ends[g]].tolist()
-                if agg == "count":
-                    rows[g - start][out_name] = float(len(xs))
-                else:
-                    rows[g - start][out_name] = fn(xs) if xs else float("nan")
-        return rows
-
-
-def _reduce_group_chunk(context: dict[str, Any], chunk_index: int) -> list[dict[str, float]]:
-    """Reduce one contiguous chunk of groups (both tiers' work unit)."""
-    start, stop = context["chunks"][chunk_index]
-    return context["segments"].reduce_range(start, stop)
-
-
 def group_by(
     dataset: Dataset,
     keys: Sequence[str],
     aggregations: Mapping[str, tuple[str, str]],
     force_row: bool = False,
-    n_jobs: int | None = None,
 ) -> Dataset:
     """Group rows by ``keys`` and compute aggregations.
 
@@ -255,11 +160,7 @@ def group_by(
     bit-identical to the row-at-a-time reference, including the float
     summation order, the first-seen group order and the first-row key values.
     ``force_row=True`` is the escape hatch that routes to the retained
-    row-at-a-time reference implementation.  ``n_jobs`` fans the per-group
-    segment reductions of the encoded path over a worker pool (see
-    :mod:`repro.parallel`); the result is bit-identical at any worker
-    count because chunk boundaries only partition the group range — each
-    group's reduction is a self-contained unit of work.
+    row-at-a-time reference implementation.
     """
     keys = list(keys)
     for key in keys:
@@ -274,7 +175,7 @@ def group_by(
     if not force_row and all(
         dataset[source].is_numeric() for source, _ in aggregations.values()
     ):
-        out_rows = _grouped_rows_encoded(dataset, keys, aggregations, n_jobs)
+        out_rows = _grouped_rows_encoded(dataset, keys, aggregations)
     else:
         out_rows = _grouped_rows_reference(dataset, keys, aggregations)
 
@@ -315,48 +216,47 @@ def _grouped_rows_encoded(
     dataset: Dataset,
     keys: list[str],
     aggregations: Mapping[str, tuple[str, str]],
-    n_jobs: int | None = None,
 ) -> list[dict[str, Any]]:
     """Vectorized grouping over the cached encoded views.
 
     Group membership comes from the composite int64 key codes (first-seen
     order, so the output row order matches the reference) and each measure is
     cut into per-group contiguous segments of its float view by one stable
-    sort (see :class:`_GroupSegments`).  The per-group reductions then apply
-    the *same* ``_AGGREGATIONS`` callables to the same Python float sequences
-    as the reference path, which keeps every float operation — summation
-    order included — bit-identical.
+    sort.  The per-group reductions then apply the *same* ``_AGGREGATIONS``
+    callables to the same Python float sequences as the reference path, which
+    keeps every float operation — summation order included — bit-identical.
     """
     encoded = encode_dataset(dataset)
     group_ids, n_groups = encoded.group_keys(keys)
     if n_groups == 0:
         return []
-    view = ViewHandle(dataset)
-    segments = _GroupSegments(view, keys, aggregations)
+    # The ids are sorted as the narrowest unsigned dtype that holds every
+    # id: numpy's stable sort of integers up to 16 bits is a radix sort,
+    # and a stable sort's permutation does not depend on the dtype.
+    narrow = group_ids.astype(np.min_scalar_type(max(n_groups - 1, 0)))
+    order = np.argsort(narrow, kind="stable")
+    sorted_ids = group_ids[order]
     counts = np.bincount(group_ids, minlength=n_groups)
     starts = np.zeros(n_groups, dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
-    first_rows = segments.order()[starts]
+    first_rows = order[starts]
 
     out_rows: list[dict[str, Any]] = [
         {key: dataset[key][first_rows[g]] for key in keys} for g in range(n_groups)
     ]
-    n_workers = effective_n_jobs(n_jobs)
-    reduced = None
-    if n_workers > 1 and n_groups > 1:
-        bounds = np.linspace(0, n_groups, min(n_groups, n_workers * 4) + 1).astype(int)
-        chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(len(bounds) - 1)]
-        # The handle rides in the context dict directly (alongside the
-        # segments object that shares it) so snapshot dispatch can find
-        # and persist it.
-        context = {"view": view, "segments": segments, "chunks": chunks}
-        chunk_results = parallel_map(_reduce_group_chunk, len(chunks), context=context, n_jobs=n_workers)
-        if chunk_results is not None:
-            reduced = [row for chunk in chunk_results for row in chunk]
-    if reduced is None:
-        reduced = segments.reduce_range(0, n_groups)
-    for g in range(n_groups):
-        out_rows[g].update(reduced[g])
+    for out_name, (source, agg) in aggregations.items():
+        values, missing = encoded.numeric_view(source)
+        keep = ~missing[order]
+        present = values[order][keep]
+        present_counts = np.bincount(sorted_ids[keep], minlength=n_groups)
+        ends = np.cumsum(present_counts)
+        fn = _AGGREGATIONS[agg]
+        for g in range(n_groups):
+            xs = present[ends[g] - present_counts[g] : ends[g]].tolist()
+            if agg == "count":
+                out_rows[g][out_name] = float(len(xs))
+            else:
+                out_rows[g][out_name] = fn(xs) if xs else float("nan")
     return out_rows
 
 

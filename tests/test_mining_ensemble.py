@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.injection import ClassNoiseInjector, MissingValuesInjector
-from repro.datasets import make_classification_dataset
+from repro.datasets import make_classification_dataset, service_requests
 from repro.exceptions import MiningError
 from repro.mining import (
     BaggingClassifier,
@@ -99,3 +99,50 @@ class TestRandomSubspaceForest:
         model = BaggingClassifier(n_estimators=3, feature_fraction=1.0, seed=2).fit(train)
         total_features = len(train.feature_columns())
         assert all(len(features) == total_features for features in model.estimator_features_)
+
+
+class TestPinnedSeededFits:
+    """Seeded committees stay identical: each member's bootstrap and subspace
+    come from one RNG stream drawn in member order."""
+
+    @pytest.fixture(scope="class")
+    def requests(self):
+        # resolution_days nearly determines the target; without it the
+        # committees disagree on enough rows for the pin to mean something.
+        train = service_requests(n_rows=160, seed=8, dirty=True).drop_columns(["resolution_days"])
+        test = service_requests(n_rows=40, seed=9).drop_columns(["resolution_days"])
+        return train, test
+
+    @staticmethod
+    def _marks(predictions):
+        return "".join("L" if label == "late" else "." for label in predictions)
+
+    def test_bagging_with_subspaces(self, requests):
+        train, test = requests
+        model = BaggingClassifier(n_estimators=9, feature_fraction=0.7, seed=3).fit(train)
+        assert self._marks(model.predict(test)) == ".L..L..............LL..L........LL.L..L."
+        assert model.estimator_features_ == [
+            ["district", "open_backlog", "topic", "priority"],
+            ["priority", "open_backlog", "topic", "channel"],
+            ["open_backlog", "district", "channel", "priority"],
+            ["priority", "topic", "open_backlog", "channel"],
+            ["priority", "district", "open_backlog", "channel"],
+            ["district", "topic", "open_backlog", "priority"],
+            ["topic", "open_backlog", "district", "channel"],
+            ["channel", "topic", "open_backlog", "priority"],
+            ["topic", "channel", "priority", "district"],
+        ]
+
+    def test_random_subspace_forest(self, requests):
+        train, test = requests
+        forest = RandomSubspaceForest(n_estimators=7, seed=5).fit(train)
+        assert self._marks(forest.predict(test)) == "....L...............L..L........L.....L."
+        assert forest.estimator_features_ == [
+            ["priority", "topic", "channel"],
+            ["open_backlog", "topic", "priority"],
+            ["topic", "open_backlog", "priority"],
+            ["priority", "topic", "open_backlog"],
+            ["topic", "channel", "priority"],
+            ["open_backlog", "priority", "district"],
+            ["open_backlog", "district", "priority"],
+        ]

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
-from repro.datasets import make_classification_dataset
+from repro.datasets import service_requests
 from repro.exceptions import MiningError
 from repro.mining import DecisionTreeClassifier, NaiveBayesClassifier, cross_validate, stratified_kfold, train_test_split
 from repro.mining.validation import EvaluationResult, holdout_evaluate
-from repro.tabular.dataset import Dataset
+from repro.tabular.dataset import Column, Dataset
 
 
 class TestTrainTestSplit:
@@ -98,3 +100,55 @@ class TestCrossValidate:
         train, test = train_test_split(clean_classification, seed=3)
         result = holdout_evaluate(NaiveBayesClassifier, train, test)
         assert result.accuracy_std == 0.0
+
+
+def _bits(value: float) -> str:
+    """The IEEE-754 bytes of a float, hex-encoded (bit-exact comparison)."""
+    return struct.pack("<d", float(value)).hex()
+
+
+@pytest.fixture(scope="module")
+def holed_requests() -> Dataset:
+    """Dirty service requests with every ninth target missing.
+
+    ``resolution_days`` is dropped because it nearly determines the
+    target, which would pin a run of perfect scores.
+    """
+    dataset = service_requests(n_rows=240, seed=5, dirty=True).drop_columns(["resolution_days"])
+    values = dataset["resolved_late"].tolist()
+    for i in range(0, len(values), 9):
+        values[i] = None
+    return dataset.replace_column(Column("resolved_late", values, ctype="categorical", role="target"))
+
+
+#: ``(accuracy, macro_f1, kappa)`` and the fold accuracies as float bits.
+_PINNED_CV = {
+    (NaiveBayesClassifier, 3): (
+        ("922449922449e33f", "82f80fd83197e23f", "23ebb1f18fe7c53f"),
+        ("c3f5285c8fc2e53f", "c6925f2cf9c5e23f", "c214f9ac1b4ce13f"),
+    ),
+    (NaiveBayesClassifier, 5): (
+        ("000000000000e23f", "adcfdf0b0ecfe13f", "baef60e80c85c33f"),
+        ("333333333333e33f", "f5499ff4499fe43f", "721cc7711cc7e13f", "d2277dd2277de23f", "a38b2ebae8a2db3f"),
+    ),
+    (DecisionTreeClassifier, 3): (
+        ("b76ddbb66ddbe43f", "ec9c1d595668e33f", "3b9df6820545cb3f"),
+        ("e8b4814e1be8e43f", "a0d3063a6da0e33f", "dd608a7cd60de63f"),
+    ),
+    (DecisionTreeClassifier, 5): (
+        ("6edbb66ddbb6e43f", "2691b09ffb9ae33f", "f38d26170ff3cc3f"),
+        ("176cc1166cc1e63f", "176cc1166cc1e63f", "943ee9933ee9e33f", "721cc7711cc7e13f", "5d74d145175de43f"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("factory", "k"), list(_PINNED_CV), ids=lambda p: getattr(p, "name", str(p))
+)
+def test_cross_validate_pinned_bits(holed_requests, factory, k):
+    """Seeded CV scores stay bit-identical, with the unlabelled-row subset in play."""
+    result = cross_validate(factory, holed_requests, k=k, seed=4)
+    scores, folds = _PINNED_CV[(factory, k)]
+    assert result.algorithm == factory.name
+    assert (_bits(result.accuracy), _bits(result.macro_f1), _bits(result.kappa)) == scores
+    assert tuple(_bits(a) for a in result.fold_accuracies) == folds

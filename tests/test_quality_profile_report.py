@@ -30,6 +30,10 @@ class TestMeasureQuality:
         profile = measure_quality(budget_dataset, criteria=("outliers",), outliers={"iqr_factor": 10.0})
         assert profile.score("outliers") >= measure_quality(budget_dataset, criteria=("outliers",)).score("outliers")
 
+    def test_keyword_naming_no_criterion_rejected(self, budget_dataset):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            measure_quality(budget_dataset, criteria=("outliers",), workers=2)
+
 
 class TestProfile:
     @pytest.fixture

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -22,7 +23,6 @@ import pytest
 
 from repro.datasets import service_requests
 from repro.datasets.civic import civic_lod_graph
-from repro.parallel import effective_n_jobs, thread_sequential
 from repro.serve import (
     CACHE_HEADER,
     FINGERPRINT_HEADER,
@@ -336,52 +336,71 @@ class TestSnapshotSwap:
         assert b2 == expected["dataset_a"][_expected_key(path, params)]
 
 
-class TestServerThreadsStaySequential:
-    """The decided ``effective_n_jobs`` semantics inside server threads.
+def _exchange(server, payload: bytes, n_replies: int) -> tuple[list[tuple[int, dict, bytes]], bool]:
+    """Send raw bytes on one connection and read up to ``n_replies`` responses.
 
-    Request-handler threads must never fork a worker pool (POSIX fork
-    from a non-main thread can deadlock the child on locks held by other
-    threads), so the server pins them to the sequential tier via
-    :func:`repro.parallel.thread_sequential` — and since the parallel
-    tier is bit-identical to the sequential one, responses are unchanged.
+    Returns the ``(status, headers, body)`` replies and whether the server
+    closed the connection before sending ``n_replies``.  The socket timeout
+    makes a server that never answers fail the test instead of hanging it.
     """
+    replies = []
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(payload)
+        reader = sock.makefile("rb")
+        try:
+            while len(replies) < n_replies:
+                status_line = reader.readline()
+                if not status_line:
+                    return replies, True
+                headers = {}
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    key, _, value = line.decode("latin-1").partition(":")
+                    headers[key.strip().lower()] = value.strip()
+                body = reader.read(int(headers.get("content-length", 0)))
+                replies.append((int(status_line.split()[1]), headers, body))
+        except ConnectionResetError:  # closed with the rest of the payload unread
+            return replies, True
+    return replies, False
 
-    def test_thread_sequential_pins_this_thread_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_JOBS", "2")
-        assert effective_n_jobs(None) == 2
-        observed = {}
-        with thread_sequential():
-            assert effective_n_jobs(None) == 1
-            assert effective_n_jobs(8) == 1
 
-            def other_thread():
-                observed["n"] = effective_n_jobs(None)
+class TestKeepAliveFraming:
+    """Every request's body is read before anything is parsed, so an error
+    reply never leaves bytes behind for the next request on the connection."""
 
-            thread = threading.Thread(target=other_thread)
-            thread.start()
-            thread.join()
-        assert observed["n"] == 2, "other threads keep their n_jobs semantics"
-        assert effective_n_jobs(None) == 2, "the pin ends with the block"
+    HEALTH = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
 
-    def test_thread_sequential_is_reentrant(self):
-        with thread_sequential():
-            with thread_sequential():
-                assert effective_n_jobs(4) == 1
-            assert effective_n_jobs(4) == 1, "inner exit must not clear the outer pin"
-        assert effective_n_jobs(4) == 4
+    def _assert_json_400(self, reply):
+        status, headers, body = reply
+        assert status == 400
+        assert headers["content-type"] == "application/json"
+        assert json.loads(body)["status"] == 400
 
-    def test_parallel_eligible_profile_through_the_server(
-        self, server, expected, monkeypatch
-    ):
-        """Regression: REPRO_N_JOBS=2 + a full profile request must not
-        fork mid-request — the handler thread answers sequentially, with
-        bytes identical to the direct library call."""
-        monkeypatch.setenv("REPRO_N_JOBS", "2")
-        path, params = QUERIES[0]  # full 8-criterion profile: parallel-eligible
-        status, headers, body = _post(server.url, path, params)
-        assert status == 200
-        assert body == expected["dataset_a"][_expected_key(path, params)]
-        # And again hot: the cached bytes are the same bytes.
-        _, headers, hot = _post(server.url, path, params)
-        assert headers[CACHE_HEADER] == "hit"
-        assert hot == body
+    def test_negative_content_length_is_rejected_and_closes(self, server):
+        request = b"POST /profile HTTP/1.1\r\nHost: test\r\nContent-Length: -1\r\n\r\n"
+        replies, closed = _exchange(server, request + self.HEALTH, 2)
+        assert closed and len(replies) == 1
+        self._assert_json_400(replies[0])
+
+    def test_non_numeric_content_length_is_rejected_and_closes(self, server):
+        request = b"POST /profile HTTP/1.1\r\nHost: test\r\nContent-Length: abc\r\n\r\n{}"
+        replies, closed = _exchange(server, request + self.HEALTH, 2)
+        assert closed and len(replies) == 1
+        self._assert_json_400(replies[0])
+
+    def test_body_of_a_malformed_query_is_consumed(self, server):
+        body = b'{"criteria": ["balance"]}'
+        request = b"POST /profile?q=%7Bbroken HTTP/1.1\r\nHost: test\r\n" + (
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        replies, _ = _exchange(server, request + self.HEALTH, 2)
+        assert len(replies) == 2
+        self._assert_json_400(replies[0])
+        assert replies[1][0] == 200
+        assert json.loads(replies[1][2])["status"] == "ok"
+
+    def test_get_body_is_consumed(self, server):
+        request = b"GET /health HTTP/1.1\r\nHost: test\r\nContent-Length: 5\r\n\r\nhello"
+        follow = b"POST /health HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n"
+        replies, _ = _exchange(server, request + follow, 2)
+        assert [status for status, _, _ in replies] == [200, 200]
+        assert all(json.loads(body)["status"] == "ok" for _, _, body in replies)

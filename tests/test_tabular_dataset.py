@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.datasets import make_classification_dataset
 from repro.exceptions import SchemaError
 from repro.tabular.dataset import (
     Column,
@@ -16,6 +18,7 @@ from repro.tabular.dataset import (
     infer_column_type,
     is_missing_value,
 )
+from repro.tabular.encoded import encode_dataset
 
 
 class TestMissingValues:
@@ -281,3 +284,27 @@ class TestNumericMatrix:
         assert tiny_dataset.target_column().name == "label"
         assert "amount" in tiny_dataset.feature_names()
         assert "id" not in tiny_dataset.feature_names()
+
+
+@pytest.fixture
+def encodable() -> Dataset:
+    return make_classification_dataset(n_rows=150, n_numeric=3, n_categorical=1, seed=11)
+
+
+def test_encoded_dataset_refuses_pickling(encodable):
+    with pytest.raises(TypeError, match="cannot be pickled"):
+        pickle.dumps(encode_dataset(encodable))
+
+
+def test_dataset_pickle_drops_view_state(tmp_path, encodable):
+    encode_dataset(encodable)  # populate the instance cache
+    clone = pickle.loads(pickle.dumps(encodable))
+    assert not hasattr(clone, "_encoded_cache")
+    path = tmp_path / "drop.rps"
+    encodable.save(path)
+    opened = Dataset.open(path)
+    encode_dataset(opened)
+    state = opened.__getstate__()
+    assert "_store_file" not in state
+    assert "_encoded_cache" not in state
+    opened.close()
