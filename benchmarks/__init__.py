@@ -1,1 +1,2 @@
-"""Benchmark harness: one module per paper figure / experiment table (see DESIGN.md)."""
+"""Benchmarks: one module per paper figure / experiment table, plus the tier benches
+(``bench_perf_*.py``, see docs/benchmarks.md)."""

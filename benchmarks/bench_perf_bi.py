@@ -1,4 +1,4 @@
-"""BENCH-PERF-BI — encoded-core OLAP/BI aggregation timings.
+"""BENCH-PERF-BI — encoded-core OLAP/BI aggregation vs the row path.
 
 Times the BI front end's hot aggregations over a municipal-budget-style fact
 table at 100k rows, for both execution paths: the vectorized encoded-core
@@ -10,70 +10,53 @@ reference (forced via the cube's ``_force_row_olap`` escape hatch /
 ``rollup``
     ``Cube.rollup`` to the district level (three measures).
 ``pivot``
-    ``Cube.pivot`` of one measure over district × year.
+    ``Cube.pivot`` of one measure over district × year.  Not guarded: its
+    cross-tabulation tail is shared by both paths, diluting the ratio.
 ``kpi``
     :func:`repro.bi.kpi.evaluate_kpis_by_level` — a per-district scoreboard
     of two KPIs.
 
 Encoded timings include encoding the dataset from scratch (the instance
 cache is dropped before every run), so the speedup is what a cold dashboard
-render actually sees.  Results — speedups plus a bit-identity check of the
-aggregated datasets (values, row order and key order) — are written to
-``BENCH_perf_bi.json`` at the repository root.
-
-The JSON also records a ``quick`` section at a reduced size, used by the CI
-perf guard: ``python benchmarks/bench_perf_bi.py --quick`` reruns it and
-fails when the roll-up or KPI speedup drops below half the recorded baseline
-(ratios, not wall-clock, so slower CI runners don't false-alarm) or when any
-encoded result stops being bit-identical to the row path.
-
-Run the full benchmark with ``pytest benchmarks/bench_perf_bi.py -s`` or
-directly with ``python benchmarks/bench_perf_bi.py``.
+render actually sees.  Identity covers the aggregated datasets' values, row
+order and key order.  ``benchmarks/_harness.py`` runs it, records
+``BENCH_perf_bi.json`` and guards it with ``--quick``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import struct
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.bi import Cube, Dimension, KPI, Measure, evaluate_kpis_by_level
 from repro.tabular.dataset import ColumnType, Dataset
-from repro.tabular.encoded import _CACHE_ATTR
 
-FACT_ROWS = 100_000
-#: The acceptance bar: the encoded roll-up at 100k rows must be at least this
-#: many times faster than the row-at-a-time path.
-MIN_SPEEDUP_AT_100K = 5.0
+try:
+    from benchmarks import _harness
+except ModuleNotFoundError:  # run as a script
+    import _harness
 
-#: Reduced-size rerun used by the CI perf guard (see ``--quick``).
-QUICK_ROWS = 5_000
-#: A quick workload fails the guard when its speedup drops below
-#: ``baseline_speedup / QUICK_REGRESSION_FACTOR``.
-QUICK_REGRESSION_FACTOR = 2.0
-#: The workloads the guard checks (pivot is recorded but not guarded: its
-#: cross-tabulation tail is shared by both paths, diluting the ratio).
-GUARDED_WORKLOADS = ("rollup", "kpi")
+FULL = {"100000": dict(n_rows=100_000)}
+QUICK = {"5000": dict(n_rows=5_000, repeats=3)}
+GUARDED = ("rollup", "kpi")
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_bi.json"
-
-_DISTRICTS = [f"district_{i:02d}" for i in range(20)]
-_CATEGORIES = ["transport", "health", "education", "culture", "housing", "parks", "safety", "it"]
+DISTRICTS = [f"district_{i:02d}" for i in range(20)]
+CATEGORIES = ["transport", "health", "education", "culture", "housing", "parks", "safety", "it"]
+KPIS = [
+    KPI("avg_rate", "rate", target=0.6),
+    KPI("avg_amount", "amount", target=300_000.0, higher_is_better=False, tolerance=0.2),
+]
 
 
-def _dataset(n_rows: int) -> Dataset:
+def fact_table(n_rows: int) -> Dataset:
     """A budget-style fact table with ~5% missing cells in a key and a measure."""
     rng = np.random.default_rng(0)
     district = [
-        None if gap else _DISTRICTS[i]
-        for gap, i in zip(rng.random(n_rows) < 0.05, rng.integers(len(_DISTRICTS), size=n_rows))
+        None if gap else DISTRICTS[i]
+        for gap, i in zip(rng.random(n_rows) < 0.05, rng.integers(len(DISTRICTS), size=n_rows))
     ]
-    category = [_CATEGORIES[i] for i in rng.integers(len(_CATEGORIES), size=n_rows)]
+    category = [CATEGORIES[i] for i in rng.integers(len(CATEGORIES), size=n_rows)]
     year = (2019.0 + rng.integers(5, size=n_rows)).astype(float)
     amount = np.round(rng.uniform(1_000, 500_000, size=n_rows), 2)
     amount[rng.random(n_rows) < 0.05] = np.nan
@@ -97,8 +80,9 @@ def _dataset(n_rows: int) -> Dataset:
     )
 
 
-def _cube(dataset: Dataset, force_row: bool = False) -> Cube:
-    cube = Cube(
+def cube(dataset: Dataset, force_row: bool = False) -> Cube:
+    """The district × category × year cube over the fact table."""
+    result = Cube(
         dataset,
         dimensions=[
             Dimension("district", ("district",)),
@@ -111,190 +95,38 @@ def _cube(dataset: Dataset, force_row: bool = False) -> Cube:
             Measure("n", "amount", "count"),
         ],
     )
-    cube._force_row_olap = force_row
-    return cube
+    result._force_row_olap = force_row
+    return result
 
-
-_KPIS = [
-    KPI("avg_rate", "rate", target=0.6),
-    KPI("avg_amount", "amount", target=300_000.0, higher_is_better=False, tolerance=0.2),
-]
 
 #: workload name → callable(cube) -> Dataset.
 _WORKLOADS = {
-    "rollup": lambda cube: cube.rollup("district"),
-    "pivot": lambda cube: cube.pivot("district", "year"),
-    "kpi": lambda cube: evaluate_kpis_by_level(_KPIS, cube, "district"),
+    "rollup": lambda c: c.rollup("district"),
+    "pivot": lambda c: c.pivot("district", "year"),
+    "kpi": lambda c: evaluate_kpis_by_level(KPIS, c, "district"),
 }
 
 
-def _drop_encoding(dataset: Dataset) -> None:
-    """Forget the dataset's cached encoding so the next run pays for it."""
-    if hasattr(dataset, _CACHE_ATTR):
-        delattr(dataset, _CACHE_ATTR)
-
-
-def _timed(fn, repeats: int = 1):
-    """Run ``fn`` ``repeats`` times; return its last value and the best wall time."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return value, best
-
-
-def _bits(value):
-    """A bit-exact comparison key: floats by their IEEE-754 bytes."""
-    if isinstance(value, float):
-        return ("float", struct.pack("<d", value))
-    return (type(value).__name__, value)
-
-
-def _identical(a: Dataset, b: Dataset) -> bool:
-    """Bit-exact dataset equality: column order, ctypes, row order, float bits."""
-    if a.column_names != b.column_names or a.n_rows != b.n_rows:
-        return False
-    for name in a.column_names:
-        if a[name].ctype != b[name].ctype:
-            return False
-        if any(_bits(x) != _bits(y) for x, y in zip(a[name].tolist(), b[name].tolist())):
-            return False
-    return True
-
-
-def _compare_paths(dataset: Dataset, repeats: int = 1) -> dict:
-    """Time every workload on the encoded vs row path and check identity."""
-    results: dict[str, dict] = {}
+def cases(n_rows: int, repeats: int = 1) -> dict:
+    """Time every workload on the encoded vs the row path."""
+    dataset = fact_table(n_rows)
+    results = {}
     for name, workload in _WORKLOADS.items():
         def encoded_run():
-            _drop_encoding(dataset)
-            return workload(_cube(dataset))
+            _harness.drop_caches(dataset)
+            return workload(cube(dataset))
 
-        fast, fast_s = _timed(encoded_run, repeats)
-        slow, slow_s = _timed(lambda: workload(_cube(dataset, force_row=True)), repeats)
-        results[name] = {
-            "encoded_s": fast_s,
-            "row_s": slow_s,
-            "speedup": slow_s / fast_s if fast_s > 0 else float("inf"),
-            "identical_to_row_path": _identical(fast, slow),
-        }
-    return results
-
-
-def run_quick_case() -> dict:
-    return _compare_paths(_dataset(QUICK_ROWS), repeats=3)
-
-
-def run_benchmark() -> dict:
-    results: dict = {"sizes": {}}
-    results["sizes"][str(FACT_ROWS)] = _compare_paths(_dataset(FACT_ROWS))
-    results["quick"] = {"n_rows": QUICK_ROWS, **run_quick_case()}
-    return results
-
-
-def write_results(results: dict) -> Path:
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    return _RESULT_PATH
-
-
-def _print_results(results: dict) -> None:
-    try:
-        from benchmarks.conftest import print_table
-    except ModuleNotFoundError:  # running as a plain script
-        def print_table(title, header, rows):
-            print(f"\n=== {title} ===")
-            print("  ".join(header))
-            for row in rows:
-                print("  ".join(f"{c:.3f}" if isinstance(c, float) else str(c) for c in row))
-
-    rows = []
-    for n_rows, entry in results["sizes"].items():
-        for name, stats in entry.items():
-            rows.append(
-                [
-                    f"{name}@{n_rows}",
-                    stats["encoded_s"],
-                    stats["row_s"],
-                    stats["speedup"],
-                    "yes" if stats["identical_to_row_path"] else "NO",
-                ]
-            )
-    print_table(
-        "BENCH-PERF-BI: OLAP/KPI aggregation, encoded vs row path",
-        ["workload", "encoded_s", "row_s", "speedup", "identical"],
-        rows,
-    )
-
-
-def run_quick_guard(baseline_path: Path = _RESULT_PATH) -> int:
-    """Rerun the quick case and compare against the recorded baseline.
-
-    Returns a process exit code: 0 when every workload is still bit-identical
-    and the guarded workloads are within ``QUICK_REGRESSION_FACTOR`` of their
-    recorded speedups, 1 otherwise.
-    """
-    if not baseline_path.exists():
-        print(f"perf guard: no baseline at {baseline_path}; run the full benchmark first")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    quick = baseline.get("quick", {})
-    if quick.get("n_rows") != QUICK_ROWS or any(name not in quick for name in _WORKLOADS):
-        print("perf guard: baseline quick case is stale; rerun the full benchmark")
-        return 1
-    current = run_quick_case()
-    failed = False
-    for name in _WORKLOADS:
-        stats = current[name]
-        verdict = "ok"
-        if not stats["identical_to_row_path"]:
-            verdict = "DIVERGED from row path"
-        elif name in GUARDED_WORKLOADS:
-            floor = quick[name]["speedup"] / QUICK_REGRESSION_FACTOR
-            if stats["speedup"] < floor:
-                verdict = f"REGRESSED (floor {floor:.1f}x)"
-        print(
-            f"perf guard: {name}@{QUICK_ROWS}: {stats['speedup']:.1f}x "
-            f"(baseline {quick[name]['speedup']:.1f}x) {verdict}"
+        results[name] = _harness.compare(
+            encoded_run, lambda: workload(cube(dataset, force_row=True)), repeats
         )
-        failed = failed or verdict != "ok"
-    if failed:
-        print("perf guard: FAILED for the BI aggregation layer")
-        return 1
-    print("perf guard: BI aggregations within budget")
-    return 0
+    return results
 
 
-def test_perf_bi():
-    results = run_benchmark()
-    path = write_results(results)
-    _print_results(results)
-    for n_rows, entry in results["sizes"].items():
-        for name, stats in entry.items():
-            assert stats["identical_to_row_path"], (
-                f"{name}@{n_rows}: encoded result diverged from the row-at-a-time path"
-            )
-    rollup = results["sizes"][str(FACT_ROWS)]["rollup"]["speedup"]
-    assert rollup >= MIN_SPEEDUP_AT_100K, (
-        f"cube roll-up speedup at {FACT_ROWS} rows is {rollup:.1f}x, "
-        f"below the {MIN_SPEEDUP_AT_100K}x bar"
-    )
-    print(f"\nresults written to {path}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="rerun the reduced-size perf-guard case against the recorded baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        return run_quick_guard()
-    test_perf_bi()
-    return 0
+def check(sizes: dict) -> None:
+    """The encoded roll-up at 100k rows must beat the row path ≥5×."""
+    rollup = sizes["100000"]["rollup"]["speedup"]
+    assert rollup >= 5.0, f"cube roll-up speedup at 100k rows is {rollup:.1f}x, below the 5x bar"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(sys.modules[__name__]))

@@ -1,63 +1,37 @@
-"""BENCH-PERF-CORE — encoded-matrix execution core timings.
+"""BENCH-PERF-CORE — encoded-matrix cross-validation vs the row path.
 
-Times the hot paths every experiment in the pipeline funnels through —
-dataset encoding and 3-fold cross-validation of every registry classifier
-with a vectorized path (kNN, naive Bayes, decision tree, OneR, PRISM and the
-bagged-tree ensemble) plus k-means fitting — at n ∈ {500, 2000} rows, for
-both the vectorized batch path and the retained row-at-a-time reference path
-(forced by disabling the batch hooks and the encoded fits).  Note the row
-numbers are *not* pure seed timings: the row loops still benefit from the
-encoded fold slicing and vectorized metrics of the current code, so
-``speedup`` isolates batch-vs-row execution and slightly understates the
-end-to-end gain over the original seed implementation (the seed's full kNN CV
-at 2000 rows measured ~22.8s).  Results, including the speedups and an
-equality check of the predictions, are written to ``BENCH_perf_core.json`` at
-the repository root so future PRs have a perf trajectory to compare against.
-
-The JSON also records a ``quick`` section: the same comparison at a reduced
-size, used by the CI perf guard.  ``python benchmarks/bench_perf_core.py
---quick`` reruns only those cases and fails when any case's batch/row speedup
-drops below half the recorded baseline (speedup ratios are used rather than
-wall-clock seconds so the guard is robust to slower CI hardware) or when a
-batch path stops being bit-identical to its row path.
-
-Run the full benchmark with ``pytest benchmarks/bench_perf_core.py -s`` or
-directly with ``python benchmarks/bench_perf_core.py``.
+Times 3-fold cross-validation of every registry classifier with a
+vectorized path (kNN, naive Bayes, decision tree, OneR, PRISM and the
+bagged-tree ensemble) at n ∈ {500, 2000} rows, for both the vectorized
+batch path and the retained row-at-a-time reference path (forced by
+disabling the batch hooks and the encoded fits).  The row numbers are *not*
+pure seed timings: the row loops still benefit from the encoded fold slicing
+and vectorized metrics of the current code, so ``speedup`` isolates
+batch-vs-row execution and slightly understates the end-to-end gain over the
+original seed implementation (the seed's full kNN CV at 2000 rows measured
+~22.8s).  Identity covers accuracy, macro-F1, kappa and every fold's
+accuracy.  ``benchmarks/_harness.py`` runs it, records
+``BENCH_perf_core.json`` and guards it with ``--quick``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 from repro.datasets import make_classification_dataset
-from repro.mining import CLASSIFIER_REGISTRY, KMeansClusterer, cross_validate
-from repro.tabular.encoded import EncodedDataset
+from repro.mining import CLASSIFIER_REGISTRY, cross_validate
 
-ROW_COUNTS = (500, 2000)
+try:
+    from benchmarks import _harness
+except ModuleNotFoundError:  # run as a script
+    import _harness
+
 CV_FOLDS = 3
 #: Registry classifiers with a vectorized path, timed batch-vs-row.
-CASES = ("knn", "naive_bayes", "decision_tree", "one_r", "prism", "bagged_trees")
-#: The acceptance bars: vectorized cross-validation at 2000 rows must be at
-#: least this many times faster than the row-at-a-time path.
-MIN_KNN_SPEEDUP_AT_2000 = 5.0
-MIN_TREE_SPEEDUP_AT_2000 = 5.0
-
-#: Reduced-size rerun used by the CI perf guard (see ``--quick``).
-QUICK_ROWS = 400
-QUICK_CASES = ("knn", "naive_bayes", "decision_tree")
-#: A quick case fails the guard when its speedup drops below
-#: ``baseline_speedup / QUICK_REGRESSION_FACTOR``.
-QUICK_REGRESSION_FACTOR = 2.0
-
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_core.json"
-
-
-def _dataset(n_rows: int):
-    return make_classification_dataset(n_rows=n_rows, n_numeric=4, n_categorical=2, seed=0)
+CLASSIFIERS = ("knn", "naive_bayes", "decision_tree", "one_r", "prism", "bagged_trees")
+GUARDED = ("knn", "naive_bayes", "decision_tree")
+FULL = {str(n): dict(n_rows=n) for n in (500, 2000)}
+QUICK = {"400": dict(n_rows=400, classifiers=GUARDED, repeats=3)}
 
 
 def _force_row_path(model):
@@ -84,187 +58,35 @@ def _legacy_factory(name: str):
     return factory
 
 
-def _timed(fn, repeats: int = 1):
-    """Run ``fn`` ``repeats`` times; return its value and the best wall time.
-
-    Best-of-n damps warm-up and scheduling noise, which matters for the quick
-    perf guard: its pass/fail compares *speedup ratios* against the recorded
-    baseline, so both sides must be measured the same low-variance way.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return value, best
-
-
-def _compare_paths(name: str, dataset, repeats: int = 1) -> dict:
-    """Time batch vs row cross-validation of one classifier and check identity."""
-    fast, fast_s = _timed(
-        lambda: cross_validate(CLASSIFIER_REGISTRY[name], dataset, k=CV_FOLDS, seed=0),
-        repeats,
-    )
-    slow, slow_s = _timed(
-        lambda: cross_validate(_legacy_factory(name), dataset, k=CV_FOLDS, seed=0), repeats
-    )
-    identical = (
+def _same_scores(fast, slow) -> bool:
+    return (
         fast.accuracy == slow.accuracy
         and fast.macro_f1 == slow.macro_f1
         and fast.kappa == slow.kappa
         and fast.fold_accuracies == slow.fold_accuracies
     )
+
+
+def cases(n_rows: int, classifiers: tuple[str, ...] = CLASSIFIERS, repeats: int = 1) -> dict:
+    """Time batch vs row cross-validation of each classifier."""
+    dataset = make_classification_dataset(n_rows=n_rows, n_numeric=4, n_categorical=2, seed=0)
     return {
-        "batch_cv_s": fast_s,
-        "row_cv_s": slow_s,
-        "speedup": slow_s / fast_s if fast_s > 0 else float("inf"),
-        "accuracy": fast.accuracy,
-        "identical_to_row_path": identical,
+        name: _harness.compare(
+            lambda: cross_validate(CLASSIFIER_REGISTRY[name], dataset, k=CV_FOLDS, seed=0),
+            lambda: cross_validate(_legacy_factory(name), dataset, k=CV_FOLDS, seed=0),
+            repeats,
+            same=_same_scores,
+        )
+        for name in classifiers
     }
 
 
-def run_quick_cases() -> dict:
-    dataset = _dataset(QUICK_ROWS)
-    return {name: _compare_paths(name, dataset, repeats=3) for name in QUICK_CASES}
-
-
-def run_benchmark() -> dict:
-    results: dict = {"cv_folds": CV_FOLDS, "sizes": {}}
-    for n_rows in ROW_COUNTS:
-        dataset = _dataset(n_rows)
-        entry: dict = {}
-
-        # Encoding one dataset (all feature columns, both views) from scratch.
-        def encode_all():
-            encoded = EncodedDataset(dataset)
-            for column in dataset.feature_columns():
-                encoded.numeric_view(column.name) if column.is_numeric() else encoded.codes_view(column.name)
-            return encoded
-
-        _, entry["encode_s"] = _timed(encode_all)
-
-        for name in CASES:
-            entry[name] = _compare_paths(name, dataset)
-
-        _, kmeans_s = _timed(lambda: KMeansClusterer(k=4, seed=0).fit(dataset))
-        entry["kmeans_fit_s"] = kmeans_s
-        results["sizes"][str(n_rows)] = entry
-    results["quick"] = {"n_rows": QUICK_ROWS, "cases": run_quick_cases()}
-    return results
-
-
-def write_results(results: dict) -> Path:
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    return _RESULT_PATH
-
-
-def _print_results(results: dict) -> None:
-    try:
-        from benchmarks.conftest import print_table
-    except ModuleNotFoundError:  # running as a plain script
-        def print_table(title, header, rows):
-            print(f"\n=== {title} ===")
-            print("  ".join(header))
-            for row in rows:
-                print("  ".join(f"{c:.3f}" if isinstance(c, float) else str(c) for c in row))
-
-    rows = []
-    for n_rows, entry in results["sizes"].items():
-        for algo in CASES:
-            stats = entry[algo]
-            rows.append(
-                [
-                    f"{algo}@{n_rows}",
-                    stats["batch_cv_s"],
-                    stats["row_cv_s"],
-                    stats["speedup"],
-                    "yes" if stats["identical_to_row_path"] else "NO",
-                ]
-            )
-    print_table(
-        "BENCH-PERF-CORE: 3-fold CV, batch vs row path",
-        ["workload", "batch_s", "row_s", "speedup", "identical"],
-        rows,
-    )
-
-
-def run_quick_guard(baseline_path: Path = _RESULT_PATH) -> int:
-    """Rerun the quick cases and compare against the recorded baseline.
-
-    Returns a process exit code: 0 when every case is still bit-identical and
-    within ``QUICK_REGRESSION_FACTOR`` of its recorded speedup, 1 otherwise.
-    """
-    if not baseline_path.exists():
-        print(f"perf guard: no baseline at {baseline_path}; run the full benchmark first")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    quick = baseline.get("quick", {})
-    recorded = quick.get("cases")
-    if not recorded or any(name not in recorded for name in QUICK_CASES):
-        print("perf guard: baseline is missing quick cases; rerun the full benchmark")
-        return 1
-    if quick.get("n_rows") != QUICK_ROWS:
-        print(
-            f"perf guard: baseline quick size {quick.get('n_rows')} != {QUICK_ROWS}; "
-            "rerun the full benchmark"
-        )
-        return 1
-    current = run_quick_cases()
-    failures = []
-    for name in QUICK_CASES:
-        stats = current[name]
-        floor = recorded[name]["speedup"] / QUICK_REGRESSION_FACTOR
-        verdict = "ok"
-        if not stats["identical_to_row_path"]:
-            verdict = "DIVERGED from row path"
-        elif stats["speedup"] < floor:
-            verdict = f"REGRESSED (floor {floor:.1f}x)"
-        print(
-            f"perf guard: {name}@{QUICK_ROWS}: {stats['speedup']:.1f}x "
-            f"(baseline {recorded[name]['speedup']:.1f}x) {verdict}"
-        )
-        if verdict != "ok":
-            failures.append(name)
-    if failures:
-        print(f"perf guard: FAILED for {', '.join(failures)}")
-        return 1
-    print("perf guard: all cases within budget")
-    return 0
-
-
-def test_perf_core():
-    results = run_benchmark()
-    path = write_results(results)
-    _print_results(results)
-    for n_rows, entry in results["sizes"].items():
-        for algo in CASES:
-            assert entry[algo]["identical_to_row_path"], (
-                f"{algo}@{n_rows}: batch CV diverged from the row-at-a-time path"
-            )
-    knn_at_2000 = results["sizes"]["2000"]["knn"]["speedup"]
-    assert knn_at_2000 >= MIN_KNN_SPEEDUP_AT_2000, (
-        f"kNN CV speedup at 2000 rows is {knn_at_2000:.1f}x, below the {MIN_KNN_SPEEDUP_AT_2000}x bar"
-    )
-    tree_at_2000 = results["sizes"]["2000"]["decision_tree"]["speedup"]
-    assert tree_at_2000 >= MIN_TREE_SPEEDUP_AT_2000, (
-        f"tree CV speedup at 2000 rows is {tree_at_2000:.1f}x, below the {MIN_TREE_SPEEDUP_AT_2000}x bar"
-    )
-    print(f"\nresults written to {path}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="rerun the reduced-size perf-guard cases against the recorded baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        return run_quick_guard()
-    test_perf_core()
-    return 0
+def check(sizes: dict) -> None:
+    """kNN and tree cross-validation at 2000 rows must beat the row path ≥5×."""
+    for name in ("knn", "decision_tree"):
+        speedup = sizes["2000"][name]["speedup"]
+        assert speedup >= 5.0, f"{name} CV speedup at 2000 rows is {speedup:.1f}x, below the 5x bar"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(sys.modules[__name__]))

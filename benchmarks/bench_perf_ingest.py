@@ -1,6 +1,6 @@
-"""BENCH-PERF-INGEST — incremental append+refresh vs full recompute timings.
+"""BENCH-PERF-INGEST — incremental append+refresh vs full recompute.
 
-Times one feed cycle against a municipal-budget-style fact table at 100k base
+Times one feed cycle against the BI bench's budget fact table at 100k base
 rows with a 1k-row delta batch: append the batch (extending the base's
 encoded views) and refresh the derived state — a quality profile, a cube
 aggregate and a KPI scoreboard — through the incremental tier
@@ -17,34 +17,23 @@ over the cold merged data.  Two workloads are timed:
     each refresh, diluting the ratio — recorded for honesty, not guarded.
 
 Incremental timings include the append itself (schema coercion, array
-concatenation, encoded-view extension); the full-recompute side gets the
-merged dataset for free and pays only the cold encode plus the batch
-recomputes.  Results — speedups plus bit-identity checks of every refreshed
-artefact against the batch recompute — are written to
-``BENCH_perf_ingest.json`` at the repository root.
-
-The JSON also records a ``quick`` section at a reduced size, used by the CI
-perf guard: ``python benchmarks/bench_perf_ingest.py --quick`` reruns it and
-fails when the guarded speedup drops below half the recorded baseline
-(ratios, not wall-clock, so slower CI runners don't false-alarm) or when any
-refreshed result stops being bit-identical to the recompute.
-
-Run the full benchmark with ``pytest benchmarks/bench_perf_ingest.py -s`` or
-directly with ``python benchmarks/bench_perf_ingest.py``.
+concatenation, encoded-view extension); each repeat builds its boards on a
+fresh base first, untimed.  The full-recompute side gets the merged dataset
+for free and pays only the cold encode plus the batch recomputes.  Identity
+covers every refreshed artefact against the batch recompute.
+``benchmarks/_harness.py`` runs it, records ``BENCH_perf_ingest.json`` and
+guards it with ``--quick``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import struct
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.bi import Cube, Dimension, KPI, Measure, evaluate_kpis_by_level
+from repro.bi import evaluate_kpis_by_level
 from repro.feeds import (
     IncrementalKPIBoard,
     IncrementalProfile,
@@ -52,80 +41,33 @@ from repro.feeds import (
     incremental_cube_aggregate,
 )
 from repro.quality import measure_quality
-from repro.tabular.dataset import ColumnType, Dataset
-from repro.tabular.encoded import _CACHE_ATTR
+from repro.tabular.dataset import Dataset
 
-FACT_ROWS = 100_000
-DELTA_ROWS = 1_000
-#: The acceptance bar: append+refresh at 100k+1k must be at least this many
-#: times faster than the full recompute.
-MIN_SPEEDUP_AT_100K = 10.0
+try:
+    from benchmarks import _harness
+    from benchmarks.bench_perf_bi import CATEGORIES, DISTRICTS, KPIS, cube, fact_table
+except ModuleNotFoundError:  # run as a script
+    import _harness
+    from bench_perf_bi import CATEGORIES, DISTRICTS, KPIS, cube, fact_table
 
-#: Reduced-size rerun used by the CI perf guard (see ``--quick``).
-QUICK_ROWS = 5_000
-QUICK_DELTA = 100
-#: A quick workload fails the guard when its speedup drops below
-#: ``baseline_speedup / QUICK_REGRESSION_FACTOR``.
-QUICK_REGRESSION_FACTOR = 2.0
-#: The workloads the guard checks (``all_criteria`` is recorded but not
-#: guarded: its fallback criteria recompute O(n) state on both sides).
-GUARDED_WORKLOADS = ("refresh",)
-
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_ingest.json"
-
-_DISTRICTS = [f"district_{i:02d}" for i in range(20)]
-_CATEGORIES = ["transport", "health", "education", "culture", "housing", "parks", "safety", "it"]
+FULL = {"100000+1000": dict(n_rows=100_000, delta_rows=1_000, repeats=3)}
+QUICK = {"5000+100": dict(n_rows=5_000, delta_rows=100, repeats=3)}
+GUARDED = ("refresh",)
 
 #: The incrementalizable-or-cheap profile of the guarded workload.
 _CHEAP_CRITERIA = ["completeness", "consistency", "duplication", "balance", "dimensionality"]
 
-_KPIS = [
-    KPI("avg_rate", "rate", target=0.6),
-    KPI("avg_amount", "amount", target=300_000.0, higher_is_better=False, tolerance=0.2),
-]
 
-
-def _dataset(n_rows: int, seed: int = 0) -> Dataset:
-    """A budget-style fact table with ~5% missing cells in a key and a measure."""
-    rng = np.random.default_rng(seed)
-    district = [
-        None if gap else _DISTRICTS[i]
-        for gap, i in zip(rng.random(n_rows) < 0.05, rng.integers(len(_DISTRICTS), size=n_rows))
-    ]
-    category = [_CATEGORIES[i] for i in rng.integers(len(_CATEGORIES), size=n_rows)]
-    year = (2019.0 + rng.integers(5, size=n_rows)).astype(float)
-    amount = np.round(rng.uniform(1_000, 500_000, size=n_rows), 2)
-    amount[rng.random(n_rows) < 0.05] = np.nan
-    rate = np.round(rng.uniform(0.0, 1.2, size=n_rows), 4)
-    return Dataset.from_dict(
-        {
-            "district": district,
-            "category": category,
-            "year": year.tolist(),
-            "amount": amount.tolist(),
-            "rate": rate.tolist(),
-        },
-        name="budget_facts",
-        ctypes={
-            "district": ColumnType.CATEGORICAL,
-            "category": ColumnType.CATEGORICAL,
-            "year": ColumnType.NUMERIC,
-            "amount": ColumnType.NUMERIC,
-            "rate": ColumnType.NUMERIC,
-        },
-    )
-
-
-def _delta(n_rows: int, seed: int = 1) -> list[dict]:
+def _delta(n_rows: int) -> list[dict]:
     """A feed batch: same schema, one brand-new district level, some gaps."""
-    rng = np.random.default_rng(seed)
-    districts = _DISTRICTS + ["district_NEW"]
+    rng = np.random.default_rng(1)
+    districts = DISTRICTS + ["district_NEW"]
     rows = []
     for i in range(n_rows):
         rows.append(
             {
                 "district": None if rng.random() < 0.05 else districts[int(rng.integers(len(districts)))],
-                "category": _CATEGORIES[int(rng.integers(len(_CATEGORIES)))],
+                "category": CATEGORIES[int(rng.integers(len(CATEGORIES)))],
                 "year": float(2019 + int(rng.integers(5))),
                 "amount": float("nan") if rng.random() < 0.05 else round(float(rng.uniform(1_000, 500_000)), 2),
                 "rate": round(float(rng.uniform(0.0, 1.2)), 4),
@@ -134,230 +76,68 @@ def _delta(n_rows: int, seed: int = 1) -> list[dict]:
     return rows
 
 
-def _cube(dataset: Dataset) -> Cube:
-    return Cube(
-        dataset,
-        dimensions=[
-            Dimension("district", ("district",)),
-            Dimension("category", ("category",)),
-            Dimension("year", ("year",)),
-        ],
-        measures=[
-            Measure("total", "amount", "sum"),
-            Measure("mean_rate", "rate", "mean"),
-            Measure("n", "amount", "count"),
-        ],
-    )
-
-
-def _build_boards(base: Dataset, criteria: list[str] | None):
-    """The incremental state for one feed cycle (setup cost, not timed)."""
-    return (
-        IncrementalProfile(base, criteria=criteria),
-        incremental_cube_aggregate(_cube(base), ["district"]),
-        IncrementalKPIBoard(_KPIS, _cube(base), "district"),
-    )
-
-
-def _drop_encoding(dataset: Dataset) -> None:
-    """Forget the dataset's cached encoding so the next run pays for it."""
-    if hasattr(dataset, _CACHE_ATTR):
-        delattr(dataset, _CACHE_ATTR)
-
-
-def _bits(value):
-    """A bit-exact comparison key: floats by their IEEE-754 bytes."""
-    if isinstance(value, float):
-        return ("float", struct.pack("<d", value))
-    return (type(value).__name__, value)
-
-
-def _identical(a: Dataset, b: Dataset) -> bool:
-    """Bit-exact dataset equality: column order, ctypes, row order, float bits."""
-    if a.column_names != b.column_names or a.n_rows != b.n_rows:
-        return False
-    for name in a.column_names:
-        if a[name].ctype != b[name].ctype:
-            return False
-        if any(_bits(x) != _bits(y) for x, y in zip(a[name].tolist(), b[name].tolist())):
-            return False
-    return True
-
-
 def _profile_json(profile) -> str:
     return json.dumps(profile.to_json_dict(), sort_keys=True)
 
 
-def _compare_one(n_rows: int, delta_rows: int, criteria: list[str] | None, repeats: int) -> dict:
-    """Time one feed cycle incrementally vs as a full recompute."""
+def _cycle(n_rows: int, delta_rows: int, criteria: list[str] | None, repeats: int) -> dict:
+    """Time one feed cycle incrementally vs as a full recompute.
+
+    Set-up stays outside each timed region: building a repeat's boards,
+    dropping the cold side's encoding, and freeing the previous repeat's
+    outputs.
+    """
     delta = _delta(delta_rows)
     best_incremental = float("inf")
-    outputs = None
     for _ in range(repeats):
-        base = _dataset(n_rows)
-        boards = _build_boards(base, criteria)
-        profile_board, cube_board, kpi_board = boards
+        base = fact_table(n_rows)
+        boards = (
+            IncrementalProfile(base, criteria=criteria),
+            incremental_cube_aggregate(cube(base), ["district"]),
+            IncrementalKPIBoard(KPIS, cube(base), "district"),
+        )
         start = time.perf_counter()
         merged = append_rows(base, delta)
-        refreshed = (
-            profile_board.refresh(merged),
-            cube_board.refresh(merged),
-            kpi_board.refresh(merged),
-        )
+        incremental = [board.refresh(merged) for board in boards]
         best_incremental = min(best_incremental, time.perf_counter() - start)
-        outputs = (merged, refreshed)
-    merged, (profile_inc, cube_inc, kpi_inc) = outputs
+        held = merged, incremental  # freed after the next repeat's timing, not inside it
 
     delta_dataset = Dataset.from_rows(
         delta, ctypes={c.name: c.ctype for c in merged.columns}, column_order=merged.column_names
     )
-    merged_cold = _dataset(n_rows).concat(delta_dataset)
+    merged_cold = fact_table(n_rows).concat(delta_dataset)
     best_full = float("inf")
     for _ in range(repeats):
-        _drop_encoding(merged_cold)
+        _harness.drop_caches(merged_cold)
         start = time.perf_counter()
         full = (
             measure_quality(merged_cold, criteria),
-            _cube(merged_cold).aggregate(["district"]),
-            evaluate_kpis_by_level(_KPIS, _cube(merged_cold), "district"),
+            cube(merged_cold).aggregate(["district"]),
+            evaluate_kpis_by_level(KPIS, cube(merged_cold), "district"),
         )
         best_full = min(best_full, time.perf_counter() - start)
-    profile_full, cube_full, kpi_full = full
-
-    identical = (
-        _profile_json(profile_inc) == _profile_json(profile_full)
-        and _identical(cube_inc, cube_full)
-        and _identical(kpi_inc, kpi_full)
+    return _harness.case(
+        best_incremental,
+        best_full,
+        _profile_json(incremental[0]) == _profile_json(full[0])
+        and _harness.identical(incremental[1], full[1])
+        and _harness.identical(incremental[2], full[2]),
     )
+
+
+def cases(n_rows: int, delta_rows: int, repeats: int) -> dict:
+    """The guarded cheap-criteria cycle and the full-profile cycle."""
     return {
-        "incremental_s": best_incremental,
-        "full_s": best_full,
-        "speedup": best_full / best_incremental if best_incremental > 0 else float("inf"),
-        "identical_to_full_recompute": identical,
+        "refresh": _cycle(n_rows, delta_rows, _CHEAP_CRITERIA, repeats),
+        "all_criteria": _cycle(n_rows, delta_rows, None, repeats),
     }
 
 
-def _compare_cycle(n_rows: int, delta_rows: int, repeats: int = 1) -> dict:
-    return {
-        "refresh": _compare_one(n_rows, delta_rows, _CHEAP_CRITERIA, repeats),
-        "all_criteria": _compare_one(n_rows, delta_rows, None, repeats),
-    }
-
-
-def run_quick_case() -> dict:
-    return _compare_cycle(QUICK_ROWS, QUICK_DELTA, repeats=3)
-
-
-def run_benchmark() -> dict:
-    results: dict = {"sizes": {}}
-    results["sizes"][f"{FACT_ROWS}+{DELTA_ROWS}"] = _compare_cycle(FACT_ROWS, DELTA_ROWS, repeats=3)
-    results["quick"] = {"n_rows": QUICK_ROWS, "delta_rows": QUICK_DELTA, **run_quick_case()}
-    return results
-
-
-def write_results(results: dict) -> Path:
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    return _RESULT_PATH
-
-
-def _print_results(results: dict) -> None:
-    try:
-        from benchmarks.conftest import print_table
-    except ModuleNotFoundError:  # running as a plain script
-        def print_table(title, header, rows):
-            print(f"\n=== {title} ===")
-            print("  ".join(header))
-            for row in rows:
-                print("  ".join(f"{c:.3f}" if isinstance(c, float) else str(c) for c in row))
-
-    rows = []
-    for size, entry in results["sizes"].items():
-        for name, stats in entry.items():
-            rows.append(
-                [
-                    f"{name}@{size}",
-                    stats["incremental_s"],
-                    stats["full_s"],
-                    stats["speedup"],
-                    "yes" if stats["identical_to_full_recompute"] else "NO",
-                ]
-            )
-    print_table(
-        "BENCH-PERF-INGEST: append+refresh vs full recompute",
-        ["workload", "incremental_s", "full_s", "speedup", "identical"],
-        rows,
-    )
-
-
-def run_quick_guard(baseline_path: Path = _RESULT_PATH) -> int:
-    """Rerun the quick case and compare against the recorded baseline.
-
-    Returns a process exit code: 0 when every workload is still bit-identical
-    and the guarded workloads are within ``QUICK_REGRESSION_FACTOR`` of their
-    recorded speedups, 1 otherwise.
-    """
-    if not baseline_path.exists():
-        print(f"perf guard: no baseline at {baseline_path}; run the full benchmark first")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    quick = baseline.get("quick", {})
-    if quick.get("n_rows") != QUICK_ROWS or any(
-        name not in quick for name in ("refresh", "all_criteria")
-    ):
-        print("perf guard: baseline quick case is stale; rerun the full benchmark")
-        return 1
-    current = run_quick_case()
-    failed = False
-    for name, stats in current.items():
-        verdict = "ok"
-        if not stats["identical_to_full_recompute"]:
-            verdict = "DIVERGED from the full recompute"
-        elif name in GUARDED_WORKLOADS:
-            floor = quick[name]["speedup"] / QUICK_REGRESSION_FACTOR
-            if stats["speedup"] < floor:
-                verdict = f"REGRESSED (floor {floor:.1f}x)"
-        print(
-            f"perf guard: {name}@{QUICK_ROWS}+{QUICK_DELTA}: {stats['speedup']:.1f}x "
-            f"(baseline {quick[name]['speedup']:.1f}x) {verdict}"
-        )
-        failed = failed or verdict != "ok"
-    if failed:
-        print("perf guard: FAILED for the incremental ingestion tier")
-        return 1
-    print("perf guard: incremental ingestion within budget")
-    return 0
-
-
-def test_perf_ingest():
-    results = run_benchmark()
-    path = write_results(results)
-    _print_results(results)
-    for size, entry in results["sizes"].items():
-        for name, stats in entry.items():
-            assert stats["identical_to_full_recompute"], (
-                f"{name}@{size}: refreshed results diverged from the full recompute"
-            )
-    speedup = results["sizes"][f"{FACT_ROWS}+{DELTA_ROWS}"]["refresh"]["speedup"]
-    assert speedup >= MIN_SPEEDUP_AT_100K, (
-        f"append+refresh speedup at {FACT_ROWS}+{DELTA_ROWS} rows is {speedup:.1f}x, "
-        f"below the {MIN_SPEEDUP_AT_100K}x bar"
-    )
-    print(f"\nresults written to {path}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="rerun the reduced-size perf-guard case against the recorded baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        return run_quick_guard()
-    test_perf_ingest()
-    return 0
+def check(sizes: dict) -> None:
+    """Append+refresh at 100k+1k rows must beat the full recompute ≥10×."""
+    speedup = sizes["100000+1000"]["refresh"]["speedup"]
+    assert speedup >= 10.0, f"append+refresh speedup at 100k+1k rows is {speedup:.1f}x, below the 10x bar"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(sys.modules[__name__]))

@@ -1,4 +1,4 @@
-"""BENCH-PERF-QUALITY — encoded-core data-quality profiling timings.
+"""BENCH-PERF-QUALITY — encoded-core data-quality profiling vs the row path.
 
 Times ``measure_quality`` — the profiling stage the advisor runs on every
 incoming dataset — over a mixed-type dataset (numeric, categorical, boolean,
@@ -6,29 +6,17 @@ datetime and free-text columns, with injected missing values and fuzzy
 near-duplicates) at 10k rows, for both execution paths: the vectorized
 ``_measure_encoded`` criteria over the shared encoded views, and the retained
 row-at-a-time reference path (forced via ``_force_row_measure``).  The
-encoded timings include encoding the dataset from scratch (the instance cache
-is dropped before every run), so the speedup is what a cold ``advise`` call
-actually sees; per-criterion timings are recorded so regressions can be
-attributed.  Results — speedups plus a bit-identity check of the resulting
-profiles — are written to ``BENCH_perf_quality.json`` at the repository root.
-
-The JSON also records a ``quick`` section at a reduced size, used by the CI
-perf guard: ``python benchmarks/bench_perf_quality.py --quick`` reruns it and
-fails when the overall encoded/row speedup drops below half the recorded
-baseline (ratios, not wall-clock, so slower CI runners don't false-alarm) or
-when the encoded profile stops being bit-identical to the row profile.
-
-Run the full benchmark with ``pytest benchmarks/bench_perf_quality.py -s`` or
-directly with ``python benchmarks/bench_perf_quality.py``.
+``profile`` case's encoded timing includes encoding the dataset from scratch
+(the instance cache is dropped before every run), so its speedup is what a
+cold ``advise`` call actually sees; one case per criterion, over a warm
+encoding, attributes regressions.  Identity covers the profile vector and
+its JSON form, and each criterion's measure.  ``benchmarks/_harness.py``
+runs it, records ``BENCH_perf_quality.json`` and guards it with ``--quick``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -37,20 +25,16 @@ from repro.datasets import make_classification_dataset
 from repro.quality import get_criterion, measure_quality
 from repro.quality.profile import DEFAULT_CRITERIA
 from repro.tabular.dataset import Column, ColumnType, Dataset
-from repro.tabular.encoded import _CACHE_ATTR, encode_dataset
+from repro.tabular.encoded import encode_dataset
 
-PROFILE_ROWS = 10_000
-#: The acceptance bar: the encoded profile at 10k rows must be at least this
-#: many times faster than the row-at-a-time path.
-MIN_SPEEDUP_AT_10K = 5.0
+try:
+    from benchmarks import _harness
+except ModuleNotFoundError:  # run as a script
+    import _harness
 
-#: Reduced-size rerun used by the CI perf guard (see ``--quick``).
-QUICK_ROWS = 2_000
-#: The quick case fails the guard when its overall speedup drops below
-#: ``baseline_speedup / QUICK_REGRESSION_FACTOR``.
-QUICK_REGRESSION_FACTOR = 2.0
-
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_quality.json"
+FULL = {"10000": dict(n_rows=10_000)}
+QUICK = {"2000": dict(n_rows=2_000, repeats=3)}
+GUARDED = ("profile",)
 
 
 def _dataset(n_rows: int) -> Dataset:
@@ -74,12 +58,6 @@ def _dataset(n_rows: int) -> Dataset:
     return MissingValuesInjector().apply(base, 0.1, seed=3)
 
 
-def _drop_encoding(dataset: Dataset) -> None:
-    """Forget the dataset's cached encoding so the next run pays for it."""
-    if hasattr(dataset, _CACHE_ATTR):
-        delattr(dataset, _CACHE_ATTR)
-
-
 def _row_criteria():
     criteria = []
     for name in DEFAULT_CRITERIA:
@@ -89,168 +67,45 @@ def _row_criteria():
     return criteria
 
 
-def _timed(fn, repeats: int = 1):
-    """Run ``fn`` ``repeats`` times; return its last value and the best wall time."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return value, best
-
-
-def _profiles_identical(fast, slow) -> bool:
+def _same_profile(fast, slow) -> bool:
     return (
         list(fast.as_vector(DEFAULT_CRITERIA)) == list(slow.as_vector(DEFAULT_CRITERIA))
         and fast.to_json_dict() == slow.to_json_dict()
     )
 
 
-def _compare_paths(dataset: Dataset, repeats: int = 1) -> dict:
-    """Time the encoded vs row profile of one dataset and check identity."""
+def cases(n_rows: int, repeats: int = 1) -> dict:
+    """Time the whole profile, then each criterion, encoded vs row."""
+    dataset = _dataset(n_rows)
 
     def encoded_run():
-        _drop_encoding(dataset)
+        _harness.drop_caches(dataset)
         return measure_quality(dataset)
 
-    fast, fast_s = _timed(encoded_run, repeats)
-    slow, slow_s = _timed(lambda: measure_quality(dataset, criteria=_row_criteria()), repeats)
-
-    per_criterion: dict[str, dict] = {}
+    results = {
+        "profile": _harness.compare(
+            encoded_run,
+            lambda: measure_quality(dataset, criteria=_row_criteria()),
+            repeats,
+            same=_same_profile,
+        )
+    }
     encoded = encode_dataset(dataset)
     for name in DEFAULT_CRITERIA:
-        _, criterion_fast_s = _timed(lambda: get_criterion(name).measure_encoded(encoded), repeats)
-        _, criterion_slow_s = _timed(lambda: get_criterion(name).measure(dataset), repeats)
-        per_criterion[name] = {
-            "encoded_s": criterion_fast_s,
-            "row_s": criterion_slow_s,
-            "speedup": criterion_slow_s / criterion_fast_s if criterion_fast_s > 0 else float("inf"),
-        }
-
-    return {
-        "encoded_profile_s": fast_s,
-        "row_profile_s": slow_s,
-        "speedup": slow_s / fast_s if fast_s > 0 else float("inf"),
-        "identical_to_row_path": _profiles_identical(fast, slow),
-        "per_criterion": per_criterion,
-    }
-
-
-def run_quick_case() -> dict:
-    return _compare_paths(_dataset(QUICK_ROWS), repeats=3)
-
-
-def run_benchmark() -> dict:
-    results: dict = {"sizes": {}}
-    dataset = _dataset(PROFILE_ROWS)
-    results["sizes"][str(PROFILE_ROWS)] = _compare_paths(dataset)
-    results["quick"] = {"n_rows": QUICK_ROWS, **run_quick_case()}
+        results[name] = _harness.compare(
+            lambda: get_criterion(name).measure_encoded(encoded),
+            lambda: get_criterion(name).measure(dataset),
+            repeats,
+            same=lambda a, b: _harness.bits(a.score) == _harness.bits(b.score) and a == b,
+        )
     return results
 
 
-def write_results(results: dict) -> Path:
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    return _RESULT_PATH
-
-
-def _print_results(results: dict) -> None:
-    try:
-        from benchmarks.conftest import print_table
-    except ModuleNotFoundError:  # running as a plain script
-        def print_table(title, header, rows):
-            print(f"\n=== {title} ===")
-            print("  ".join(header))
-            for row in rows:
-                print("  ".join(f"{c:.3f}" if isinstance(c, float) else str(c) for c in row))
-
-    rows = []
-    for n_rows, entry in results["sizes"].items():
-        rows.append(
-            [
-                f"measure_quality@{n_rows}",
-                entry["encoded_profile_s"],
-                entry["row_profile_s"],
-                entry["speedup"],
-                "yes" if entry["identical_to_row_path"] else "NO",
-            ]
-        )
-        for name, stats in entry["per_criterion"].items():
-            rows.append([f"  {name}@{n_rows}", stats["encoded_s"], stats["row_s"], stats["speedup"], ""])
-    print_table(
-        "BENCH-PERF-QUALITY: data-quality profiling, encoded vs row path",
-        ["workload", "encoded_s", "row_s", "speedup", "identical"],
-        rows,
-    )
-
-
-def run_quick_guard(baseline_path: Path = _RESULT_PATH) -> int:
-    """Rerun the quick case and compare against the recorded baseline.
-
-    Returns a process exit code: 0 when the profile is still bit-identical
-    and within ``QUICK_REGRESSION_FACTOR`` of its recorded speedup, 1
-    otherwise.
-    """
-    if not baseline_path.exists():
-        print(f"perf guard: no baseline at {baseline_path}; run the full benchmark first")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    quick = baseline.get("quick", {})
-    if "speedup" not in quick:
-        print("perf guard: baseline is missing the quick case; rerun the full benchmark")
-        return 1
-    if quick.get("n_rows") != QUICK_ROWS:
-        print(
-            f"perf guard: baseline quick size {quick.get('n_rows')} != {QUICK_ROWS}; "
-            "rerun the full benchmark"
-        )
-        return 1
-    current = run_quick_case()
-    floor = quick["speedup"] / QUICK_REGRESSION_FACTOR
-    verdict = "ok"
-    if not current["identical_to_row_path"]:
-        verdict = "DIVERGED from row path"
-    elif current["speedup"] < floor:
-        verdict = f"REGRESSED (floor {floor:.1f}x)"
-    print(
-        f"perf guard: measure_quality@{QUICK_ROWS}: {current['speedup']:.1f}x "
-        f"(baseline {quick['speedup']:.1f}x) {verdict}"
-    )
-    if verdict != "ok":
-        print("perf guard: FAILED for measure_quality")
-        return 1
-    print("perf guard: quality profiling within budget")
-    return 0
-
-
-def test_perf_quality():
-    results = run_benchmark()
-    path = write_results(results)
-    _print_results(results)
-    for n_rows, entry in results["sizes"].items():
-        assert entry["identical_to_row_path"], (
-            f"measure_quality@{n_rows}: encoded profile diverged from the row-at-a-time path"
-        )
-    at_10k = results["sizes"][str(PROFILE_ROWS)]["speedup"]
-    assert at_10k >= MIN_SPEEDUP_AT_10K, (
-        f"profiling speedup at {PROFILE_ROWS} rows is {at_10k:.1f}x, "
-        f"below the {MIN_SPEEDUP_AT_10K}x bar"
-    )
-    print(f"\nresults written to {path}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="rerun the reduced-size perf-guard case against the recorded baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        return run_quick_guard()
-    test_perf_quality()
-    return 0
+def check(sizes: dict) -> None:
+    """The encoded profile at 10k rows must beat the row path ≥5×."""
+    speedup = sizes["10000"]["profile"]["speedup"]
+    assert speedup >= 5.0, f"profiling speedup at 10k rows is {speedup:.1f}x, below the 5x bar"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(sys.modules[__name__]))

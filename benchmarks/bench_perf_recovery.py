@@ -1,39 +1,31 @@
-"""BENCH-PERF-RECOVERY — salvage-tier overhead and recovery rates.
+"""BENCH-PERF-RECOVERY — salvage tier vs the strict readers on clean input.
 
 The recovery tier (:mod:`repro.recovery`) promises two things: on **clean**
 input it produces the bit-identical dataset/graph of the strict reference
 readers at a modest constant-factor overhead, and on **corrupt** input it
-recovers a predictable fraction of the payload instead of raising.  This
-benchmark measures both promises:
+recovers a predictable fraction of the payload instead of raising.  The
+fast tier here is the *tolerant* one, so each case's ``speedup`` is
+``strict_s / salvage_s`` — the inverse of the salvage overhead, under 1
+when salvage costs more:
 
-* *clean overhead* — ``salvage_csv_text`` vs ``read_csv_text`` and
-  ``salvage_ntriples`` vs ``parse_ntriples`` on clean 10k-row CSV / 10k-line
-  N-Triples payloads, reporting the overhead ratio (salvage time over strict
-  time) and asserting the outputs identical;
-* *recovery sweep* — the seeded corruptors of :mod:`repro.recovery.corrupt`
-  damage the same payloads at severities 0.1 / 0.3 / 0.6; the sweep records
-  the deterministic cell/line recovery rates and row yields, and asserts the
-  corrupt → salvage → profile round trip never raises.
+``clean_csv``
+    ``salvage_csv_text`` vs ``read_csv_text`` on a clean 10k-row CSV, plus
+    the cell recovery rates of the seeded corruption sweep (severities
+    0.1 / 0.3 / 0.6): every corrupt → salvage → profile round trip must
+    profile without raising.
+``clean_ntriples``
+    ``salvage_ntriples`` vs ``parse_ntriples`` on clean N-Triples describing
+    1k entities, plus the sweep's line recovery rates.
 
-Results are written to ``BENCH_perf_recovery.json`` at the repository root.
-The JSON also records a ``quick`` section at a reduced size, used by the CI
-perf guard: ``python benchmarks/bench_perf_recovery.py --quick`` reruns it
-and fails when a clean salvage stops being identical to the strict reader,
-when the clean-overhead ratio exceeds twice the recorded baseline (ratios,
-not wall-clock, so slower CI runners don't false-alarm), when any recovery
-rate drifts from the recorded deterministic value, or when the sweep raises.
-
-Run the full benchmark with ``pytest benchmarks/bench_perf_recovery.py -s``
-or directly with ``python benchmarks/bench_perf_recovery.py``.
+The sweep is deterministic (seeded corruption, deterministic salvage), so
+the quick guard requires the recorded ``recovery_rates`` exactly.
+``benchmarks/_harness.py`` runs it, records ``BENCH_perf_recovery.json``
+and guards it with ``--quick``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 from repro.datasets import make_classification_dataset
 from repro.lod.publish import publish_dataset
@@ -42,81 +34,22 @@ from repro.quality import measure_quality
 from repro.recovery import apply_corruptions, salvage_csv, salvage_csv_text, salvage_ntriples
 from repro.tabular.io_csv import read_csv_text, write_csv_text
 
-CSV_ROWS = 10_000
-NT_ROWS = 1_000
-#: The acceptance bar: clean-input salvage must cost at most this multiple of
-#: the strict reader (it does strictly more bookkeeping, so > 1 is expected).
-MAX_CLEAN_OVERHEAD = 5.0
+try:
+    from benchmarks import _harness
+except ModuleNotFoundError:  # run as a script
+    import _harness
+
+FULL = {"csv=10000,nt=1000": dict(csv_rows=10_000, nt_rows=1_000)}
+QUICK = {"csv=2000,nt=300": dict(csv_rows=2_000, nt_rows=300, repeats=3)}
+GUARDED = ("clean_csv", "clean_ntriples")
+EXACT_FIELDS = ("recovery_rates",)
 #: Severities of the seeded corruption sweep.
 SWEEP_SEVERITIES = (0.1, 0.3, 0.6)
 SWEEP_SEED = 0
 
-#: Reduced-size rerun used by the CI perf guard (see ``--quick``).
-QUICK_CSV_ROWS = 2_000
-QUICK_NT_ROWS = 300
-#: The quick case fails the guard when its clean-overhead ratio exceeds
-#: ``baseline_overhead * QUICK_REGRESSION_FACTOR``.
-QUICK_REGRESSION_FACTOR = 2.0
-#: Recovery rates are fully deterministic (seeded corruption, deterministic
-#: salvage); the guard allows only float-noise drift.
-RATE_TOLERANCE = 1e-9
 
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_recovery.json"
-
-
-def _csv_payload(n_rows: int) -> str:
-    """Clean CSV text of ``n_rows`` mixed-type rows."""
-    dataset = make_classification_dataset(n_rows=n_rows, n_numeric=4, n_categorical=2, seed=0)
-    return write_csv_text(dataset)
-
-
-def _nt_payload(n_rows: int) -> str:
-    """Clean N-Triples text describing ``n_rows`` published entities."""
-    dataset = make_classification_dataset(n_rows=n_rows, n_numeric=2, n_categorical=1, seed=0)
-    return to_ntriples(publish_dataset(dataset))
-
-
-def _timed(fn, repeats: int = 1):
-    """Run ``fn`` ``repeats`` times; return its last value and the best wall time."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return value, best
-
-
-def _clean_overhead(csv_text: str, nt_text: str, repeats: int = 1) -> dict:
-    """Time salvage vs strict on clean payloads and check identity."""
-    strict_ds, strict_csv_s = _timed(lambda: read_csv_text(csv_text), repeats)
-    salvage_result, salvage_csv_s = _timed(lambda: salvage_csv_text(csv_text), repeats)
-    csv_identical = salvage_result.dataset == strict_ds and salvage_result.report.is_clean
-
-    strict_graph, strict_nt_s = _timed(lambda: parse_ntriples(nt_text), repeats)
-    nt_result, salvage_nt_s = _timed(lambda: salvage_ntriples(nt_text), repeats)
-    nt_identical = (
-        to_ntriples(nt_result.graph) == to_ntriples(strict_graph) and nt_result.report.is_clean
-    )
-
-    return {
-        "csv": {
-            "strict_s": strict_csv_s,
-            "salvage_s": salvage_csv_s,
-            "overhead": salvage_csv_s / strict_csv_s if strict_csv_s > 0 else float("inf"),
-            "identical_to_strict": csv_identical,
-        },
-        "ntriples": {
-            "strict_s": strict_nt_s,
-            "salvage_s": salvage_nt_s,
-            "overhead": salvage_nt_s / strict_nt_s if strict_nt_s > 0 else float("inf"),
-            "identical_to_strict": nt_identical,
-        },
-    }
-
-
-def _csv_sweep_case(csv_text: str, severity: float) -> dict:
-    """Corrupt → salvage → profile one CSV payload at one severity."""
-    n_clean_rows = read_csv_text(csv_text).n_rows
+def _csv_rate(csv_text: str, severity: float) -> float:
+    """Corrupt → salvage → profile the CSV payload at one severity."""
     corrupted = apply_corruptions(
         csv_text.encode(),
         {
@@ -129,233 +62,52 @@ def _csv_sweep_case(csv_text: str, severity: float) -> dict:
     )
     dataset, report = salvage_csv(corrupted)
     measure_quality(dataset)  # the round trip must always profile cleanly
-    return {
-        "severity": severity,
-        "cell_recovery_rate": report.cell_recovery_rate,
-        "row_yield": dataset.n_rows / n_clean_rows,
-        "encoding": report.encoding,
-        "n_events": report.n_events,
-    }
+    return report.cell_recovery_rate
 
 
-def _nt_sweep_case(nt_text: str, severity: float) -> dict:
-    """Corrupt → salvage one N-Triples payload at one severity."""
+def _nt_rate(nt_text: str, severity: float) -> float:
+    """Corrupt → salvage the N-Triples payload at one severity."""
     corrupted = apply_corruptions(
-        nt_text.encode(),
-        {"nt_dots": severity, "nt_garbage": severity * 0.5},
-        seed=SWEEP_SEED,
+        nt_text.encode(), {"nt_dots": severity, "nt_garbage": severity * 0.5}, seed=SWEEP_SEED
     )
-    _, report = salvage_ntriples(corrupted.decode("utf-8", errors="replace"))
+    return salvage_ntriples(corrupted.decode("utf-8", errors="replace"))[1].line_recovery_rate
+
+
+def cases(csv_rows: int, nt_rows: int, repeats: int = 1) -> dict:
+    """Time salvage vs strict on clean payloads, then sweep the corruptions."""
+    csv_text = write_csv_text(
+        make_classification_dataset(n_rows=csv_rows, n_numeric=4, n_categorical=2, seed=0)
+    )
+    nt_text = to_ntriples(
+        publish_dataset(make_classification_dataset(n_rows=nt_rows, n_numeric=2, n_categorical=1, seed=0))
+    )
+    strict_ds, strict_csv_s = _harness.timed(lambda: read_csv_text(csv_text), repeats)
+    salvaged, salvage_csv_s = _harness.timed(lambda: salvage_csv_text(csv_text), repeats)
+    strict_graph, strict_nt_s = _harness.timed(lambda: parse_ntriples(nt_text), repeats)
+    nt_result, salvage_nt_s = _harness.timed(lambda: salvage_ntriples(nt_text), repeats)
     return {
-        "severity": severity,
-        "line_recovery_rate": report.line_recovery_rate,
-        "n_repaired": report.n_repaired,
-        "n_skipped": report.n_skipped,
+        "clean_csv": _harness.case(
+            salvage_csv_s,
+            strict_csv_s,
+            salvaged.dataset == strict_ds and salvaged.report.is_clean,
+            recovery_rates=[_csv_rate(csv_text, severity) for severity in SWEEP_SEVERITIES],
+        ),
+        "clean_ntriples": _harness.case(
+            salvage_nt_s,
+            strict_nt_s,
+            to_ntriples(nt_result.graph) == to_ntriples(strict_graph) and nt_result.report.is_clean,
+            recovery_rates=[_nt_rate(nt_text, severity) for severity in SWEEP_SEVERITIES],
+        ),
     }
 
 
-def _recovery_sweep(csv_text: str, nt_text: str) -> dict:
-    """Deterministic recovery rates across the severity sweep."""
-    return {
-        "csv": [_csv_sweep_case(csv_text, severity) for severity in SWEEP_SEVERITIES],
-        "ntriples": [_nt_sweep_case(nt_text, severity) for severity in SWEEP_SEVERITIES],
-    }
-
-
-def run_quick_case() -> dict:
-    """The reduced-size case the CI perf guard reruns."""
-    csv_text = _csv_payload(QUICK_CSV_ROWS)
-    nt_text = _nt_payload(QUICK_NT_ROWS)
-    return {
-        "clean_overhead": _clean_overhead(csv_text, nt_text, repeats=3),
-        "recovery_sweep": _recovery_sweep(csv_text, nt_text),
-    }
-
-
-def run_benchmark() -> dict:
-    """Full benchmark: clean overhead + recovery sweep at full and quick sizes."""
-    csv_text = _csv_payload(CSV_ROWS)
-    nt_text = _nt_payload(NT_ROWS)
-    results: dict = {
-        "sizes": {
-            f"csv={CSV_ROWS},nt={NT_ROWS}": {
-                "clean_overhead": _clean_overhead(csv_text, nt_text),
-                "recovery_sweep": _recovery_sweep(csv_text, nt_text),
-            }
-        }
-    }
-    results["quick"] = {
-        "csv_rows": QUICK_CSV_ROWS,
-        "nt_rows": QUICK_NT_ROWS,
-        **run_quick_case(),
-    }
-    return results
-
-
-def write_results(results: dict) -> Path:
-    """Write the benchmark JSON next to the other ``BENCH_*.json`` baselines."""
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    return _RESULT_PATH
-
-
-def _print_results(results: dict) -> None:
-    """Render the benchmark as the shared fixed-width table."""
-    try:
-        from benchmarks.conftest import print_table
-    except ModuleNotFoundError:  # running as a plain script
-        def print_table(title, header, rows):
-            print(f"\n=== {title} ===")
-            print("  ".join(header))
-            for row in rows:
-                print("  ".join(f"{c:.3f}" if isinstance(c, float) else str(c) for c in row))
-
-    rows = []
-    for label, entry in results["sizes"].items():
-        for fmt in ("csv", "ntriples"):
-            stats = entry["clean_overhead"][fmt]
-            rows.append(
-                [
-                    f"clean {fmt} ({label})",
-                    stats["strict_s"],
-                    stats["salvage_s"],
-                    stats["overhead"],
-                    "yes" if stats["identical_to_strict"] else "NO",
-                ]
-            )
-    print_table(
-        "BENCH-PERF-RECOVERY: salvage vs strict on clean input",
-        ["workload", "strict_s", "salvage_s", "overhead", "identical"],
-        rows,
-    )
-    sweep_rows = []
-    for label, entry in results["sizes"].items():
-        for case in entry["recovery_sweep"]["csv"]:
-            sweep_rows.append(
-                ["csv", case["severity"], case["cell_recovery_rate"], case["row_yield"]]
-            )
-        for case in entry["recovery_sweep"]["ntriples"]:
-            sweep_rows.append(
-                ["ntriples", case["severity"], case["line_recovery_rate"], ""]
-            )
-    print_table(
-        "BENCH-PERF-RECOVERY: recovery rates across the corruption sweep",
-        ["format", "severity", "recovery_rate", "row_yield"],
-        sweep_rows,
-    )
-
-
-def _sweep_rates(sweep: dict) -> list[tuple[str, float, float]]:
-    """Flatten a sweep into comparable (format, severity, rate) triples."""
-    rates = [
-        ("csv", case["severity"], case["cell_recovery_rate"]) for case in sweep["csv"]
-    ]
-    rates += [
-        ("ntriples", case["severity"], case["line_recovery_rate"])
-        for case in sweep["ntriples"]
-    ]
-    return rates
-
-
-def run_quick_guard(baseline_path: Path = _RESULT_PATH) -> int:
-    """Rerun the quick case and compare against the recorded baseline.
-
-    Returns a process exit code: 0 when clean salvage is still identical to
-    the strict readers, the clean-overhead ratios stay within
-    ``QUICK_REGRESSION_FACTOR`` of their recorded baselines and the
-    deterministic recovery rates have not drifted; 1 otherwise.
-    """
-    if not baseline_path.exists():
-        print(f"perf guard: no baseline at {baseline_path}; run the full benchmark first")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    quick = baseline.get("quick", {})
-    if "clean_overhead" not in quick:
-        print("perf guard: baseline is missing the quick case; rerun the full benchmark")
-        return 1
-    if quick.get("csv_rows") != QUICK_CSV_ROWS or quick.get("nt_rows") != QUICK_NT_ROWS:
-        print(
-            f"perf guard: baseline quick sizes {quick.get('csv_rows')}/{quick.get('nt_rows')} "
-            f"!= {QUICK_CSV_ROWS}/{QUICK_NT_ROWS}; rerun the full benchmark"
-        )
-        return 1
-    try:
-        current = run_quick_case()
-    except Exception as exc:  # noqa: BLE001 - the guard reports, CI fails
-        print(f"perf guard: corrupt -> salvage -> profile round trip raised: {exc!r}")
-        return 1
-
-    failures = []
-    for fmt in ("csv", "ntriples"):
-        now = current["clean_overhead"][fmt]
-        base = quick["clean_overhead"][fmt]
-        ceiling = base["overhead"] * QUICK_REGRESSION_FACTOR
-        if not now["identical_to_strict"]:
-            failures.append(f"clean {fmt} salvage DIVERGED from the strict reader")
-        elif now["overhead"] > ceiling:
-            failures.append(
-                f"clean {fmt} overhead {now['overhead']:.2f}x exceeds ceiling {ceiling:.2f}x "
-                f"(baseline {base['overhead']:.2f}x)"
-            )
-        else:
-            print(
-                f"perf guard: clean {fmt} overhead {now['overhead']:.2f}x "
-                f"(baseline {base['overhead']:.2f}x, ceiling {ceiling:.2f}x) ok"
-            )
-    for (fmt, severity, now_rate), (_, _, base_rate) in zip(
-        _sweep_rates(current["recovery_sweep"]), _sweep_rates(quick["recovery_sweep"])
-    ):
-        if abs(now_rate - base_rate) > RATE_TOLERANCE:
-            failures.append(
-                f"{fmt} recovery rate at severity {severity} drifted: "
-                f"{now_rate:.6f} != recorded {base_rate:.6f}"
-            )
-        else:
-            print(f"perf guard: {fmt} recovery rate at severity {severity}: {now_rate:.4f} ok")
-    if failures:
-        for failure in failures:
-            print(f"perf guard: {failure}")
-        print("perf guard: FAILED for recovery")
-        return 1
-    print("perf guard: recovery tier within budget")
-    return 0
-
-
-def test_perf_recovery():
-    """Full benchmark as a pytest: asserts identity and the overhead bar."""
-    results = run_benchmark()
-    path = write_results(results)
-    _print_results(results)
-    for label, entry in results["sizes"].items():
-        for fmt in ("csv", "ntriples"):
-            stats = entry["clean_overhead"][fmt]
-            assert stats["identical_to_strict"], (
-                f"clean {fmt} salvage ({label}) diverged from the strict reader"
-            )
-            assert stats["overhead"] <= MAX_CLEAN_OVERHEAD, (
-                f"clean {fmt} salvage overhead ({label}) is {stats['overhead']:.1f}x, "
-                f"above the {MAX_CLEAN_OVERHEAD}x bar"
-            )
-        for case in entry["recovery_sweep"]["csv"]:
-            assert case["cell_recovery_rate"] > 0.5, case
-        for case in entry["recovery_sweep"]["ntriples"]:
-            assert case["line_recovery_rate"] > 0.3, case
-    print(f"\nresults written to {path}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point: full benchmark by default, ``--quick`` for the CI guard."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="rerun the reduced-size perf-guard case against the recorded baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        return run_quick_guard()
-    test_perf_recovery()
-    return 0
+def check(sizes: dict) -> None:
+    """Clean salvage costs at most 5× the strict reader; recovery rates keep their floors."""
+    for name, floor in (("clean_csv", 0.5), ("clean_ntriples", 0.3)):
+        stats = sizes["csv=10000,nt=1000"][name]
+        assert stats["speedup"] >= 0.2, f"{name} salvage overhead is {1 / stats['speedup']:.1f}x, above 5x"
+        assert min(stats["recovery_rates"]) > floor, f"{name} recovery rates {stats['recovery_rates']}"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(sys.modules[__name__]))

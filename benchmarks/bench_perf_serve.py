@@ -1,38 +1,27 @@
-"""BENCH-PERF-SERVE — hot-cache vs cold vs direct-library query throughput.
+"""BENCH-PERF-SERVE — hot-cache vs cold served query throughput.
 
 The serving tier (:mod:`repro.serve`) promises that putting a long-lived
 HTTP server in front of the library costs you nothing in correctness and
 buys you a fingerprint-keyed result cache: a **hot** response (cache hit)
 replays the exact bytes of the first computation, so repeated dashboard
-queries skip the compute entirely.  This benchmark measures three rates
-for each workload, in queries/second over a live ``ThreadingHTTPServer``:
+queries skip the compute entirely.  Each case measures, over a live
+``ThreadingHTTPServer`` and one keep-alive connection:
 
-* *direct* — the in-process library call (``evaluate`` + canonical
-  serialization), no HTTP: the ceiling;
 * *cold* — every request a fresh cache key (a nonce parameter), so each
-  one computes: direct cost + HTTP/dispatch overhead;
+  one computes: direct cost + HTTP/dispatch overhead (``ref_s``, seconds
+  per request);
 * *hot* — the same request repeated, served from the LRU cache: HTTP
-  overhead only.
+  overhead only (``fast_s``, and ``hot_qps`` for the README).
 
-Every benchmarked response is parity-flagged: the HTTP body (hot and
-cold) must be bit-identical to the direct library call on the same
-snapshot.  The headline acceptance bar is that the hot-cache rate beats
-the cold rate by ≥ ``MIN_HOT_SPEEDUP`` on the profile workload.
-
-Results are written to ``BENCH_perf_serve.json`` at the repository root.
-The JSON also records a ``quick`` section at a reduced size, used by the
-CI perf guard: ``python benchmarks/bench_perf_serve.py --quick`` reruns
-it and fails when any response diverges from the direct call or a
-hot-vs-cold speedup drops below half its recorded baseline (ratios, not
-wall-clock, so slower CI runners don't false-alarm).
-
-Run the full benchmark with ``pytest benchmarks/bench_perf_serve.py -s``
-or directly with ``python benchmarks/bench_perf_serve.py``.
+``speedup`` is hot over cold.  Identity requires every hot and cold body to
+equal the direct library call (``evaluate`` + canonical serialization) on an
+independently opened snapshot of the same store file.
+``benchmarks/_harness.py`` runs it, records ``BENCH_perf_serve.json`` and
+guards it with ``--quick``.
 """
 
 from __future__ import annotations
 
-import argparse
 import http.client
 import json
 import sys
@@ -46,28 +35,17 @@ from repro.lod.publish import publish_dataset
 from repro.serve import create_server, encode_response, evaluate
 from repro.store import open_dataset, open_graph, save_dataset, save_graph
 
+try:
+    from benchmarks import _harness
+except ModuleNotFoundError:  # run as a script
+    import _harness
+
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
-#: Full-size case: the dataset the server holds while being hammered.
-DATASET_ROWS = 8_000
-GRAPH_ROWS = 800
-#: The acceptance bar: hot-cache q/s must beat cold q/s by at least this
-#: factor on the profile workload (the compute-heavy headline).
-MIN_HOT_SPEEDUP = 5.0
-#: Requests per measured rate at full size.
-N_COLD_REQUESTS = 8
-N_HOT_REQUESTS = 60
-
-#: Reduced-size rerun used by the CI perf guard (see ``--quick``).
-QUICK_DATASET_ROWS = 2_000
-QUICK_GRAPH_ROWS = 300
-QUICK_COLD_REQUESTS = 5
-QUICK_HOT_REQUESTS = 30
-#: The quick case fails the guard when a hot-vs-cold speedup drops below
-#: ``baseline_speedup / QUICK_REGRESSION_FACTOR``.
-QUICK_REGRESSION_FACTOR = 2.0
-
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_serve.json"
+#: Snapshot sizes and the requests per measured rate.
+FULL = {"rows=8000": dict(dataset_rows=8_000, graph_rows=800, n_cold=8, n_hot=60)}
+QUICK = {"rows=2000": dict(dataset_rows=2_000, graph_rows=300, n_cold=5, n_hot=30)}
+GUARDED = ("profile", "cube_aggregate", "lod_select")
 
 #: The benchmarked workloads: (key, endpoint, params, snapshot kind).
 _WORKLOADS = [
@@ -92,114 +70,65 @@ _WORKLOADS = [
 ]
 
 
-def _make_dataset(n_rows: int):
-    """A mixed-type synthetic dataset of ``n_rows`` rows."""
-    return make_classification_dataset(n_rows=n_rows, n_numeric=4, n_categorical=3, seed=0)
-
-
-def _make_graph(n_rows: int):
-    """A published LOD graph describing ``n_rows`` entities."""
-    return publish_dataset(
-        make_classification_dataset(n_rows=n_rows, n_numeric=2, n_categorical=2, seed=0)
-    )
-
-
-class _Client:
-    """A keep-alive HTTP client so per-request TCP setup doesn't drown the rates."""
-
-    def __init__(self, host: str, port: int) -> None:
-        self.connection = http.client.HTTPConnection(host, port, timeout=60)
-
-    def post(self, path: str, params: dict) -> tuple[int, bytes]:
-        """One POST round trip; returns ``(status, body)``."""
-        self.connection.request(
-            "POST", path, body=json.dumps(params), headers={"Content-Type": "application/json"}
-        )
-        response = self.connection.getresponse()
-        return response.status, response.read()
-
-    def close(self) -> None:
-        """Drop the persistent connection."""
-        self.connection.close()
-
-
-def _rate(fn, n: int) -> float:
-    """Run ``fn`` ``n`` times and return the rate in calls/second."""
+def _seconds_per_call(fn, n: int) -> float:
+    """Run ``fn`` ``n`` times and return the mean wall time per call."""
     start = time.perf_counter()
     for _ in range(n):
         fn()
-    elapsed = time.perf_counter() - start
-    return n / elapsed if elapsed > 0 else float("inf")
+    return (time.perf_counter() - start) / n
 
 
-def _workload_case(client: _Client, payload, endpoint: str, params: dict,
-                   n_cold: int, n_hot: int) -> dict:
-    """Measure direct / cold / hot rates for one endpoint, with parity flags.
+def _workload_case(connection, payload, endpoint: str, params: dict, n_cold: int, n_hot: int) -> dict:
+    """Measure cold and hot request times for one endpoint, with parity.
 
     ``payload`` is an independently opened dataset/graph over the same
     store file the server serves — the direct-library baseline.
     """
     direct_body = encode_response(evaluate(endpoint, payload, params))
-    direct_qps = _rate(lambda: encode_response(evaluate(endpoint, payload, params)), n_cold)
+
+    def post(body_params: dict) -> bytes:
+        connection.request(
+            "POST", endpoint, body=json.dumps(body_params), headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        body = response.read()
+        assert response.status == 200, body
+        return body
 
     # Cold: a fresh nonce per request defeats the cache key, so every
     # request computes (endpoints ignore unknown parameters).
     nonce = iter(range(10_000_000))
-
-    def cold_request():
-        status, body = client.post(endpoint, {**params, "nonce": next(nonce)})
-        assert status == 200
-        return body
-
-    cold_bodies = {cold_request() for _ in range(2)}
-    cold_qps = _rate(cold_request, n_cold)
-
-    # Hot: the identical request replays cached bytes (first one warms).
-    status, hot_body = client.post(endpoint, params)
-    assert status == 200
-
-    def hot_request():
-        return client.post(endpoint, params)[1]
-
-    hot_qps = _rate(hot_request, n_hot)
-    parity = hot_body == direct_body and cold_bodies == {direct_body}
-    return {
-        "endpoint": endpoint,
-        "direct_qps": direct_qps,
-        "cold_qps": cold_qps,
-        "hot_qps": hot_qps,
-        "hot_vs_cold": hot_qps / cold_qps if cold_qps > 0 else float("inf"),
-        "hot_vs_direct": hot_qps / direct_qps if direct_qps > 0 else float("inf"),
-        "parity_identical": parity,
-    }
+    cold_bodies = {post({**params, "nonce": next(nonce)}) for _ in range(2)}
+    cold_s = _seconds_per_call(lambda: post({**params, "nonce": next(nonce)}), n_cold)
+    # Hot: the identical request replays cached bytes (the first one warms).
+    hot_body = post(params)
+    hot_s = _seconds_per_call(lambda: post(params), n_hot)
+    return _harness.case(
+        hot_s, cold_s, hot_body == direct_body and cold_bodies == {direct_body}, hot_qps=1 / hot_s
+    )
 
 
-def _run_cases(dataset_rows: int, graph_rows: int, n_cold: int, n_hot: int) -> dict:
+def cases(dataset_rows: int, graph_rows: int, n_cold: int, n_hot: int) -> dict:
     """Save, serve and hammer every workload at one size."""
     with tempfile.TemporaryDirectory(prefix="bench-serve-") as tmp:
-        workdir = Path(tmp)
-        dataset_path = save_dataset(_make_dataset(dataset_rows), workdir / "bench.rps")
-        graph_path = save_graph(_make_graph(graph_rows), workdir / "bench_graph.rps")
+        dataset_path = save_dataset(
+            make_classification_dataset(n_rows=dataset_rows, n_numeric=4, n_categorical=3, seed=0),
+            Path(tmp) / "bench.rps",
+        )
+        entities = make_classification_dataset(n_rows=graph_rows, n_numeric=2, n_categorical=2, seed=0)
+        graph_path = save_graph(publish_dataset(entities), Path(tmp) / "bench_graph.rps")
         server = create_server(stores=[dataset_path], graphs=[graph_path])
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        payloads = {
-            "dataset": open_dataset(dataset_path),
-            "graph": open_graph(graph_path),
-        }
-        host, port = server.server_address[:2]
-        client = _Client(host, port)
+        payloads = {"dataset": open_dataset(dataset_path), "graph": open_graph(graph_path)}
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=60)
         try:
-            results = {}
-            for key, endpoint, params, kind in _WORKLOADS:
-                case = _workload_case(client, payloads[kind], endpoint, params, n_cold, n_hot)
-                case["n_rows" if kind == "dataset" else "n_entities"] = (
-                    dataset_rows if kind == "dataset" else graph_rows
-                )
-                results[key] = case
-            return results
+            return {
+                key: _workload_case(connection, payloads[kind], endpoint, params, n_cold, n_hot)
+                for key, endpoint, params, kind in _WORKLOADS
+            }
         finally:
-            client.close()
+            connection.close()
             for payload in payloads.values():
                 payload.close()
             server.shutdown()
@@ -207,160 +136,13 @@ def _run_cases(dataset_rows: int, graph_rows: int, n_cold: int, n_hot: int) -> d
             server.close()
 
 
-def run_quick_case() -> dict:
-    """The reduced-size case the CI perf guard reruns."""
-    return _run_cases(
-        QUICK_DATASET_ROWS, QUICK_GRAPH_ROWS, QUICK_COLD_REQUESTS, QUICK_HOT_REQUESTS
-    )
-
-
-def run_benchmark() -> dict:
-    """Full benchmark: all three rates per workload at full and quick sizes."""
-    results: dict = {
-        "sizes": {
-            f"rows={DATASET_ROWS}": _run_cases(
-                DATASET_ROWS, GRAPH_ROWS, N_COLD_REQUESTS, N_HOT_REQUESTS
-            )
-        },
-        "quick": {
-            "dataset_rows": QUICK_DATASET_ROWS,
-            "graph_rows": QUICK_GRAPH_ROWS,
-            **run_quick_case(),
-        },
-    }
-    return results
-
-
-def write_results(results: dict) -> Path:
-    """Write the benchmark JSON next to the other ``BENCH_*.json`` baselines."""
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    return _RESULT_PATH
-
-
-def _print_results(results: dict) -> None:
-    """Render the benchmark as the shared fixed-width table."""
-    try:
-        from benchmarks.conftest import print_table
-    except ModuleNotFoundError:  # running as a plain script
-
-        def print_table(title, header, rows):
-            print(f"\n=== {title} ===")
-            print("  ".join(header))
-            for row in rows:
-                print("  ".join(f"{c:.3f}" if isinstance(c, float) else str(c) for c in row))
-
-    rows = []
-    for label, cases in results["sizes"].items():
-        for key, case in cases.items():
-            rows.append(
-                [
-                    f"{key} ({label})",
-                    case["direct_qps"],
-                    case["cold_qps"],
-                    case["hot_qps"],
-                    case["hot_vs_cold"],
-                    "yes" if case["parity_identical"] else "NO",
-                ]
-            )
-    print_table(
-        "BENCH-PERF-SERVE: hot-cache vs cold vs direct q/s",
-        ["workload", "direct_qps", "cold_qps", "hot_qps", "hot/cold", "identical"],
-        rows,
-    )
-
-
-def run_quick_guard(baseline_path: Path = _RESULT_PATH) -> int:
-    """Rerun the quick case and compare against the recorded baseline.
-
-    Returns a process exit code: 0 when every benchmarked response is
-    still bit-identical to the direct library call and each workload's
-    hot-vs-cold speedup stays above half its recorded baseline; 1
-    otherwise.
-    """
-    if not baseline_path.exists():
-        print(f"perf guard: no baseline at {baseline_path}; run the full benchmark first")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    quick = baseline.get("quick", {})
-    if any(key not in quick for key, *_ in _WORKLOADS):
-        print("perf guard: baseline is missing quick workloads; rerun the full benchmark")
-        return 1
-    if (
-        quick.get("dataset_rows") != QUICK_DATASET_ROWS
-        or quick.get("graph_rows") != QUICK_GRAPH_ROWS
-    ):
-        print(
-            f"perf guard: baseline quick sizes {quick.get('dataset_rows')}/"
-            f"{quick.get('graph_rows')} != {QUICK_DATASET_ROWS}/{QUICK_GRAPH_ROWS}; "
-            "rerun the full benchmark"
-        )
-        return 1
-    try:
-        current = run_quick_case()
-    except Exception as exc:  # noqa: BLE001 - the guard reports, CI fails
-        print(f"perf guard: save -> serve -> query round trip raised: {exc!r}")
-        return 1
-
-    failures = []
-    for key, *_ in _WORKLOADS:
-        now, base = current[key], quick[key]
-        if not now["parity_identical"]:
-            failures.append(f"{key} response DIVERGED from the direct library call")
-            continue
-        floor = base["hot_vs_cold"] / QUICK_REGRESSION_FACTOR
-        if now["hot_vs_cold"] < floor:
-            failures.append(
-                f"{key} hot-vs-cold speedup {now['hot_vs_cold']:.1f}x fell below floor "
-                f"{floor:.1f}x (baseline {base['hot_vs_cold']:.1f}x)"
-            )
-        else:
-            print(
-                f"perf guard: {key} hot-vs-cold {now['hot_vs_cold']:.1f}x "
-                f"(baseline {base['hot_vs_cold']:.1f}x, floor {floor:.1f}x) ok"
-            )
-    if failures:
-        for failure in failures:
-            print(f"perf guard: {failure}")
-        print("perf guard: FAILED for serve")
-        return 1
-    print("perf guard: serve tier within budget")
-    return 0
-
-
-def test_perf_serve():
-    """Full benchmark as a pytest: asserts parity and the 5x hot-cache bar."""
-    results = run_benchmark()
-    path = write_results(results)
-    _print_results(results)
-    for label, cases in results["sizes"].items():
-        for key, case in cases.items():
-            assert case["parity_identical"], (
-                f"{key} ({label}) response diverged from the direct library call: {case}"
-            )
-            assert case["hot_vs_cold"] > 1.0, case
-        assert cases["profile"]["hot_vs_cold"] >= MIN_HOT_SPEEDUP, (
-            f"profile hot-cache speedup ({label}) is "
-            f"{cases['profile']['hot_vs_cold']:.1f}x, below the {MIN_HOT_SPEEDUP}x bar"
-        )
-    for key, *_ in _WORKLOADS:
-        assert results["quick"][key]["parity_identical"]
-    print(f"\nresults written to {path}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point: full benchmark by default, ``--quick`` for the CI guard."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="rerun the reduced-size perf-guard case against the recorded baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        return run_quick_guard()
-    test_perf_serve()
-    return 0
+def check(sizes: dict) -> None:
+    """Every hot rate must beat its cold rate, the profile's by ≥5×."""
+    for key, stats in sizes["rows=8000"].items():
+        assert stats["speedup"] > 1.0, f"{key}: hot is no faster than cold: {stats}"
+    profile = sizes["rows=8000"]["profile"]["speedup"]
+    assert profile >= 5.0, f"profile hot-cache speedup is {profile:.1f}x, below the 5x bar"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(sys.modules[__name__]))

@@ -4,37 +4,29 @@ The persistence tier (:mod:`repro.store`) promises two things: opening a
 saved store file costs O(metadata) instead of O(cells) — the encoded views
 come back as zero-copy memory maps with every instance cache pre-seeded —
 and everything computed on those views is **bit-identical** to a cold
-in-memory encode of the same dataset or graph.  This benchmark measures
-both promises:
+in-memory encode of the same dataset or graph.  Two cases, each timing the
+cold path first:
 
-* *dataset startup* — cold path (encode every numeric/code/missing/
-  normalised view from the raw cells) vs ``repro.store.open_dataset`` plus
-  touching the same views, at ≥1M cells; the speedup is the headline
-  number and the full run asserts it stays ≥ ``MIN_DATASET_SPEEDUP``;
-* *graph startup* — cold path (intern the columnar snapshot and build all
-  three index orderings and block tables) vs ``repro.store.open_graph``;
-* *hot-path parity* — quality profile, cube roll-up and vectorized LOD
-  select run on the opened payloads and must match the cold results
-  bit-for-bit (the encoded views themselves are compared as raw bytes).
+``dataset``
+    Cold path (encode every numeric/code/missing/normalised view from the
+    raw cells) vs ``repro.store.open_dataset`` plus touching the same views,
+    at ≥1M cells.  Identity covers the views as raw bytes, the quality
+    profile and a cube roll-up.
+``graph``
+    Cold path (intern the columnar snapshot and build all three index
+    orderings and block tables) vs ``repro.store.open_graph``.  Identity
+    covers the orderings and block tables as raw bytes and a vectorized
+    ``rdf:type`` select.
 
-Results are written to ``BENCH_perf_store.json`` at the repository root.
-The JSON also records a ``quick`` section at a reduced size, used by the CI
-perf guard: ``python benchmarks/bench_perf_store.py --quick`` reruns it and
-fails when any opened view or hot-path result diverges from the cold
-encode, or when an open-vs-encode speedup drops below half its recorded
-baseline (ratios, not wall-clock, so slower CI runners don't false-alarm).
-
-Run the full benchmark with ``pytest benchmarks/bench_perf_store.py -s``
-or directly with ``python benchmarks/bench_perf_store.py``.
+``benchmarks/_harness.py`` runs it, records ``BENCH_perf_store.json`` and
+guards it with ``--quick``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -49,53 +41,17 @@ from repro.store import open_dataset, open_graph, save_dataset, save_graph
 from repro.tabular.dataset import ColumnType
 from repro.tabular.encoded import encode_dataset
 
-#: Full-size dataset case: 150k rows x 8 columns = 1.2M cells (the ISSUE
-#: acceptance floor is 1M).
-DATASET_ROWS = 150_000
+try:
+    from benchmarks import _harness
+except ModuleNotFoundError:  # run as a script
+    import _harness
+
+#: 150k rows x 8 columns = 1.2M cells; the graph has ~7 triples per row.
+FULL = {"rows=150000": dict(dataset_rows=150_000, graph_rows=4_000, repeats=2)}
+QUICK = {"rows=20000": dict(dataset_rows=20_000, graph_rows=600, repeats=3)}
+GUARDED = ("dataset", "graph")
 DATASET_NUMERIC = 5
 DATASET_CATEGORICAL = 3
-#: Full-size graph case: published entities, ~9 triples per row.
-GRAPH_ROWS = 4_000
-#: The acceptance bar: memmap open must beat the cold encode by at least
-#: this factor at the full dataset size.
-MIN_DATASET_SPEEDUP = 20.0
-
-#: Reduced-size rerun used by the CI perf guard (see ``--quick``).
-QUICK_DATASET_ROWS = 20_000
-QUICK_GRAPH_ROWS = 600
-#: The quick case fails the guard when a speedup drops below
-#: ``baseline_speedup / QUICK_REGRESSION_FACTOR``.
-QUICK_REGRESSION_FACTOR = 2.0
-
-_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf_store.json"
-
-
-def _make_dataset(n_rows: int):
-    """A mixed-type synthetic dataset of ``n_rows`` rows."""
-    return make_classification_dataset(
-        n_rows=n_rows,
-        n_numeric=DATASET_NUMERIC,
-        n_categorical=DATASET_CATEGORICAL,
-        seed=0,
-    )
-
-
-def _make_graph(n_rows: int):
-    """A published LOD graph describing ``n_rows`` entities."""
-    dataset = make_classification_dataset(
-        n_rows=n_rows, n_numeric=2, n_categorical=2, seed=0
-    )
-    return publish_dataset(dataset)
-
-
-def _timed(fn, repeats: int = 1):
-    """Run ``fn`` ``repeats`` times; return its last value and the best wall time."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return value, best
 
 
 def _touch_dataset_views(dataset) -> None:
@@ -113,42 +69,12 @@ def _touch_dataset_views(dataset) -> None:
             encoded.normalised_levels(name)
 
 
-def _cold_touch_dataset_views(dataset) -> None:
-    """Drop the instance cache and re-encode everything from the raw cells."""
-    if hasattr(dataset, "_encoded_cache"):
-        delattr(dataset, "_encoded_cache")
-    _touch_dataset_views(dataset)
-
-
-def _dataset_view_bytes(dataset) -> dict[str, bytes]:
-    """The encoded views as raw bytes — the bit-identicality witness."""
-    encoded = encode_dataset(dataset)
-    views: dict[str, bytes] = {}
-    for column in dataset.columns:
-        name = column.name
-        values, missing = encoded.numeric_view(name)
-        views[f"{name}.num"] = values.tobytes()
-        views[f"{name}.nmk"] = missing.tobytes()
-        if column.ctype != ColumnType.NUMERIC:
-            codes, vocabulary, _ = encoded.codes_view(name)
-            views[f"{name}.cod"] = codes.tobytes()
-            views[f"{name}.lev"] = "\x00".join(str(v) for v in vocabulary).encode()
-            views[f"{name}.nrm"] = "\x00".join(encoded.normalised_levels(name)).encode()
-    return views
-
-
 def _touch_graph_orders(graph) -> None:
     """Materialise the columnar snapshot's orders and block tables."""
     columnar = graph.store.columnar()
     for index in ("spo", "pos", "osp"):
         columnar.order(index)
         columnar._block_table(index)
-
-
-def _cold_touch_graph_orders(graph) -> None:
-    """Drop the columnar snapshot and re-intern + re-sort from the store."""
-    graph.store._columnar = None
-    _touch_graph_orders(graph)
 
 
 def _graph_order_bytes(graph) -> dict[str, bytes]:
@@ -159,20 +85,14 @@ def _graph_order_bytes(graph) -> dict[str, bytes]:
         for label, array in zip("spo", columnar.order(index)):
             views[f"{index}.{label}"] = np.asarray(array).tobytes()
         keys, starts, ends = columnar._block_table(index)
-        views[f"{index}.blocks"] = b"".join(
-            np.asarray(a).tobytes() for a in (keys, starts, ends)
-        )
+        views[f"{index}.blocks"] = b"".join(np.asarray(a).tobytes() for a in (keys, starts, ends))
     return views
 
 
 def _select_signature(graph) -> bytes:
     """A byte signature of a vectorized rdf:type select over ``graph``."""
-    bindings = select(
-        graph, [TriplePattern(Variable("s"), RDF.type, Variable("t"))]
-    )
-    return "\x00".join(
-        f"{row['s']}|{row['t']}" for row in bindings
-    ).encode()
+    bindings = select(graph, [TriplePattern(Variable("s"), RDF.type, Variable("t"))])
+    return "\x00".join(f"{row['s']}|{row['t']}" for row in bindings).encode()
 
 
 def _profile_signature(dataset) -> str:
@@ -182,266 +102,77 @@ def _profile_signature(dataset) -> str:
 
 def _cube_rollup(dataset):
     """A single-dimension cube roll-up on the first categorical column."""
-    categorical = next(
-        c.name for c in dataset.columns if c.ctype != ColumnType.NUMERIC
-    )
+    categorical = next(c.name for c in dataset.columns if c.ctype != ColumnType.NUMERIC)
     numeric = next(c.name for c in dataset.columns if c.ctype == ColumnType.NUMERIC)
     cube = Cube(
         dataset,
         dimensions=[Dimension(categorical, (categorical,))],
-        measures=[
-            Measure("mean_value", numeric, "mean"),
-            Measure("rows", numeric, "count"),
-        ],
+        measures=[Measure("mean_value", numeric, "mean"), Measure("rows", numeric, "count")],
     )
     return cube.rollup(categorical)
 
 
-def _dataset_case(n_rows: int, workdir: Path, repeats: int) -> dict:
-    """Cold encode vs store open on one dataset size, with parity checks."""
-    dataset = _make_dataset(n_rows)
-    path = workdir / f"dataset_{n_rows}.rps"
-    save_dataset(dataset, path)
+def _open_vs_cold(payload, path: Path, open_payload, touch, repeats: int):
+    """Time a cold rebuild of ``payload``'s views, then ``open_payload(path)`` plus the same touch.
 
-    _, cold_s = _timed(lambda: _cold_touch_dataset_views(dataset), repeats)
-    opened_holder: list = []
+    Every opened payload stays alive until the timing ends, so no run pays
+    for unmapping the one before it.
+    """
 
-    def _open_and_touch():
-        opened = open_dataset(path)
-        opened_holder.append(opened)
-        _touch_dataset_views(opened)
+    def cold():
+        _harness.drop_caches(payload)
+        touch(payload)
 
-    _, open_s = _timed(_open_and_touch, repeats)
-    opened = opened_holder[-1]
+    opened: list = []
 
-    views_identical = _dataset_view_bytes(dataset) == _dataset_view_bytes(opened)
-    profile_identical = _profile_signature(dataset) == _profile_signature(opened)
-    cube_identical = _cube_rollup(dataset) == _cube_rollup(opened)
-    return {
-        "n_rows": n_rows,
-        "n_cells": n_rows * (DATASET_NUMERIC + DATASET_CATEGORICAL),
-        "cold_encode_s": cold_s,
-        "store_open_s": open_s,
-        "speedup": cold_s / open_s if open_s > 0 else float("inf"),
-        "views_identical": views_identical,
-        "profile_identical": profile_identical,
-        "cube_identical": cube_identical,
-    }
+    def open_and_touch():
+        opened.append(open_payload(path))
+        touch(opened[-1])
+
+    _, cold_s = _harness.timed(cold, repeats)
+    _, open_s = _harness.timed(open_and_touch, repeats)
+    return opened[-1], open_s, cold_s
 
 
-def _graph_case(n_rows: int, workdir: Path, repeats: int) -> dict:
-    """Cold columnar build vs store open on one graph size, with parity."""
-    graph = _make_graph(n_rows)
-    path = workdir / f"graph_{n_rows}.rps"
-    save_graph(graph, path)
-
-    _, cold_s = _timed(lambda: _cold_touch_graph_orders(graph), repeats)
-    opened_holder: list = []
-
-    def _open_and_touch():
-        opened = open_graph(path)
-        opened_holder.append(opened)
-        _touch_graph_orders(opened)
-
-    _, open_s = _timed(_open_and_touch, repeats)
-    opened = opened_holder[-1]
-
-    orders_identical = _graph_order_bytes(graph) == _graph_order_bytes(opened)
-    select_identical = _select_signature(graph) == _select_signature(opened)
-    return {
-        "n_rows": n_rows,
-        "n_triples": len(graph),
-        "cold_columnar_s": cold_s,
-        "store_open_s": open_s,
-        "speedup": cold_s / open_s if open_s > 0 else float("inf"),
-        "orders_identical": orders_identical,
-        "select_identical": select_identical,
-    }
-
-
-_PARITY_FLAGS = (
-    "views_identical",
-    "profile_identical",
-    "cube_identical",
-    "orders_identical",
-    "select_identical",
-)
-
-
-def _parity_ok(case: dict) -> bool:
-    """Whether every parity flag present in ``case`` is true."""
-    return all(case[flag] for flag in _PARITY_FLAGS if flag in case)
-
-
-def run_quick_case() -> dict:
-    """The reduced-size case the CI perf guard reruns."""
+def cases(dataset_rows: int, graph_rows: int, repeats: int) -> dict:
+    """Save, then time cold encode vs store open for a dataset and a graph."""
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
-        workdir = Path(tmp)
-        return {
-            "dataset": _dataset_case(QUICK_DATASET_ROWS, workdir, repeats=3),
-            "graph": _graph_case(QUICK_GRAPH_ROWS, workdir, repeats=3),
+        dataset = make_classification_dataset(
+            n_rows=dataset_rows, n_numeric=DATASET_NUMERIC, n_categorical=DATASET_CATEGORICAL, seed=0
+        )
+        path = save_dataset(dataset, Path(tmp) / "dataset.rps")
+        opened, open_s, cold_s = _open_vs_cold(dataset, path, open_dataset, _touch_dataset_views, repeats)
+        results = {
+            "dataset": _harness.case(
+                open_s,
+                cold_s,
+                _harness.encoded_bytes(dataset) == _harness.encoded_bytes(opened)
+                and _profile_signature(dataset) == _profile_signature(opened)
+                and _cube_rollup(dataset) == _cube_rollup(opened),
+                n_cells=dataset_rows * (DATASET_NUMERIC + DATASET_CATEGORICAL),
+            )
         }
-
-
-def run_benchmark() -> dict:
-    """Full benchmark: startup speedups + parity at full and quick sizes."""
-    with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
-        workdir = Path(tmp)
-        results: dict = {
-            "sizes": {
-                f"rows={DATASET_ROWS}": {
-                    "dataset": _dataset_case(DATASET_ROWS, workdir, repeats=2),
-                    "graph": _graph_case(GRAPH_ROWS, workdir, repeats=2),
-                }
-            }
-        }
-    results["quick"] = {
-        "dataset_rows": QUICK_DATASET_ROWS,
-        "graph_rows": QUICK_GRAPH_ROWS,
-        **run_quick_case(),
-    }
+        graph = publish_dataset(
+            make_classification_dataset(n_rows=graph_rows, n_numeric=2, n_categorical=2, seed=0)
+        )
+        path = save_graph(graph, Path(tmp) / "graph.rps")
+        opened, open_s, cold_s = _open_vs_cold(graph, path, open_graph, _touch_graph_orders, repeats)
+        results["graph"] = _harness.case(
+            open_s,
+            cold_s,
+            _graph_order_bytes(graph) == _graph_order_bytes(opened)
+            and _select_signature(graph) == _select_signature(opened),
+            n_triples=len(graph),
+        )
     return results
 
 
-def write_results(results: dict) -> Path:
-    """Write the benchmark JSON next to the other ``BENCH_*.json`` baselines."""
-    _RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    return _RESULT_PATH
-
-
-def _print_results(results: dict) -> None:
-    """Render the benchmark as the shared fixed-width table."""
-    try:
-        from benchmarks.conftest import print_table
-    except ModuleNotFoundError:  # running as a plain script
-
-        def print_table(title, header, rows):
-            print(f"\n=== {title} ===")
-            print("  ".join(header))
-            for row in rows:
-                print("  ".join(f"{c:.3f}" if isinstance(c, float) else str(c) for c in row))
-
-    rows = []
-    for label, entry in results["sizes"].items():
-        ds = entry["dataset"]
-        rows.append(
-            [
-                f"dataset open ({ds['n_cells']} cells)",
-                ds["cold_encode_s"],
-                ds["store_open_s"],
-                ds["speedup"],
-                "yes" if _parity_ok(ds) else "NO",
-            ]
-        )
-        gr = entry["graph"]
-        rows.append(
-            [
-                f"graph open ({gr['n_triples']} triples)",
-                gr["cold_columnar_s"],
-                gr["store_open_s"],
-                gr["speedup"],
-                "yes" if _parity_ok(gr) else "NO",
-            ]
-        )
-    print_table(
-        "BENCH-PERF-STORE: memmap open vs cold encode",
-        ["workload", "cold_s", "open_s", "speedup", "identical"],
-        rows,
-    )
-
-
-def run_quick_guard(baseline_path: Path = _RESULT_PATH) -> int:
-    """Rerun the quick case and compare against the recorded baseline.
-
-    Returns a process exit code: 0 when every opened view and hot-path
-    result is still bit-identical to the cold encode and both open-vs-encode
-    speedups stay above half their recorded baselines; 1 otherwise.
-    """
-    if not baseline_path.exists():
-        print(f"perf guard: no baseline at {baseline_path}; run the full benchmark first")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    quick = baseline.get("quick", {})
-    if "dataset" not in quick or "graph" not in quick:
-        print("perf guard: baseline is missing the quick case; rerun the full benchmark")
-        return 1
-    if (
-        quick.get("dataset_rows") != QUICK_DATASET_ROWS
-        or quick.get("graph_rows") != QUICK_GRAPH_ROWS
-    ):
-        print(
-            f"perf guard: baseline quick sizes {quick.get('dataset_rows')}/"
-            f"{quick.get('graph_rows')} != {QUICK_DATASET_ROWS}/{QUICK_GRAPH_ROWS}; "
-            "rerun the full benchmark"
-        )
-        return 1
-    try:
-        current = run_quick_case()
-    except Exception as exc:  # noqa: BLE001 - the guard reports, CI fails
-        print(f"perf guard: save -> open -> touch round trip raised: {exc!r}")
-        return 1
-
-    failures = []
-    for kind in ("dataset", "graph"):
-        now, base = current[kind], quick[kind]
-        if not _parity_ok(now):
-            broken = [f for f in _PARITY_FLAGS if f in now and not now[f]]
-            failures.append(f"{kind} store open DIVERGED from the cold encode: {broken}")
-            continue
-        floor = base["speedup"] / QUICK_REGRESSION_FACTOR
-        if now["speedup"] < floor:
-            failures.append(
-                f"{kind} open speedup {now['speedup']:.1f}x fell below floor {floor:.1f}x "
-                f"(baseline {base['speedup']:.1f}x)"
-            )
-        else:
-            print(
-                f"perf guard: {kind} open speedup {now['speedup']:.1f}x "
-                f"(baseline {base['speedup']:.1f}x, floor {floor:.1f}x) ok"
-            )
-    if failures:
-        for failure in failures:
-            print(f"perf guard: {failure}")
-        print("perf guard: FAILED for store")
-        return 1
-    print("perf guard: store tier within budget")
-    return 0
-
-
-def test_perf_store():
-    """Full benchmark as a pytest: asserts parity and the 20x startup bar."""
-    results = run_benchmark()
-    path = write_results(results)
-    _print_results(results)
-    for label, entry in results["sizes"].items():
-        for kind in ("dataset", "graph"):
-            assert _parity_ok(entry[kind]), (
-                f"{kind} store open ({label}) diverged from the cold encode: {entry[kind]}"
-            )
-        assert entry["dataset"]["speedup"] >= MIN_DATASET_SPEEDUP, (
-            f"dataset open speedup ({label}) is {entry['dataset']['speedup']:.1f}x, "
-            f"below the {MIN_DATASET_SPEEDUP}x bar"
-        )
-        assert entry["graph"]["speedup"] > 1.0, entry["graph"]
-    assert _parity_ok(results["quick"]["dataset"])
-    assert _parity_ok(results["quick"]["graph"])
-    print(f"\nresults written to {path}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point: full benchmark by default, ``--quick`` for the CI guard."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="rerun the reduced-size perf-guard case against the recorded baseline",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        return run_quick_guard()
-    test_perf_store()
-    return 0
+def check(sizes: dict) -> None:
+    """Store open must beat the cold encode ≥20× for the dataset and at all for the graph."""
+    dataset, graph = sizes["rows=150000"]["dataset"], sizes["rows=150000"]["graph"]
+    assert dataset["speedup"] >= 20.0, f"dataset open speedup is {dataset['speedup']:.1f}x, below 20x"
+    assert graph["speedup"] > 1.0, f"graph open speedup is {graph['speedup']:.1f}x, not above 1x"
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_harness.main(sys.modules[__name__]))

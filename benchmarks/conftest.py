@@ -1,14 +1,17 @@
-"""Shared fixtures and helpers for the benchmark harness.
+"""Shared fixtures and helpers for the paper benchmarks.
 
-Every benchmark regenerates one artefact of the paper (a figure's pipeline or
-one of the §3.1 experiment tables) and prints the resulting rows/series, so
-running ``pytest benchmarks/ --benchmark-only -s`` reproduces the evaluation.
+Every paper benchmark regenerates one artefact of the paper (a figure's
+pipeline or one of the §3.1 experiment tables) and prints the resulting
+rows/series; ``pytest benchmarks/bench_<name>.py -s`` reproduces one of them.
+The files are named ``bench_*.py``, so pytest collects them only when named
+on the command line.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from benchmarks._harness import print_table  # noqa: F401 - shared with the paper benchmarks
 from repro.core import ExperimentPlan, ExperimentRunner, UserProfile
 from repro.datasets import make_classification_dataset, municipal_budget
 
@@ -22,20 +25,6 @@ FAST_ALGORITHMS = ("decision_tree", "naive_bayes", "knn", "one_r")
 def reference_dataset(n_rows: int = 150, seed: int = 0):
     """The clean reference sample every Phase-1/Phase-2 experiment starts from."""
     return make_classification_dataset(n_rows=n_rows, n_numeric=4, n_categorical=2, seed=seed)
-
-
-def print_table(title: str, header: list[str], rows: list[list]) -> None:
-    """Print an aligned results table (the rows the paper's tables would hold)."""
-    rendered = [[f"{cell:.3f}" if isinstance(cell, float) else str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in header]
-    for cells in rendered:
-        for i, cell in enumerate(cells):
-            widths[i] = max(widths[i], len(cell))
-    print(f"\n=== {title} ===")
-    print("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
-    print("  ".join("-" * widths[i] for i in range(len(header))))
-    for cells in rendered:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)))
 
 
 @pytest.fixture(scope="session")

@@ -196,7 +196,6 @@ def _cmd_lod_tabulate(args: argparse.Namespace) -> int:
         properties=properties,
         multivalued=args.multivalued,
         min_property_coverage=args.min_coverage,
-        force_row=args.force_row,
     )
     if args.output:
         path = write_csv(dataset, args.output)
@@ -220,7 +219,6 @@ def _cmd_lod_link(args: argparse.Namespace) -> int:
         for left, right in zip(left_properties, right_properties)
     ]
     linker = EntityLinker(rules, threshold=args.threshold)
-    linker._force_pairwise_link = args.force_pairwise
     links = linker.link(
         left_graph, IRI(args.type), right_graph, IRI(args.right_type or args.type)
     )
@@ -266,7 +264,7 @@ def _cmd_store_open(args: argparse.Namespace) -> int:
     with StoreFile(args.store) as probe:
         kind = probe.kind
     if kind == KIND_DATASET:
-        dataset = open_dataset(args.store, force_memory=args.force_memory, verify=args.verify)
+        dataset = open_dataset(args.store, verify=args.verify)
         print(f"dataset {dataset.name!r}: {dataset.n_rows} rows x {dataset.n_columns} columns")
         for name, info in dataset.summary().items():
             print(f"  {name:<24} {info['type']:<12} {info['role']:<11} "
@@ -278,7 +276,7 @@ def _cmd_store_open(args: argparse.Namespace) -> int:
             print(dataset_to_table_text(dataset.head(args.head)))
         dataset.close()
     else:
-        graph = open_graph(args.store, force_memory=args.force_memory, verify=args.verify)
+        graph = open_graph(args.store, verify=args.verify)
         columnar = graph.store.columnar()
         print(f"graph <{graph.identifier}>: {len(graph)} triples, {len(columnar.terms)} interned terms")
         for i, triple in enumerate(graph):
@@ -604,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="drop discovered properties present on fewer than this fraction of rows")
     tabulate.add_argument("--output", help="CSV path to write (default: print a table)")
     tabulate.add_argument("--max-rows", type=int, default=25, help="rows to print without --output")
-    tabulate.add_argument("--force-row", action="store_true",
-                          help="use the row-at-a-time reference tier instead of the columnar tier")
     tabulate.set_defaults(func=_cmd_lod_tabulate)
 
     link = lod_sub.add_parser("link", help="discover owl:sameAs links between two graphs")
@@ -619,8 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="predicates compared on the right side (default: same as --property)")
     link.add_argument("--threshold", type=float, default=0.85, help="minimum similarity in (0, 1]")
     link.add_argument("--output", help="write the discovered links as N-Triples to this file")
-    link.add_argument("--force-pairwise", action="store_true",
-                      help="use the exhaustive pairwise reference tier instead of blocking")
     link.set_defaults(func=_cmd_lod_link)
 
     store = subparsers.add_parser("store", help="save, open and inspect binary encoded store files")
@@ -638,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_open = store_sub.add_parser("open", help="memory-map a store file and summarise its payload")
     store_open.add_argument("store", help=".rps store file to open")
     store_open.add_argument("--head", type=int, default=5, help="rows/triples to preview (0: none)")
-    store_open.add_argument("--force-memory", action="store_true",
-                            help="materialise arrays into memory instead of memory-mapping them")
     store_open.add_argument("--verify", action="store_true", help="checksum every array section up front")
     store_open.set_defaults(func=_cmd_store_open)
 

@@ -96,6 +96,8 @@ class ReproApp:
             return self._error(status, str(exc))
         except ReproError as exc:
             return self._error(400, str(exc))
+        except RecursionError as exc:  # parameters nested too deep to serialise as a cache key
+            return self._error(400, f"malformed request: {exc}")
 
     # -- query endpoints -----------------------------------------------------
 
@@ -216,7 +218,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 if not isinstance(decoded, dict):
                     raise ValueError("the request body must hold a JSON object")
                 params.update(decoded)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             status, headers, body = ReproApp._error(400, f"malformed request: {exc}")
         else:
             status, headers, body = self.server.app.handle(method, split.path, params)

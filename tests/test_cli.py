@@ -225,12 +225,6 @@ class TestLodCommands:
         output = capsys.readouterr().out
         assert "subject" in output and "more rows" in output
 
-    def test_tabulate_force_row_matches_columnar(self, graph_paths, tmp_path):
-        fast_path, slow_path = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        assert main(["lod", "tabulate", str(graph_paths[0]), "--type", self.AIR_TYPE, "--output", str(fast_path)]) == 0
-        assert main(["lod", "tabulate", str(graph_paths[0]), "--type", self.AIR_TYPE, "--force-row", "--output", str(slow_path)]) == 0
-        assert fast_path.read_text() == slow_path.read_text()
-
     def test_tabulate_unknown_class_is_an_error(self, graph_paths, capsys):
         assert main(["lod", "tabulate", str(graph_paths[0]), "--type", "http://example.org/Nothing"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -173,6 +173,21 @@ def test_canonical_query_is_key_order_insensitive():
     assert a == b
 
 
+def test_params_nested_past_the_recursion_limit_are_a_400(tmp_path):
+    """Parameters too deep to serialise as a cache key get the JSON 400."""
+    registry = SnapshotRegistry()
+    registry.publish("tiny", _save(_make_dataset(0), tmp_path))
+    params: dict = {}
+    for _ in range(100_000):  # far past any interpreter's recursion limit
+        params = {"x": params}
+    try:
+        status, _, body = ReproApp(registry).handle("POST", "/profile", params)
+    finally:
+        registry.close_all()
+    assert status == 400
+    assert json.loads(body)["error"].startswith("malformed request:")
+
+
 def test_lru_eviction_is_bounded_and_oldest_first():
     """The cache never exceeds its bound and evicts least-recently-used."""
     cache = ResultCache(max_entries=3)

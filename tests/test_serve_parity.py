@@ -398,6 +398,18 @@ class TestKeepAliveFraming:
         assert replies[1][0] == 200
         assert json.loads(replies[1][2])["status"] == "ok"
 
+    def test_over_deep_json_body_gets_the_json_400(self, server):
+        depth = 100_000  # far past any interpreter's recursion limit
+        body = b'{"a":' * depth + b"1" + b"}" * depth
+        request = b"POST /profile HTTP/1.1\r\nHost: test\r\n" + (
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        replies, _ = _exchange(server, request + self.HEALTH, 2)
+        assert len(replies) == 2
+        self._assert_json_400(replies[0])
+        assert json.loads(replies[0][2])["error"].startswith("malformed request:")
+        assert replies[1][0] == 200
+
     def test_get_body_is_consumed(self, server):
         request = b"GET /health HTTP/1.1\r\nHost: test\r\nContent-Length: 5\r\n\r\nhello"
         follow = b"POST /health HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n"
