@@ -5,13 +5,15 @@ HTTP server in front of the library costs you nothing in correctness and
 buys you a fingerprint-keyed result cache: a **hot** response (cache hit)
 replays the exact bytes of the first computation, so repeated dashboard
 queries skip the compute entirely.  Each case measures, over a live
-``ThreadingHTTPServer`` and one keep-alive connection:
+``ReproServer`` (its keep-alive HTTP/1.1 handler) and one keep-alive
+connection:
 
 * *cold* — every request a fresh cache key (a nonce parameter), so each
   one computes: direct cost + HTTP/dispatch overhead (``ref_s``, seconds
   per request);
-* *hot* — the same request repeated, served from the LRU cache: HTTP
-  overhead only (``fast_s``, and ``hot_qps`` for the README).
+* *hot* — the same request repeated byte for byte, so after the first
+  canonical hit it is answered from its exact-request alias: HTTP overhead
+  only (``fast_s``, and ``hot_qps`` for the README).
 
 ``speedup`` is hot over cold.  Identity requires every hot and cold body to
 equal the direct library call (``evaluate`` + canonical serialization) on an

@@ -134,6 +134,10 @@ class SnapshotRegistry:
         """Create an empty registry."""
         self._lock = threading.Lock()
         self._snapshots: dict[str, Snapshot] = {}
+        #: Bumped whenever a name is added or removed or changes kind: the
+        #: only changes that can alter which snapshot a query that names
+        #: none resolves to (:meth:`default_name`).
+        self.layout = 0
 
     def publish(self, name: str, path: Path | str) -> Snapshot:
         """Open the store at ``path`` and bind it under ``name``.
@@ -169,6 +173,8 @@ class SnapshotRegistry:
             generation = old.generation + 1 if old is not None else 1
             snapshot = Snapshot(name, path, payload, kind, fingerprint, generation)
             self._snapshots[name] = snapshot
+            if old is None or old.kind != kind:
+                self.layout += 1
         if old is not None:
             old.retire()
         return snapshot
@@ -177,12 +183,26 @@ class SnapshotRegistry:
         """The current snapshot bound to ``name`` (404 material if absent)."""
         with self._lock:
             snapshot = self._snapshots.get(name)
-            names = sorted(self._snapshots)
         if snapshot is None:
             raise ServeError(
-                f"no snapshot named {name!r} is registered (have: {names or 'none'})"
+                f"no snapshot named {name!r} is registered (have: {self.names() or 'none'})"
             )
         return snapshot
+
+    def binds(self, name: str, fingerprint: str, layout: int) -> bool:
+        """Whether ``name`` still serves ``fingerprint`` under the same :attr:`layout`.
+
+        The validity test of the result cache's exact-request aliases: an
+        alias answers only while this holds for the snapshot it was made
+        from.
+        """
+        with self._lock:
+            snapshot = self._snapshots.get(name)
+            return (
+                layout == self.layout
+                and snapshot is not None
+                and snapshot.fingerprint == fingerprint
+            )
 
     def default_name(self, kind: str) -> str:
         """The single registered name of ``kind``, when it is unambiguous.
@@ -246,5 +266,6 @@ class SnapshotRegistry:
         with self._lock:
             snapshots = list(self._snapshots.values())
             self._snapshots.clear()
+            self.layout += 1
         for snapshot in snapshots:
             snapshot.retire()

@@ -7,22 +7,33 @@ Hypothesis drives two families of properties:
   mutating a single cell yields a different one (a changed store can
   never alias a cached result);
 * **cache/swap interleavings** — arbitrary sequences of {query,
-  re-save-modified-store, swap, query} driven through
-  :meth:`repro.serve.ReproApp.handle` (the exact code path the HTTP
-  server runs, minus sockets) never return a response whose fingerprint
-  differs from the currently-registered snapshot, and every body is
-  bit-identical to a direct library call on the store file that snapshot
-  was opened from.
+  raw request, re-save-modified-store, swap} driven through
+  :meth:`repro.serve.ReproApp.handle` and :meth:`repro.serve.ReproApp.respond`
+  (the exact code path the HTTP server runs, minus sockets; repeated raw
+  requests go through the exact-request aliases) never return a response
+  whose fingerprint differs from the currently-registered snapshot, and
+  every body is bit-identical to a direct library call on the store file
+  that snapshot was opened from.
+
+Deterministic tests below pin the alias rules: an alias hit replays the
+canonical hit's header block and body object and counts as a hit, one-off
+queries take one entry, ``/reload`` prunes aliases with their fingerprint,
+and an alias never outlives a change to the snapshot its request resolves to.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import sys
+import threading
+from urllib.parse import quote
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.datasets.civic import civic_lod_graph
 from repro.serve import (
+    CACHE_HEADER,
     FINGERPRINT_HEADER,
     ReproApp,
     ResultCache,
@@ -50,6 +61,17 @@ _QUERIES = [
     }),
     ("/profile", {"criteria": ["completeness", "balance", "duplication"]}),
 ]
+
+
+def _raw(params: dict) -> bytes:
+    """The body a client would POST for ``params``."""
+    return json.dumps(params).encode("utf-8")
+
+
+def _head(head: bytes) -> dict[str, str]:
+    """A response header block as a dict."""
+    lines = head.decode("latin-1").split("\r\n")
+    return dict(line.split(": ", 1) for line in lines if line)
 
 
 def _make_dataset(version: int, n_rows: int = 8) -> Dataset:
@@ -114,7 +136,7 @@ def test_fingerprint_ignores_the_file_name(tmp_path, version):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     ops=st.lists(
-        st.sampled_from(["query0", "query1", "modify", "swap"]),
+        st.sampled_from(["query0", "query1", "raw0", "raw1", "modify", "swap"]),
         min_size=1, max_size=12,
     )
 )
@@ -146,8 +168,12 @@ def test_interleavings_never_serve_stale_or_torn_results(tmp_path, ops):
                 assert reply["changed"] == expected_change
                 live_path = pending_path
             else:
-                path, params = _QUERIES[0 if op == "query0" else 1]
-                status, headers, body = app.handle("POST", path, params)
+                path, params = _QUERIES[int(op[-1])]
+                if op.startswith("raw"):
+                    status, head, body = app.respond("POST", path, _raw(params))
+                    headers = _head(head)
+                else:
+                    status, headers, body = app.handle("POST", path, params)
                 assert status == 200
                 # Never stale: the response carries the registered fingerprint.
                 assert headers[FINGERPRINT_HEADER] == registry.get("tiny").fingerprint
@@ -222,3 +248,147 @@ def test_prune_drops_only_retired_fingerprints():
     assert cache.prune({"live"}) == 2
     assert cache.get("live", "/e", "q") == b"keep"
     assert cache.get("retired", "/e", "q") is None
+
+
+# -- exact-request aliases ----------------------------------------------------
+
+
+def _app(tmp_path) -> ReproApp:
+    registry = SnapshotRegistry()
+    registry.publish("tiny", _save(_make_dataset(0), tmp_path))
+    return ReproApp(registry, ResultCache(max_entries=8))
+
+
+def test_an_alias_hit_replays_the_canonical_hit(tmp_path):
+    """The third identical request is answered from the alias the second made."""
+    app = _app(tmp_path)
+    path, params = _QUERIES[1]
+    try:
+        replies = [app.respond("POST", path, _raw(params)) for _ in range(2)]
+        hits = app.cache.stats()["hits"]
+        status, head, body = app.respond("POST", path, _raw(params))
+        assert app.cache.stats()["hits"] == hits + 1
+    finally:
+        app.registry.close_all()
+    (_, cold_head, cold), (_, hit_head, hit) = replies
+    assert _head(cold_head)[CACHE_HEADER] == "miss"
+    assert _head(hit_head)[CACHE_HEADER] == "hit"
+    assert status == 200 and head == hit_head
+    assert body is hit and body == cold, "the alias holds the cached body object"
+
+
+def test_a_one_off_query_takes_one_entry_and_a_repeat_one_alias(tmp_path):
+    """Aliases are made on hits only, so a query never repeated costs one slot."""
+    app = _app(tmp_path)
+    path, params = _QUERIES[0]
+    try:
+        app.respond("POST", path, _raw(params))
+        assert app.cache.stats()["entries"] == 1
+        app.respond("POST", path, _raw(params))
+        assert app.cache.stats()["entries"] == 2
+        app.respond("POST", path, _raw(params))
+        assert app.cache.stats()["entries"] == 2
+        # Another spelling of the query hits the entry at once, so it gets its own alias.
+        for _ in range(2):
+            app.respond("GET", path + "?q=" + quote(json.dumps(params)), b"")
+            assert app.cache.stats()["entries"] == 3
+    finally:
+        app.registry.close_all()
+
+
+def test_reload_prunes_the_aliases_of_retired_fingerprints(tmp_path):
+    """``cache_entries_pruned`` counts the entry and the alias of the old content."""
+    app = _app(tmp_path)
+    path, params = _QUERIES[0]
+    try:
+        for _ in range(3):
+            _, head, old = app.respond("POST", path, _raw(params))
+        status, _, reply = app.handle(
+            "POST", "/reload", {"name": "tiny", "path": str(_save(_make_dataset(1), tmp_path))}
+        )
+        assert status == 200
+        assert json.loads(reply)["cache_entries_pruned"] == 2
+        assert len(app.cache) == 0
+        _, new_head, new = app.respond("POST", path, _raw(params))
+    finally:
+        app.registry.close_all()
+    assert _head(new_head)[CACHE_HEADER] == "miss"
+    assert _head(new_head)[FINGERPRINT_HEADER] != _head(head)[FINGERPRINT_HEADER]
+    assert new != old
+
+
+def test_an_alias_never_outlives_its_snapshot_binding(tmp_path):
+    """After a swap, the repeat is answered from the new content before any prune runs."""
+    app = _app(tmp_path)
+    path, params = _QUERIES[0]
+    replacement = _save(_make_dataset(1), tmp_path)
+    try:
+        for _ in range(2):
+            app.respond("POST", path, _raw(params))
+        app.registry.swap("tiny", replacement)  # no /reload, so nothing is pruned
+        _, head, body = app.respond("POST", path, _raw(params))
+        fingerprint = app.registry.get("tiny").fingerprint
+    finally:
+        app.registry.close_all()
+    assert _head(head)[FINGERPRINT_HEADER] == fingerprint == fingerprint_path(replacement)
+    direct = open_dataset(replacement)
+    try:
+        assert body == encode_response(evaluate(path, direct, params))
+    finally:
+        direct.close()
+
+
+def test_an_alias_of_an_unnamed_query_ends_when_the_default_does(tmp_path):
+    """A query that names no snapshot resolves anew once another name takes its kind."""
+    registry = SnapshotRegistry()
+    registry.publish("tiny", _save(_make_dataset(0), tmp_path))
+    graph = civic_lod_graph(_make_dataset(0), entity_class="Row").save(tmp_path / "graph.rps")
+    registry.publish("other", graph)
+    app = ReproApp(registry, ResultCache(max_entries=8))
+    path, params = _QUERIES[1]
+    try:
+        for _ in range(3):
+            status, _, _ = app.respond("POST", path, _raw(params))
+            assert status == 200
+        # /reload turns "other" into a second dataset: "tiny" still serves the
+        # same fingerprint, but an unnamed query is now ambiguous.
+        swap = {"name": "other", "path": str(_save(_make_dataset(2), tmp_path))}
+        assert app.handle("POST", "/reload", swap)[0] == 200
+        status, _, body = app.respond("POST", path, _raw(params))
+    finally:
+        registry.close_all()
+    assert status == 400
+    assert "several dataset snapshots" in json.loads(body)["error"]
+
+
+def test_concurrent_repeats_lose_no_count_and_keep_the_bound(tmp_path):
+    """Threads racing through aliases, canonical hits and misses: every request is counted once."""
+    app = _app(tmp_path)
+    requests = [(path, _raw(params)) for path, params in _QUERIES]
+    requests += [("/profile", _raw({"criteria": ["completeness"], "nonce": i})) for i in range(12)]
+    n_threads, rounds = 6, 40
+    failures: list[str] = []
+
+    def hammer(worker: int) -> None:
+        for i in range(rounds):
+            path, body = requests[(worker + i) % len(requests)]
+            status, head, _ = app.respond("POST", path, body)
+            if status != 200 or _head(head)[FINGERPRINT_HEADER] != app.registry.get("tiny").fingerprint:
+                failures.append(f"{path}: {status}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        app.registry.close_all()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:5]
+    stats = app.cache.stats()
+    assert stats["hits"] + stats["misses"] == n_threads * rounds
+    assert stats["entries"] <= stats["max_entries"] == 8

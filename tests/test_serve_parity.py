@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-import socket
 import threading
 import urllib.error
 import urllib.request
@@ -32,6 +31,7 @@ from repro.serve import (
     fingerprint_path,
 )
 from repro.store import open_dataset, open_graph
+from rawhttp import exchange
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -336,33 +336,6 @@ class TestSnapshotSwap:
         assert b2 == expected["dataset_a"][_expected_key(path, params)]
 
 
-def _exchange(server, payload: bytes, n_replies: int) -> tuple[list[tuple[int, dict, bytes]], bool]:
-    """Send raw bytes on one connection and read up to ``n_replies`` responses.
-
-    Returns the ``(status, headers, body)`` replies and whether the server
-    closed the connection before sending ``n_replies``.  The socket timeout
-    makes a server that never answers fail the test instead of hanging it.
-    """
-    replies = []
-    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
-        sock.sendall(payload)
-        reader = sock.makefile("rb")
-        try:
-            while len(replies) < n_replies:
-                status_line = reader.readline()
-                if not status_line:
-                    return replies, True
-                headers = {}
-                while (line := reader.readline()) not in (b"\r\n", b""):
-                    key, _, value = line.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
-                body = reader.read(int(headers.get("content-length", 0)))
-                replies.append((int(status_line.split()[1]), headers, body))
-        except ConnectionResetError:  # closed with the rest of the payload unread
-            return replies, True
-    return replies, False
-
-
 class TestKeepAliveFraming:
     """Every request's body is read before anything is parsed, so an error
     reply never leaves bytes behind for the next request on the connection."""
@@ -377,13 +350,13 @@ class TestKeepAliveFraming:
 
     def test_negative_content_length_is_rejected_and_closes(self, server):
         request = b"POST /profile HTTP/1.1\r\nHost: test\r\nContent-Length: -1\r\n\r\n"
-        replies, closed = _exchange(server, request + self.HEALTH, 2)
+        replies, closed = exchange(server, request + self.HEALTH, 2)
         assert closed and len(replies) == 1
         self._assert_json_400(replies[0])
 
     def test_non_numeric_content_length_is_rejected_and_closes(self, server):
         request = b"POST /profile HTTP/1.1\r\nHost: test\r\nContent-Length: abc\r\n\r\n{}"
-        replies, closed = _exchange(server, request + self.HEALTH, 2)
+        replies, closed = exchange(server, request + self.HEALTH, 2)
         assert closed and len(replies) == 1
         self._assert_json_400(replies[0])
 
@@ -392,7 +365,7 @@ class TestKeepAliveFraming:
         request = b"POST /profile?q=%7Bbroken HTTP/1.1\r\nHost: test\r\n" + (
             b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
         )
-        replies, _ = _exchange(server, request + self.HEALTH, 2)
+        replies, _ = exchange(server, request + self.HEALTH, 2)
         assert len(replies) == 2
         self._assert_json_400(replies[0])
         assert replies[1][0] == 200
@@ -404,7 +377,7 @@ class TestKeepAliveFraming:
         request = b"POST /profile HTTP/1.1\r\nHost: test\r\n" + (
             b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
         )
-        replies, _ = _exchange(server, request + self.HEALTH, 2)
+        replies, _ = exchange(server, request + self.HEALTH, 2)
         assert len(replies) == 2
         self._assert_json_400(replies[0])
         assert json.loads(replies[0][2])["error"].startswith("malformed request:")
@@ -413,6 +386,6 @@ class TestKeepAliveFraming:
     def test_get_body_is_consumed(self, server):
         request = b"GET /health HTTP/1.1\r\nHost: test\r\nContent-Length: 5\r\n\r\nhello"
         follow = b"POST /health HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n"
-        replies, _ = _exchange(server, request + follow, 2)
+        replies, _ = exchange(server, request + follow, 2)
         assert [status for status, _, _ in replies] == [200, 200]
         assert all(json.loads(body)["status"] == "ok" for _, _, body in replies)
