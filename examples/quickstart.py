@@ -177,11 +177,14 @@ def main() -> None:
 
         # 10. A feed delivers fresh rows overnight: append them (old rows are
         # never re-encoded), refresh the profile in O(|delta|), replace the
-        # store atomically and POST /reload — the server swaps snapshots
-        # without recomputing anything.  See docs/ingest.md.
+        # store atomically and POST /reload.  The new store appends rows to
+        # the served one, so the server folds them into the /profile it had
+        # answered and caches the new answer before it swaps: the next
+        # /profile is a hit on the new content.  See docs/ingest.md.
         import os
 
         from repro.feeds import IncrementalProfile
+        from repro.serve import FINGERPRINT_HEADER, encode_response, evaluate
 
         tracker = IncrementalProfile(reopened, criteria=["completeness", "balance"])
         batch = [dict(reopened.row(i)) for i in range(3)]
@@ -198,16 +201,22 @@ def main() -> None:
         )
         with urllib.request.urlopen(reload_request, timeout=30) as reply:
             swap = _json.loads(reply.read())
-        assert swap["changed"]
+        assert swap["changed"] and swap["appended_rows"] == len(batch)
         request = urllib.request.Request(
             server.url + "/profile", data=query,
             headers={"Content-Type": "application/json"}, method="POST",
         )
         with urllib.request.urlopen(request, timeout=30) as reply:
-            status, body = reply.headers[CACHE_HEADER], reply.read()
-        assert status == "miss" and body != responses[0][1]
+            status, fingerprint, body = reply.headers[CACHE_HEADER], reply.headers[FINGERPRINT_HEADER], reply.read()
+        direct = type(source).open(store_path)
+        try:
+            assert body == encode_response(evaluate("/profile", direct, _json.loads(query)))
+        finally:
+            direct.close()
+        assert status == "hit" and fingerprint == swap["snapshot"]["fingerprint"] and body != responses[0][1]
         print(f"\n[10] ingested {len(batch)} feed rows and reloaded: refresh "
-              f"bit-identical to the recompute, served /profile now a cache {status}")
+              f"bit-identical to the recompute, served /profile advanced by "
+              f"{swap['appended_rows']} rows, now a cache {status}")
     finally:
         server.shutdown()
         thread.join(timeout=10)

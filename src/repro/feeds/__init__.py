@@ -10,7 +10,8 @@ for an O(|delta|) change.  This subpackage closes that gap end to end:
   (fixture-backed, with paging, retry and sleep throttling);
 * :mod:`repro.feeds.append` — schema-checked appends whose merged datasets
   extend the base's encoded views instead of re-encoding
-  (:func:`repro.tabular.encoded.extend_encoding`);
+  (:func:`repro.tabular.encoded.extend_encoding`), and the structural check
+  of whether one dataset is another plus appended rows;
 * :mod:`repro.feeds.incremental` — delta maintenance of quality profiles,
   group-by/cube aggregates and KPI scoreboards, bit-identical to the batch
   recompute, with ``_force_full_refresh`` hatches and automatic fallback
@@ -19,9 +20,11 @@ for an O(|delta|) change.  This subpackage closes that gap end to end:
 The ``repro ingest`` CLI ties these to the persistence and serving tiers:
 append a feed batch to a ``.rps`` store and ``POST /reload`` a running
 server, so the pipeline is feed → append → refresh → snapshot → reload.
+The server advances its recurring dashboard queries through the same
+incremental classes when the reloaded store is an append.
 """
 
-from repro.feeds.append import append_dataset, append_rows
+from repro.feeds.append import append_dataset, append_rows, appended_rows
 from repro.feeds.connector import FeedConnector, FixtureFeed
 from repro.feeds.incremental import (
     IncrementalGroupBy,
@@ -34,6 +37,7 @@ from repro.feeds.readers import read_csv_chunks, read_jsonl, read_jsonl_chunks
 __all__ = [
     "append_dataset",
     "append_rows",
+    "appended_rows",
     "FeedConnector",
     "FixtureFeed",
     "IncrementalGroupBy",

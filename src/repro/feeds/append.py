@@ -9,6 +9,8 @@ those views with the delta's encoded block (see
 row-dictionary front end the CLI and connectors use: it coerces raw records
 against the base's schema first, so a schema-incompatible delta fails loudly
 as a :class:`~repro.exceptions.SchemaError` before anything is merged.
+``appended_rows`` is the converse check: whether a dataset, however it was
+written, is another one plus appended rows.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.exceptions import SchemaError
 from repro.tabular.dataset import Dataset
+from repro.tabular.encoded import encode_dataset
 
 
 def append_dataset(base: Dataset, delta: Dataset, name: str | None = None) -> Dataset:
@@ -88,3 +93,44 @@ def append_rows(
             f"schema-incompatible rows for dataset {base.name!r}: {exc}"
         ) from exc
     return append_dataset(base, delta, name=name)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same bytes (NaN payloads and ``-0.0`` told apart)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    unsigned = np.dtype(f"u{a.dtype.itemsize}")
+    return bool(np.array_equal(a.view(unsigned), b.view(unsigned)))
+
+
+def appended_rows(base: Dataset, merged: Dataset) -> int | None:
+    """How many rows ``merged`` appends to ``base``; ``None`` unless it is ``base`` plus appended rows.
+
+    A structural check over the stored views, for any writer: the dataset
+    names and the column names, order, ctypes and roles must be equal; each
+    numeric column's first ``n = base.n_rows`` values byte-equal; and for
+    every other column the base's vocabulary a prefix of the merged one,
+    with the codes and the missing mask byte-equal over the first ``n``
+    rows.  On opened stores this reads each primary section's first ``n``
+    rows once and materialises nothing.  Equal datasets append ``0`` rows.
+    """
+    n = base.n_rows
+    if merged.name != base.name or merged.n_rows < n or merged.n_columns != base.n_columns:
+        return None
+    base_views, merged_views = encode_dataset(base), encode_dataset(merged)
+    for old, new in zip(base.columns, merged.columns):
+        if (old.name, old.ctype, old.role) != (new.name, new.ctype, new.role):
+            return None
+        if old.is_numeric():
+            if not _same_bytes(old.values, new.values[:n]):
+                return None
+            continue
+        codes, vocabulary, _ = base_views.codes_view(old.name)
+        new_codes, new_vocabulary, _ = merged_views.codes_view(new.name)
+        if (
+            new_vocabulary[: len(vocabulary)] != vocabulary
+            or not _same_bytes(codes, new_codes[:n])
+            or not _same_bytes(base_views.missing_view(old.name), merged_views.missing_view(new.name)[:n])
+        ):
+            return None
+    return merged.n_rows - n

@@ -17,16 +17,16 @@ to *batch vs incremental*: the batch recompute over base+delta is the
 reference tier, ``refresh(merged)`` is the delta tier, and the two must be
 **bit-identical** — float summation order included.  That shapes the state:
 
-* ``sum``/``mean`` resume the reference's left fold (Python ``sum`` over the
-  group's values in row order) by carrying the running total — continuing a
-  left fold is exactly restarting it partway, so the float sequence is the
-  reference's;
+* ``sum``/``mean`` resume the reference's left fold
+  (:func:`~repro.tabular.transforms.fold_sum` over the group's values in row
+  order) by carrying the running total — continuing a left fold is exactly
+  restarting it partway, so the float sequence is the reference's;
 * ``min``/``max`` fold exactly (ties keep the earlier value, as ``min`` does);
 * ``std``/``median`` are not resumable folds, so the state keeps each
-  group's full value list and recomputes only the groups the delta touched
-  (recompute-over-merged-lists);
+  group's values and recomputes only the groups the delta touched
+  (recompute-over-merged-values);
 * quality criteria keep exact integer counts (missing cells, class
-  bincounts, duplicate-key sets) and feed them to the *same*
+  bincounts, the distinct duplicate keys) and feed them to the *same*
   ``_build_measure`` helpers the batch tiers call.
 
 Anything that cannot be incrementalized this way — a non-numeric aggregation
@@ -54,8 +54,8 @@ from repro.quality.dimensionality import DimensionalityCriterion
 from repro.quality.duplicates import _STRING_CTYPES, DuplicationCriterion
 from repro.quality.profile import DEFAULT_CRITERIA, DataQualityProfile, get_criterion, measure_quality
 from repro.tabular.dataset import ColumnRole, ColumnType, Dataset
-from repro.tabular.encoded import EncodedDataset, encode_dataset
-from repro.tabular.transforms import _AGGREGATIONS, _hashable, group_by
+from repro.tabular.encoded import MISSING_KEY_SENTINEL, EncodedDataset, encode_dataset
+from repro.tabular.transforms import _AGGREGATIONS, fold_sum, group_by, group_order
 
 
 def _check_refresh_target(state_dataset: Dataset, state_rows: int, merged: Dataset) -> None:
@@ -76,9 +76,12 @@ class IncrementalGroupBy:
 
     Construction validates keys and aggregations exactly like
     :func:`~repro.tabular.transforms.group_by` and folds the base dataset
-    into per-group accumulators.  :meth:`refresh` folds only the appended
-    rows in and returns the full grouped dataset, bit-identical to
-    ``group_by(merged, keys, aggregations)``.
+    into per-group accumulators, one sorted segment of the encoded views per
+    group.  :meth:`refresh` folds only the appended rows in and returns the
+    full grouped dataset, bit-identical to ``group_by(merged, keys,
+    aggregations)``.  Both read the encoded views (codes, vocabularies and
+    float views) and single key cells, never a whole object column, so an
+    opened store's columns stay unmaterialised.
 
     When any aggregation source column is non-numeric the reference tier's
     semantics (per-cell ``float(v)`` coercion of string cells) cannot be
@@ -114,58 +117,90 @@ class IncrementalGroupBy:
             self._rebuild_state()
 
     def _rebuild_state(self) -> None:
+        """Fold every row of the current dataset in, one segment per encoded group."""
         self._groups: dict[tuple, int] = {}
         self._key_values: list[dict[str, Any]] = []
-        self._acc: dict[str, list[Any]] = {out: [] for out in self._aggregations}
-        self._n_rows = 0
-        self._fold_rows(self._dataset, 0)
+        self._acc: dict[str, list[list[Any]]] = {out: [] for out in self._aggregations}
+        encoded = encode_dataset(self._dataset)
+        group_ids, n_groups = encoded.group_keys(self._keys)
+        order = group_order(group_ids, n_groups)
+        counts = np.bincount(group_ids, minlength=n_groups)
+        first_rows = order[np.cumsum(counts) - counts]
+        for row, key in zip(first_rows.tolist(), self._key_cells(encoded, first_rows)):
+            self._new_group(key, row)
+        self._fold(encoded, 0, group_ids, order)
+        self._n_rows = self._dataset.n_rows
 
-    def _fold_rows(self, dataset: Dataset, start: int) -> None:
-        """Fold rows ``start:`` into the per-group accumulators, in row order."""
-        n = dataset.n_rows
-        self._n_rows = n
-        if start >= n:
-            return
-        key_lists = [dataset[k].values[start:].tolist() for k in self._keys]
-        agg_specs = []
+    def _key_cells(self, encoded: EncodedDataset, rows: np.ndarray | slice) -> list[tuple]:
+        """The group key of each of ``rows``, as the reference's ``_hashable`` cells partition them.
+
+        Numeric keys are their float values and non-numeric keys their
+        vocabulary level; missing cells (and a level spelling the sentinel)
+        are :data:`~repro.tabular.encoded.MISSING_KEY_SENTINEL`.
+        """
+        columns = []
+        for key in self._keys:
+            if self._dataset[key].is_numeric():
+                values, missing = encoded.numeric_view(key)
+                cells = values[rows].tolist()
+                for i in np.flatnonzero(missing[rows]).tolist():
+                    cells[i] = MISSING_KEY_SENTINEL
+            else:
+                codes, vocabulary, _ = encoded.codes_view(key)
+                cells = [vocabulary[c] if c >= 0 else MISSING_KEY_SENTINEL for c in codes[rows].tolist()]
+            columns.append(cells)
+        return list(zip(*columns))
+
+    def _new_group(self, key: tuple, row: int) -> int:
+        """Register a group first seen at ``row``; its output keys are that row's raw cells."""
+        group = len(self._key_values)
+        self._groups[key] = group
+        self._key_values.append({k: self._dataset[k][row] for k in self._keys})
+        for out_name, (_source, agg) in self._aggregations.items():
+            if agg in ("sum", "mean"):
+                slot: list[Any] = [0.0, 0]  # running left fold, count
+            elif agg in ("min", "max"):
+                slot = [None]
+            elif agg == "count":
+                slot = [0]
+            else:  # std / median keep every value, in chunks, and a cached result
+                slot = [[], None]
+            self._acc[out_name].append(slot)
+        return group
+
+    def _fold(self, encoded: EncodedDataset, start: int, group_ids: np.ndarray, order: np.ndarray) -> None:
+        """Fold rows ``start:`` into the accumulators; row ``start + i`` is in group ``group_ids[i]``.
+
+        ``order`` (:func:`~repro.tabular.transforms.group_order`) cuts each measure into per-group
+        runs of present values in row order, and each run continues its
+        group's fold.
+        """
+        rows = order + start
+        sorted_ids = group_ids[order]
         for out_name, (source, agg) in self._aggregations.items():
-            agg_specs.append((self._acc[out_name], agg, dataset[source].values[start:].tolist()))
-        groups = self._groups
-        for i in range(n - start):
-            group_key = tuple(_hashable(cells[i]) for cells in key_lists)
-            group = groups.get(group_key)
-            if group is None:
-                group = len(self._key_values)
-                groups[group_key] = group
-                # The reference keeps the *raw* first-row key cells (not the
-                # hashable forms) as the group's output values.
-                first = dataset.row(start + i)
-                self._key_values.append({k: first[k] for k in self._keys})
-                for acc, agg, _ in agg_specs:
-                    if agg in ("sum", "mean"):
-                        acc.append([0, 0])  # running total (int 0 start, like sum()), count
-                    elif agg in ("min", "max"):
-                        acc.append([None])
-                    elif agg == "count":
-                        acc.append([0])
-                    else:  # std / median keep the full value list
-                        acc.append([[], None])
-            for acc, agg, cells in agg_specs:
-                value = cells[i]
-                if value != value:  # nan: the only missing form a float column holds
-                    continue
-                slot = acc[group]
+            values, missing = encoded.numeric_view(source)
+            keep = ~missing[rows]
+            present = values[rows][keep]
+            ids = sorted_ids[keep]
+            if ids.size == 0:
+                continue
+            bounds = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1, [ids.size])).tolist()
+            accumulators = self._acc[out_name]
+            for group, lo, hi in zip(ids[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]):
+                slot = accumulators[group]
+                run = present[lo:hi]
                 if agg in ("sum", "mean"):
-                    slot[0] += value
-                    slot[1] += 1
-                elif agg == "min":
-                    slot[0] = value if slot[0] is None else min(slot[0], value)
-                elif agg == "max":
-                    slot[0] = value if slot[0] is None else max(slot[0], value)
+                    slot[0] = fold_sum(run, slot[0])
+                    slot[1] += hi - lo
                 elif agg == "count":
-                    slot[0] += 1
+                    slot[0] += hi - lo
+                elif agg in ("min", "max"):
+                    pick = min if agg == "min" else max
+                    best = pick(run.tolist())
+                    # pick(a, b) keeps a on a tie, as the reference keeps the earlier value.
+                    slot[0] = best if slot[0] is None else pick(slot[0], best)
                 else:
-                    slot[0].append(value)
+                    slot[0].append(run)
                     slot[1] = None  # dirty: recompute lazily at result time
 
     def _finalise(self, agg: str, slot: list[Any]) -> float:
@@ -178,9 +213,11 @@ class IncrementalGroupBy:
             return float(slot[0]) if agg == "sum" else float(slot[0] / slot[1])
         if agg in ("min", "max"):
             return float("nan") if slot[0] is None else float(slot[0])
-        # std / median: recompute over the merged value list only when dirty.
+        # std / median: recompute over the merged values only when dirty.
         if slot[1] is None:
-            slot[1] = _AGGREGATIONS[agg](slot[0]) if slot[0] else float("nan")
+            values = np.concatenate(slot[0]) if slot[0] else np.empty(0)
+            slot[0] = [values]
+            slot[1] = _AGGREGATIONS[agg](values) if values.size else float("nan")
         return slot[1]
 
     def result(self) -> Dataset:
@@ -213,7 +250,14 @@ class IncrementalGroupBy:
             return group_by(merged, self._keys, self._aggregations)
         start = self._n_rows
         self._dataset = merged
-        self._fold_rows(merged, start)
+        encoded = encode_dataset(merged)
+        group_ids = np.empty(merged.n_rows - start, dtype=np.intp)
+        groups = self._groups
+        for i, key in enumerate(self._key_cells(encoded, slice(start, None))):
+            group = groups.get(key)
+            group_ids[i] = self._new_group(key, start + i) if group is None else group
+        self._fold(encoded, start, group_ids, group_order(group_ids, len(self._key_values)))
+        self._n_rows = merged.n_rows
         return self.result()
 
 
@@ -272,7 +316,7 @@ class IncrementalKPIBoard:
                 out_columns.add(column)
             aggregations[kpi.name] = (kpi.compute, "mean")
         self._kpis = list(kpis)
-        self._cube = cube
+        self._name = f"{cube.name}_kpis_by_{level}"
         self._level = level
         self._grouped = IncrementalGroupBy(cube.dataset, [level], aggregations)
         if cube._force_row_olap:
@@ -308,9 +352,7 @@ class IncrementalKPIBoard:
         for kpi in self._kpis:
             ctypes[kpi.name] = ColumnType.NUMERIC
             ctypes[f"{kpi.name}_status"] = ColumnType.CATEGORICAL
-        return Dataset.from_rows(
-            out_rows, name=f"{self._cube.name}_kpis_by_{self._level}", ctypes=ctypes
-        )
+        return Dataset.from_rows(out_rows, name=self._name, ctypes=ctypes)
 
 
 # -- incremental quality criterion states -------------------------------------
@@ -403,88 +445,178 @@ class _BalanceState:
         return criterion._build_measure(merged[chosen], self._counts[chosen])
 
 
-class _DuplicationState:
-    """Persisted seen-key sets and duplicate counters behind the duplication criterion.
+#: The packed key cell of a missing numeric cell: a NaN, which no rounded
+#: present value is.
+_MISSING_NUMERIC_CELL = np.float64(np.nan).view(np.uint64)
+#: The level every missing discrete cell is keyed under, as the row path does.
+_MISSING_LEVEL = "<missing>"
 
-    Keys are built from the encoded views, one vectorized pass per column
-    (mirroring the criterion's encoded tier, whose partitioning the row-path
-    equivalence suite already pins): numeric cells by ``np.round(v, 6)``
-    (elementwise identical to the row path's ``round(value, 6)``), discrete
-    cells by their append-stable vocabulary level, fuzzy keys by the
-    per-*level* normalised form.  Every representation is value-based — never
-    a dataset-relative code — so keys from earlier folds stay comparable as
-    the vocabulary grows.
+
+class _LevelIds:
+    """Ids the state owns for one key column's level values, stable as its vocabulary grows.
+
+    Missing cells take the id of the ``"<missing>"`` level, so they share it
+    with a cell holding that text, as the batch tier's ``merge_missing_level``
+    does; a normalised level never spells it, so fuzzy keys keep the two
+    apart, as the batch tier does.
+    """
+
+    def __init__(self) -> None:
+        """Start with only the missing id (0) assigned."""
+        self._ids = {_MISSING_LEVEL: 0}
+        self._by_code = np.empty(0, dtype=np.uint64)
+
+    def cells(self, codes: np.ndarray, levels: Sequence[str]) -> np.ndarray:
+        """The ids of ``codes`` (``-1`` missing) over ``levels``, an extension of the last call's."""
+        known = self._by_code.size
+        if len(levels) > known:
+            fresh = [self._ids.setdefault(level, len(self._ids)) for level in levels[known:]]
+            self._by_code = np.concatenate([self._by_code, np.asarray(fresh, dtype=np.uint64)])
+        return np.append(self._by_code, np.uint64(0))[codes]  # code -1 picks the missing id
+
+
+def _row_hashes(cells: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of ``(rows, columns)`` uint64 ``cells`` (splitmix64's mixer)."""
+    hashes = np.zeros(cells.shape[0], dtype=np.uint64)
+    for j in range(cells.shape[1]):
+        hashes ^= cells[:, j]
+        hashes *= np.uint64(0x9E3779B97F4A7C15)
+        hashes ^= hashes >> np.uint64(31)
+        hashes *= np.uint64(0xBF58476D1CE4E5B9)
+    return hashes
+
+
+class _SeenKeys:
+    """The distinct key rows folded in so far, with no Python object per row.
+
+    A row's ``uint64`` cells pack into one opaque fixed-width item.  The
+    items are kept sorted by a 64-bit hash of the row, so a lookup is a
+    binary search over integers plus an exact comparison with the items that
+    share its hash.  Items a delta brings go into a small set of ``bytes``
+    first and join the sorted array once they number an eighth of it, so a
+    fold copies the array only every few batches.  :attr:`duplicates` counts
+    the rows whose key was already seen.
+    """
+
+    def __init__(self, cells: np.ndarray) -> None:
+        """Seed from the ``(rows, columns)`` key cells of the base rows."""
+        items, hashes = self._items_of(cells), _row_hashes(cells)
+        order = np.argsort(hashes)
+        # Only rows that tie on the hash are compared, and only the kept rows are copied.
+        tied = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]])
+        repeat = items[order[tied + 1]] == items[order[tied]]
+        if not repeat.all():
+            # Two different keys share a hash: sort by key within each hash, so equal keys sit together.
+            order = np.argsort(items)
+            order = order[np.argsort(hashes[order], kind="stable")]
+            tied = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]])
+            repeat = items[order[tied + 1]] == items[order[tied]]
+        fresh = np.ones(items.size, dtype=bool)
+        fresh[tied[repeat] + 1] = False
+        kept = order[fresh]
+        self._items, self._hashes = items[kept], hashes[kept]
+        self._recent: set[bytes] = set()
+        self.duplicates = items.size - kept.size
+
+    @staticmethod
+    def _items_of(cells: np.ndarray) -> np.ndarray:
+        cells = np.ascontiguousarray(cells)
+        return cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))).ravel()
+
+    def add(self, cells: np.ndarray) -> None:
+        """Fold a delta's key rows in: a row whose key was seen, in the delta too, is a duplicate."""
+        items, hashes = self._items_of(cells), _row_hashes(cells)
+        low = np.searchsorted(self._hashes, hashes, "left")
+        high = np.searchsorted(self._hashes, hashes, "right")
+        seen = np.zeros(items.size, dtype=bool)
+        single = high - low == 1
+        seen[single] = self._items[low[single]] == items[single]
+        for i in np.flatnonzero(high - low > 1).tolist():
+            seen[i] = bool((self._items[low[i]:high[i]] == items[i]).any())
+        duplicates = int(seen.sum())
+        recent = self._recent
+        for key in items[~seen].tolist():
+            if key in recent:
+                duplicates += 1
+            else:
+                recent.add(key)
+        self.duplicates += duplicates
+        if len(recent) * 8 > self._items.size:
+            self._merge()
+
+    def _merge(self) -> None:
+        """Move the recent items into the sorted array."""
+        items = np.frombuffer(b"".join(self._recent), dtype=self._items.dtype)
+        hashes = _row_hashes(items.view(np.uint64).reshape(items.size, -1))
+        order = np.argsort(hashes)
+        positions = np.searchsorted(self._hashes, hashes[order])
+        self._items = np.insert(self._items, positions, items[order])
+        self._hashes = np.insert(self._hashes, positions, hashes[order])
+        self._recent = set()
+
+
+class _DuplicationState:
+    """Seen keys and duplicate counts behind the duplication criterion, with no object per row.
+
+    A row's key packs one ``uint64`` per key column, read from the encoded
+    views one column at a time and partitioned exactly as the criterion's
+    encoded tier partitions it (that tier is the reference):
+
+    * a numeric cell is the float64 bits of ``np.round(v, 6)`` (elementwise
+      identical to the row path's ``round(value, 6)``), with ``-0.0`` folded
+      into ``0.0``; a missing cell is one reserved NaN pattern;
+    * a discrete cell is a :class:`_LevelIds` id of its level value, and a
+      fuzzy key uses the id of the normalised level for string columns.
+
+    Ids are per value, never a dataset-relative code, so keys from earlier
+    folds stay comparable as the vocabulary grows.  The exact and the fuzzy
+    pass each keep a :class:`_SeenKeys`.
     """
 
     def __init__(self, criterion: DuplicationCriterion, dataset: Dataset, encoded: EncodedDataset) -> None:
-        """Fold every base row's keys into the seen-sets and counters."""
+        """Fold every base row's key into the seen keys."""
         self._criterion = criterion
-        self._columns = criterion._key_columns(dataset)
-        self._exact_seen: set[tuple] = set()
-        self._fuzzy_seen: set[tuple] = set()
-        self._exact_duplicates = 0
-        self._fuzzy_duplicates = 0
-        self._fold(dataset, encoded, 0)
+        key_columns = [dataset[name] for name in criterion._key_columns(dataset)]
+        self._columns = [(c.name, c.is_numeric()) for c in key_columns]
+        self._exact_ids = {c.name: _LevelIds() for c in key_columns if not c.is_numeric()}
+        self._fuzzy_ids = {
+            c.name: _LevelIds() for c in key_columns if criterion.fuzzy and c.ctype in _STRING_CTYPES
+        }
+        # One pass at a time, so only one pass's cells are alive while it seeds.
+        self._exact = _SeenKeys(self._cells(encoded, 0, fuzzy=False))
+        self._fuzzy = _SeenKeys(self._cells(encoded, 0, fuzzy=True)) if criterion.fuzzy else None
 
-    @staticmethod
-    def _numeric_key_cells(encoded: EncodedDataset, name: str, start: int) -> list:
-        values, missing = encoded.numeric_view(name)
-        cells = np.round(values[start:], 6).tolist()
-        for i in np.flatnonzero(missing[start:]).tolist():
-            cells[i] = "<missing>"
-        return cells
-
-    def _fold(self, dataset: Dataset, encoded: EncodedDataset, start: int) -> None:
-        if start >= dataset.n_rows:
-            return
-        fuzzy = self._criterion.fuzzy
-        exact_cols: list[list] = []
-        fuzzy_cols: list[list] = []
-        for name in self._columns:
-            column = dataset[name]
-            if column.is_numeric():
-                cells = self._numeric_key_cells(encoded, name, start)
-                exact_cols.append(cells)
-                if fuzzy:
-                    fuzzy_cols.append(cells)
+    def _cells(self, encoded: EncodedDataset, start: int, fuzzy: bool) -> np.ndarray:
+        """The ``(rows, columns)`` key cells of rows ``start:`` for the exact or the fuzzy pass."""
+        cells = np.empty((encoded.n_rows - start, len(self._columns)), dtype=np.uint64)
+        for j, (name, numeric) in enumerate(self._columns):
+            if numeric:
+                values, missing = encoded.numeric_view(name)
+                column = (np.round(values[start:], 6) + 0.0).view(np.uint64)
+                column[missing[start:]] = _MISSING_NUMERIC_CELL
+                cells[:, j] = column
                 continue
             codes, vocabulary, _ = encoded.codes_view(name)
-            # Missing cells share the literal "<missing>" key with any real
-            # cell holding that text, deliberately matching the row path.
-            exact_cols.append(
-                ["<missing>" if c < 0 else vocabulary[c] for c in codes[start:].tolist()]
-            )
-            if not fuzzy:
-                continue
-            if column.ctype in _STRING_CTYPES:
-                n_codes, levels = encoded.normalised_codes_view(name)
-                fuzzy_cols.append(
-                    ["<missing>" if c < 0 else levels[c] for c in n_codes[start:].tolist()]
-                )
+            if fuzzy and name in self._fuzzy_ids:
+                cells[:, j] = self._fuzzy_ids[name].cells(codes[start:], encoded.normalised_levels(name))
             else:
-                fuzzy_cols.append(exact_cols[-1])
-        exact_seen = self._exact_seen
-        for key in zip(*exact_cols):
-            if key in exact_seen:
-                self._exact_duplicates += 1
-            else:
-                exact_seen.add(key)
-        if fuzzy:
-            fuzzy_seen = self._fuzzy_seen
-            for key in zip(*fuzzy_cols):
-                if key in fuzzy_seen:
-                    self._fuzzy_duplicates += 1
-                else:
-                    fuzzy_seen.add(key)
+                cells[:, j] = self._exact_ids[name].cells(codes[start:], vocabulary)
+        return cells
 
     def update(self, merged: Dataset, encoded: EncodedDataset, start: int) -> None:
-        """Fold the delta rows' keys into the seen-sets and counters."""
-        self._fold(merged, encoded, start)
+        """Fold the delta rows' keys into the seen keys."""
+        if start >= merged.n_rows:
+            return
+        self._exact.add(self._cells(encoded, start, fuzzy=False))
+        if self._fuzzy is not None:
+            self._fuzzy.add(self._cells(encoded, start, fuzzy=True))
 
     def build(self, merged: Dataset, encoded: EncodedDataset) -> CriterionMeasure:
-        """Materialise the criterion measure from the duplicate counters."""
+        """Materialise the criterion measure from the duplicate counts."""
         return self._criterion._build_measure(
-            merged.n_rows, self._exact_duplicates, self._fuzzy_duplicates
+            merged.n_rows,
+            self._exact.duplicates,
+            self._fuzzy.duplicates if self._fuzzy is not None else 0,
         )
 
 

@@ -130,6 +130,17 @@ class ResultCache:
         """Map an exact request whose canonical lookup hit to ``alias``."""
         self._insert(request, alias)
 
+    def queries(self, fingerprint: str) -> list[tuple[str, str]]:
+        """The ``(endpoint, canonical query)`` of each entry cached under ``fingerprint``, oldest first.
+
+        Aliases are not listed, and nothing is counted or reordered.
+        """
+        with self._lock:
+            return [
+                (key[1], key[2]) for key, value in self._entries.items()
+                if key[0] == fingerprint and not isinstance(value, Alias)
+            ]
+
     def _insert(self, key: tuple[str, str, Any], value: bytes | Alias) -> None:
         with self._lock:
             self._entries[key] = value

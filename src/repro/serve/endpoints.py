@@ -13,6 +13,13 @@ Responses are serialized by :func:`encode_response` into canonical JSON
 (sorted keys, compact separators, ``ensure_ascii``), so equal results are
 equal bytes — the property the fingerprint-keyed cache and the
 concurrency-parity suite are built on.
+
+Three query shapes also have a delta-maintained form, built by
+:func:`query_state` with the endpoint's own parameter parsing: ``/profile``,
+``/kpi`` with a ``level`` and ``/cube/aggregate`` with ``levels``.  A
+:class:`QueryState` answers like :func:`evaluate` on the snapshot it was
+built or last advanced on, and advances to a snapshot that appends rows by
+folding in only those rows (:mod:`repro.feeds.incremental`).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from repro.bi.kpi import KPI, evaluate_kpis, evaluate_kpis_by_level
 from repro.bi.olap import Cube, Dimension, Measure
 from repro.core.advisor import Advisor
 from repro.exceptions import ServeError
+from repro.feeds.incremental import IncrementalKPIBoard, IncrementalProfile, incremental_cube_aggregate
 from repro.lod.query import TriplePattern, Variable, ask, select
 from repro.lod.terms import IRI, BNode, Literal
 from repro.quality.profile import measure_quality
@@ -197,6 +205,32 @@ def _parse_kpis(params: dict[str, Any]) -> list[KPI]:
     return kpis
 
 
+def _criteria(params: dict[str, Any]) -> list[str] | None:
+    """The ``criteria`` parameter as criterion names (``None``: the full set)."""
+    criteria = _expect(params, "criteria", (list,), "a list of criterion names")
+    return [str(c) for c in criteria] if criteria else None
+
+
+def _kpi_query(dataset: Dataset, params: dict[str, Any]) -> tuple[list[KPI], str | None, Cube | None]:
+    """The ``/kpi`` query: its KPIs, its ``level`` and, with a level, the cube over it."""
+    kpis = _parse_kpis(params)
+    level = _expect(params, "level", (str,), "a grouping column name")
+    if level is None:
+        return kpis, None, None
+    cube = Cube(
+        dataset,
+        dimensions=[Dimension(level, (level,))],
+        measures=[Measure(f"{kpi.name}_measure", kpi.compute, "mean") for kpi in kpis],
+    )
+    return kpis, level, cube
+
+
+def _levels(params: dict[str, Any]) -> list[str] | None:
+    """The ``levels`` parameter as level columns (``None``: the grand total)."""
+    levels = _expect(params, "levels", (list,), "a list of level columns")
+    return [str(level) for level in levels] if levels else None
+
+
 # ---------------------------------------------------------------------------
 # Endpoints
 # ---------------------------------------------------------------------------
@@ -207,9 +241,15 @@ def profile_endpoint(dataset: Dataset, params: dict[str, Any]) -> dict[str, Any]
     Parameters: ``criteria`` (optional list of criterion names; default:
     the full registered set).
     """
-    criteria = _expect(params, "criteria", (list,), "a list of criterion names")
-    profile = measure_quality(dataset, criteria=[str(c) for c in criteria] if criteria else None)
+    return _profile_result(measure_quality(dataset, criteria=_criteria(params)))
+
+
+def _profile_result(profile: Any) -> dict[str, Any]:
     return {"profile": profile.to_json_dict()}
+
+
+def _table_result(table: Dataset) -> dict[str, Any]:
+    return {"table": _dataset_json(table)}
 
 
 def advise_endpoint(dataset: Dataset, params: dict[str, Any],
@@ -239,9 +279,7 @@ def cube_aggregate_endpoint(dataset: Dataset, params: dict[str, Any]) -> dict[st
     grand total).
     """
     cube = _build_cube(dataset, params)
-    levels = _expect(params, "levels", (list,), "a list of level columns")
-    result = cube.aggregate([str(level) for level in levels] if levels else None)
-    return {"table": _dataset_json(result)}
+    return _table_result(cube.aggregate(_levels(params)))
 
 
 def cube_pivot_endpoint(dataset: Dataset, params: dict[str, Any]) -> dict[str, Any]:
@@ -267,17 +305,10 @@ def kpi_endpoint(dataset: Dataset, params: dict[str, Any]) -> dict[str, Any]:
     column; with it the response is a per-group scoreboard table, without
     it a list of whole-dataset statuses).
     """
-    kpis = _parse_kpis(params)
-    level = _expect(params, "level", (str,), "a grouping column name")
-    if level is None:
+    kpis, level, cube = _kpi_query(dataset, params)
+    if cube is None:
         return {"kpis": evaluate_kpis(kpis, dataset)}
-    cube = Cube(
-        dataset,
-        dimensions=[Dimension(str(level), (str(level),))],
-        measures=[Measure(f"{kpi.name}_measure", kpi.compute, "mean") for kpi in kpis],
-    )
-    scoreboard = evaluate_kpis_by_level(kpis, cube, str(level))
-    return {"table": _dataset_json(scoreboard)}
+    return _table_result(evaluate_kpis_by_level(kpis, cube, level))
 
 
 def lod_select_endpoint(graph: Any, params: dict[str, Any]) -> dict[str, Any]:
@@ -342,3 +373,59 @@ def evaluate(endpoint: str, payload: Any, params: dict[str, Any],
     if fn is advise_endpoint:
         return fn(payload, params, knowledge_base=knowledge_base)
     return fn(payload, params)
+
+
+# ---------------------------------------------------------------------------
+# Delta-maintained queries
+# ---------------------------------------------------------------------------
+
+class QueryState:
+    """The incremental state behind one recurring query on a dataset snapshot.
+
+    :meth:`result` answers for the snapshot the state was built or last
+    advanced on; :meth:`advance` folds in the rows a successor snapshot
+    appends and answers for it.  Both return the endpoint's result dict,
+    equal to :func:`evaluate` on that snapshot's payload, which stays the
+    reference.  After an advance the state refers to the successor only.
+    """
+
+    def __init__(self, current: Callable[[], Any], refresh: Callable[[Dataset], Any],
+                 wrap: Callable[[Any], dict[str, Any]]) -> None:
+        """Wrap a board's current answer, its refresh and the endpoint's result shape."""
+        self._current = current
+        self._refresh = refresh
+        self._wrap = wrap
+
+    def result(self) -> dict[str, Any]:
+        """The endpoint result for the rows folded in so far."""
+        return self._wrap(self._current())
+
+    def advance(self, merged: Dataset) -> dict[str, Any]:
+        """Fold in the rows ``merged`` appends and return its endpoint result."""
+        return self._wrap(self._refresh(merged))
+
+
+def query_state(endpoint: str, dataset: Dataset, params: dict[str, Any]) -> QueryState | None:
+    """A :class:`QueryState` seeded on ``dataset``, or ``None`` for a query shape kept batch-only.
+
+    Maintained: ``/profile`` with any criteria, ``/kpi`` with a ``level``
+    and ``/cube/aggregate`` with non-empty ``levels``.  Parameters are
+    parsed as the endpoint parses them.
+    """
+    if endpoint == "/profile":
+        board = IncrementalProfile(dataset, criteria=_criteria(params))
+        return QueryState(board.profile, board.refresh, _profile_result)
+    if endpoint == "/kpi":
+        kpis, level, cube = _kpi_query(dataset, params)
+        if cube is None:
+            return None
+        board = IncrementalKPIBoard(kpis, cube, level)
+        return QueryState(board.result, board.refresh, _table_result)
+    if endpoint == "/cube/aggregate":
+        cube = _build_cube(dataset, params)
+        levels = _levels(params)
+        if levels is None:
+            return None
+        board = incremental_cube_aggregate(cube, levels)
+        return QueryState(board.result, board.refresh, _table_result)
+    return None

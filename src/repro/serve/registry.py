@@ -18,6 +18,15 @@ exactly one mutation, :meth:`SnapshotRegistry.swap`, with
    once the last in-flight request holding a lease on it finishes, so a
    swap can never tear a response out from under a reader.
 
+Between steps 1 and 2, holding a lease on the retiring snapshot, a swap of
+a dataset name runs the structural append check
+(:func:`repro.feeds.appended_rows`): a replacement that starts with the
+retiring rows byte for byte records how many rows it appends, which the
+server uses to advance its recurring queries instead of recomputing them
+(docs/serving.md, "Appended snapshots").  A swap never changes a name's
+kind: a store of the other kind is refused with the old snapshot still
+serving.
+
 Requests access snapshots through :meth:`SnapshotRegistry.lease`, which
 pins the snapshot (and its open memory map) for the duration of the
 request.  Cache correctness across swaps needs no locking at all: result
@@ -31,9 +40,10 @@ from __future__ import annotations
 import contextlib
 import threading
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.exceptions import ServeError
+from repro.feeds.append import appended_rows
 from repro.serve.fingerprint import fingerprint_payload
 from repro.store import open_dataset, open_graph
 from repro.store.format import KIND_DATASET, StoreFile
@@ -58,8 +68,10 @@ class Snapshot:
 
     Snapshots are created by the registry and handed to requests through
     leases.  ``generation`` is a per-name counter (1 for the first
-    snapshot published under a name, +1 per swap) — diagnostics for the
-    ``/snapshots`` endpoint, never part of any cache key.
+    snapshot published under a name, +1 per swap) and ``appended_rows`` the
+    number of rows this snapshot appends to the one it replaced (``None``
+    when it is not such an append) — diagnostics for the ``/snapshots``
+    endpoint, never part of any cache key.
     """
 
     def __init__(self, name: str, path: Path, payload: Any, kind: str,
@@ -71,6 +83,7 @@ class Snapshot:
         self.kind = kind
         self.fingerprint = fingerprint
         self.generation = generation
+        self.appended_rows: int | None = None
         self._lock = threading.Lock()
         self._leases = 0
         self._retired = False
@@ -123,6 +136,7 @@ class Snapshot:
             "path": str(self.path),
             "fingerprint": self.fingerprint,
             "generation": self.generation,
+            "appended_rows": self.appended_rows,
             **size,
         }
 
@@ -134,9 +148,9 @@ class SnapshotRegistry:
         """Create an empty registry."""
         self._lock = threading.Lock()
         self._snapshots: dict[str, Snapshot] = {}
-        #: Bumped whenever a name is added or removed or changes kind: the
-        #: only changes that can alter which snapshot a query that names
-        #: none resolves to (:meth:`default_name`).
+        #: Bumped whenever a name is added or removed: the only changes
+        #: that can alter which snapshot a query that names none resolves
+        #: to (:meth:`default_name`), since a swap never changes a kind.
         self.layout = 0
 
     def publish(self, name: str, path: Path | str) -> Snapshot:
@@ -149,31 +163,53 @@ class SnapshotRegistry:
         """
         return self._install(name, Path(path))
 
-    def swap(self, name: str, path: Path | str | None = None) -> Snapshot:
+    def swap(self, name: str, path: Path | str | None = None,
+             before_publish: Callable[[Snapshot, Snapshot], None] | None = None) -> Snapshot:
         """Atomically replace ``name``'s snapshot; return the new one.
 
         With no ``path`` the snapshot's current file is reopened (picking
         up an in-place rewrite); with a ``path`` the name is repointed at
         a different store file.  The old snapshot is retired — closed as
-        soon as the last in-flight lease on it drains.
+        soon as the last in-flight lease on it drains.  A store of the
+        other kind raises :class:`ServeError` and leaves the old snapshot
+        serving.  ``before_publish(old, new)``, when given, runs after the
+        append check and before the new snapshot is published, while the
+        old one is leased; if it raises, nothing is published.
         """
         current = self.get(name)
-        return self._install(name, Path(path) if path is not None else current.path)
+        return self._install(name, Path(path) if path is not None else current.path, before_publish)
 
-    def _install(self, name: str, path: Path) -> Snapshot:
-        """Open ``path``, fingerprint it, and rebind ``name`` to the result."""
+    def _install(self, name: str, path: Path,
+                 before_publish: Callable[[Snapshot, Snapshot], None] | None = None) -> Snapshot:
+        """Open ``path``, fingerprint it, check it against ``name``'s snapshot, and rebind ``name``."""
         payload, kind = open_snapshot_payload(path)
         try:
-            fingerprint = fingerprint_payload(payload)
-        except Exception:
+            with self._lock:
+                old = self._snapshots.get(name)
+            if old is not None and old.kind != kind:
+                raise ServeError(
+                    f"cannot swap {name!r} to {path}: it serves a {old.kind} snapshot, "
+                    f"and that store holds a {kind}"
+                )
+            generation = old.generation + 1 if old is not None else 1
+            snapshot = Snapshot(name, path, payload, kind, fingerprint_payload(payload), generation)
+            if old is not None:
+                # The lease keeps a concurrent swap from closing ``old`` mid-compare.
+                old.acquire()
+                try:
+                    if kind == "dataset" and snapshot.fingerprint != old.fingerprint:
+                        snapshot.appended_rows = appended_rows(old.payload, payload)
+                    if before_publish is not None:
+                        before_publish(old, snapshot)
+                finally:
+                    old.release()
+        except BaseException:
             payload.close()
             raise
         with self._lock:
             old = self._snapshots.get(name)
-            generation = old.generation + 1 if old is not None else 1
-            snapshot = Snapshot(name, path, payload, kind, fingerprint, generation)
             self._snapshots[name] = snapshot
-            if old is None or old.kind != kind:
+            if old is None:
                 self.layout += 1
         if old is not None:
             old.retire()

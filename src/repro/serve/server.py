@@ -28,7 +28,13 @@ The concurrency contract, in one place:
   body) is answered from its exact-request alias without being parsed,
   but only while the registry still binds the snapshot name to the
   fingerprint the alias was made under
-  (:meth:`~repro.serve.registry.SnapshotRegistry.binds`).
+  (:meth:`~repro.serve.registry.SnapshotRegistry.binds`);
+* ``/reload``s are serialised, and when the new store appends rows to the
+  retiring snapshot, the recurring ``/profile``, ``/kpi``-by-level and
+  cube-aggregate answers are advanced by those rows and cached under the
+  new fingerprint *before* the swap publishes, so the first query after
+  the reload is a hit on bytes equal to ``evaluate`` on the new snapshot
+  (docs/serving.md, "Appended snapshots").
 
 Request shapes: ``POST`` with a JSON-object body, or ``GET`` with a
 ``q=<url-encoded JSON object>`` query parameter; bare ``key=value`` query
@@ -59,8 +65,8 @@ from urllib.parse import parse_qs, urlsplit
 from repro._version import __version__
 from repro.exceptions import ReproError, ServeError
 from repro.serve.cache import DEFAULT_MAX_ENTRIES, Alias, ResultCache, canonical_query
-from repro.serve.endpoints import ENDPOINTS, encode_response, evaluate
-from repro.serve.registry import SnapshotRegistry
+from repro.serve.endpoints import ENDPOINTS, QueryState, encode_response, evaluate, query_state
+from repro.serve.registry import Snapshot, SnapshotRegistry
 
 #: Response header carrying the fingerprint of the snapshot a query
 #: response was computed from (the cache-key anchor).
@@ -164,6 +170,12 @@ class ReproApp:
         self.registry = registry if registry is not None else SnapshotRegistry()
         self.cache = cache if cache is not None else ResultCache()
         self.knowledge_base = knowledge_base
+        #: Serialises ``/reload``s, so no state is advanced twice and no
+        #: prune runs between another reload's ``cache.put`` and its publish.
+        self._reload_lock = threading.Lock()
+        #: Per snapshot name: the fingerprint its recurring queries' states
+        #: answer for, and the state of each ``(endpoint, canonical query)``.
+        self._states: dict[str, tuple[str, dict[tuple[str, str], QueryState]]] = {}
 
     # -- request entry -------------------------------------------------------
 
@@ -251,7 +263,13 @@ class ReproApp:
     # -- admin endpoints -----------------------------------------------------
 
     def _handle_reload(self, params: dict[str, Any]) -> tuple[int, dict[str, str], bytes]:
-        """``POST /reload`` — publish-then-retire swap of one snapshot."""
+        """``POST /reload`` — publish-then-retire swap of one snapshot.
+
+        When the new store appends rows to the retiring snapshot, each
+        recurring query's answer is advanced (or its state seeded) and
+        cached under the new fingerprint before the swap publishes
+        (:meth:`_carry_states`).
+        """
         name = params.get("name")
         if name is None:
             names = self.registry.names()
@@ -261,18 +279,60 @@ class ReproApp:
                     f"are registered (have: {names})"
                 )
             name = names[0]
-        previous = self.registry.get(str(name)).fingerprint
         path = params.get("path")
-        snapshot = self.registry.swap(str(name), Path(str(path)) if path is not None else None)
-        pruned = self.cache.prune(self.registry.fingerprints())
+        carried = {"advanced": 0, "seeded": 0}
+        with self._reload_lock:
+            previous = self.registry.get(str(name)).fingerprint
+            snapshot = self.registry.swap(
+                str(name), Path(str(path)) if path is not None else None,
+                before_publish=lambda old, new: self._carry_states(old, new, carried),
+            )
+            pruned = self.cache.prune(self.registry.fingerprints())
         return self._ok(
             {
                 "snapshot": snapshot.describe(),
                 "previous_fingerprint": previous,
                 "changed": snapshot.fingerprint != previous,
                 "cache_entries_pruned": pruned,
+                "appended_rows": snapshot.appended_rows,
+                "states_advanced": carried["advanced"],
+                "states_seeded": carried["seeded"],
             }
         )
+
+    def _carry_states(self, old: Snapshot, new: Snapshot, carried: dict[str, int]) -> None:
+        """Answer ``old``'s recurring queries for ``new`` by its appended rows; drop every other state.
+
+        A query is recurring when ``old``'s fingerprint has its canonical
+        cache entry.  Its state is advanced when it answers for ``old``,
+        and seeded on ``new``'s payload otherwise; either way the answer is
+        cached under ``new``'s fingerprint.  Query shapes without a state
+        (:func:`~repro.serve.endpoints.query_state`) and a swap that is not
+        an append keep the batch path.  Runs before ``new`` is published.
+        """
+        fingerprint, states = self._states.pop(old.name, (None, {}))
+        if new.appended_rows is None:
+            return
+        if fingerprint != old.fingerprint:
+            states = {}
+        kept: dict[tuple[str, str], QueryState] = {}
+        for endpoint, query in self.cache.queries(old.fingerprint):
+            state = states.get((endpoint, query))
+            try:
+                if state is not None:
+                    result = state.advance(new.payload)
+                    carried["advanced"] += 1
+                else:
+                    state = query_state(endpoint, new.payload, json.loads(query))
+                    if state is None:
+                        continue
+                    result = state.result()
+                    carried["seeded"] += 1
+            except ReproError:
+                continue
+            self.cache.put(new.fingerprint, endpoint, query, encode_response(result))
+            kept[(endpoint, query)] = state
+        self._states[old.name] = (new.fingerprint, kept)
 
     # -- response helpers ----------------------------------------------------
 

@@ -96,6 +96,13 @@ class StoredColumn(Column):
         """Row count, read from the code array (no cell materialisation)."""
         return int(self._codes.shape[0])
 
+    def __getitem__(self, index):
+        """One cell read from its code (no materialisation); other indexes read the cells."""
+        if self._cells is None and isinstance(index, (int, np.integer)) and not isinstance(index, bool):
+            code = int(self._codes[index])
+            return None if code < 0 else self._levels[code]
+        return self._values[index]
+
     def take(self, indices) -> "StoredColumn":
         """Row subset that stays lazy: sliced codes, shared level table."""
         index_array = np.asarray(indices, dtype=int)

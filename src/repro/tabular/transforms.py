@@ -128,14 +128,39 @@ def join(
 # Aggregation
 # ---------------------------------------------------------------------------
 
-_AGGREGATIONS: dict[str, Callable[[list[float]], float]] = {
-    "sum": lambda xs: float(sum(xs)),
-    "mean": lambda xs: float(sum(xs) / len(xs)) if xs else float("nan"),
-    "min": lambda xs: float(min(xs)) if xs else float("nan"),
-    "max": lambda xs: float(max(xs)) if xs else float("nan"),
+#: Runs at most this long are added in a Python loop, which beats the call
+#: overhead of ``np.add.accumulate``; the two give the same bits.
+_SHORT_FOLD = 32
+
+
+def fold_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """``start + values[0] + values[1] + ...``, added one at a time, in order.
+
+    This left fold is the summation order of every ``sum`` and ``mean``
+    aggregation: both ``group_by`` tiers sum with it, and
+    :class:`repro.feeds.IncrementalGroupBy` resumes it from a running total.
+    Builtin ``sum`` is this fold on Python 3.11 and earlier but compensated
+    (Neumaier) summation since 3.12, so it is spelled out here;
+    ``np.add.accumulate`` adds sequentially.  ``start=0.0`` is the fold from
+    int ``0``: ``0.0 + -0.0`` is ``0.0``, as ``0 + -0.0`` is.
+    """
+    if values.size <= _SHORT_FOLD:
+        total = start
+        for value in values.tolist():
+            total += value
+        return float(total)
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+
+
+#: Reductions of one group's present values, a non-empty float64 array.
+_AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
+    "sum": fold_sum,
+    "mean": lambda xs: fold_sum(xs) / len(xs),
+    "min": lambda xs: float(min(xs.tolist())),
+    "max": lambda xs: float(max(xs.tolist())),
     "count": lambda xs: float(len(xs)),
-    "std": lambda xs: float(np.std(xs)) if xs else float("nan"),
-    "median": lambda xs: float(np.median(xs)) if xs else float("nan"),
+    "std": lambda xs: float(np.std(xs)),
+    "median": lambda xs: float(np.median(xs)),
 }
 
 
@@ -207,9 +232,21 @@ def _grouped_rows_reference(
             if agg == "count":
                 row[out_name] = float(len([v for v in values if not is_missing_value(v)]))
             else:
-                row[out_name] = _AGGREGATIONS[agg](numeric) if numeric else float("nan")
+                row[out_name] = (
+                    _AGGREGATIONS[agg](np.asarray(numeric, dtype=float)) if numeric else float("nan")
+                )
         out_rows.append(row)
     return out_rows
+
+
+def group_order(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
+    """The stable permutation that sorts rows by group id, keeping row order within each group.
+
+    The ids are sorted as the narrowest unsigned dtype that holds every id:
+    numpy's stable sort of integers up to 16 bits is a radix sort, and a
+    stable sort's permutation does not depend on the dtype.
+    """
+    return np.argsort(group_ids.astype(np.min_scalar_type(max(n_groups - 1, 0))), kind="stable")
 
 
 def _grouped_rows_encoded(
@@ -223,18 +260,14 @@ def _grouped_rows_encoded(
     order, so the output row order matches the reference) and each measure is
     cut into per-group contiguous segments of its float view by one stable
     sort.  The per-group reductions then apply the *same* ``_AGGREGATIONS``
-    callables to the same Python float sequences as the reference path, which
-    keeps every float operation — summation order included — bit-identical.
+    callables to the same float sequences as the reference path, which keeps
+    every float operation — summation order included — bit-identical.
     """
     encoded = encode_dataset(dataset)
     group_ids, n_groups = encoded.group_keys(keys)
     if n_groups == 0:
         return []
-    # The ids are sorted as the narrowest unsigned dtype that holds every
-    # id: numpy's stable sort of integers up to 16 bits is a radix sort,
-    # and a stable sort's permutation does not depend on the dtype.
-    narrow = group_ids.astype(np.min_scalar_type(max(n_groups - 1, 0)))
-    order = np.argsort(narrow, kind="stable")
+    order = group_order(group_ids, n_groups)
     sorted_ids = group_ids[order]
     counts = np.bincount(group_ids, minlength=n_groups)
     starts = np.zeros(n_groups, dtype=np.intp)
@@ -252,11 +285,11 @@ def _grouped_rows_encoded(
         ends = np.cumsum(present_counts)
         fn = _AGGREGATIONS[agg]
         for g in range(n_groups):
-            xs = present[ends[g] - present_counts[g] : ends[g]].tolist()
+            xs = present[ends[g] - present_counts[g] : ends[g]]
             if agg == "count":
                 out_rows[g][out_name] = float(len(xs))
             else:
-                out_rows[g][out_name] = fn(xs) if xs else float("nan")
+                out_rows[g][out_name] = fn(xs) if len(xs) else float("nan")
     return out_rows
 
 

@@ -30,6 +30,7 @@ from repro.feeds import (
     IncrementalProfile,
     append_dataset,
     append_rows,
+    appended_rows,
     incremental_cube_aggregate,
     read_csv_chunks,
     read_jsonl,
@@ -38,8 +39,10 @@ from repro.feeds import (
 import repro.feeds.incremental as incremental_module
 from repro.quality import measure_quality
 from repro.quality.completeness import CompletenessCriterion
+from repro.quality.duplicates import DuplicationCriterion
+from repro.store.reader import StoredColumn
 from repro.tabular import read_csv, write_csv
-from repro.tabular.dataset import ColumnType, Dataset
+from repro.tabular.dataset import ColumnRole, ColumnType, Dataset
 from repro.tabular.encoded import _CACHE_ATTR, encode_dataset
 from repro.tabular.transforms import group_by
 
@@ -231,6 +234,60 @@ class TestAppend:
             merged = append_rows(merged, _delta_rows(15, seed=seed))
         assert merged.n_rows == 125
         _assert_identical_encodings(merged, _cold(merged))
+
+
+class TestAppendedRows:
+    """The structural check of whether a dataset is another plus appended rows."""
+
+    def test_an_append_counts_its_rows(self, tmp_path):
+        base = _base_dataset(60)
+        merged = append_rows(base, _delta_rows(15))
+        assert appended_rows(base, merged) == 15
+        opened_base = Dataset.open(base.save(tmp_path / "base.rps"))
+        opened_merged = Dataset.open(merged.save(tmp_path / "merged.rps"))
+        try:
+            assert appended_rows(opened_base, opened_merged) == 15
+            assert appended_rows(opened_base, Dataset.open(base.save(tmp_path / "same.rps"))) == 0
+            assert all(c._cells is None for c in opened_merged.columns if isinstance(c, StoredColumn))
+        finally:
+            opened_base.close()
+            opened_merged.close()
+
+    @pytest.mark.parametrize("change", [
+        "unchanged", "first_row", "rows_removed", "vocabulary_reordered", "column_added",
+        "renamed", "role", "ctype", "nan_payload",
+    ])
+    def test_anything_but_an_append_is_none(self, change):
+        base = _base_dataset(40)
+        rows = base.to_rows() + _delta_rows(5)
+        ctypes = {c.name: c.ctype for c in base.columns}
+        roles = {c.name: c.role for c in base.columns}
+        name = base.name
+        if change == "first_row":
+            rows[0]["score"] = rows[0]["score"] + 1.0
+        elif change == "rows_removed":
+            rows = rows[:30]
+        elif change == "column_added":
+            rows = [dict(row, extra=1.0) for row in rows]
+        elif change == "renamed":
+            name = "other"
+        elif change == "role":
+            roles["region"] = ColumnRole.TARGET
+        elif change == "ctype":
+            ctypes["year"] = ColumnType.CATEGORICAL
+        merged = Dataset.from_rows(rows, name=name, ctypes=ctypes, roles=roles,
+                                   column_order=list(rows[0]))
+        if change == "vocabulary_reordered":
+            codes, vocabulary, _ = encode_dataset(merged).codes_view("region")
+            reordered = vocabulary[::-1]
+            remap = np.asarray([reordered.index(level) for level in vocabulary] + [-1])
+            fresh = Dataset.from_rows(rows, name=name, ctypes=ctypes, roles=roles)
+            encode_dataset(fresh).seed_categorical("region", remap[codes], reordered)
+            merged = fresh
+        elif change == "nan_payload":  # still missing, but not the same bytes
+            values = merged["amount"].values
+            values[np.flatnonzero(np.isnan(values))[0]] = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+        assert appended_rows(base, merged) == (5 if change == "unchanged" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +594,42 @@ class TestIncrementalGroupBy:
         with pytest.raises(SchemaError, match="unknown aggregation"):
             IncrementalGroupBy(base, ["region"], {"x": ("amount", "mode")})
 
+    def test_sums_resume_the_left_fold(self):
+        # Compensated summation (builtin sum on Python >= 3.12) gives 1.0 for
+        # the first group; the left fold from 0 gives 0.0 on every version.
+        values = (1e16, 1.0, -1e16, -0.0, -0.0)
+        rows = [{"g": "big" if i < 3 else "zero", "v": v} for i, v in enumerate(values)]
+        ctypes = {"g": ColumnType.CATEGORICAL, "v": ColumnType.NUMERIC}
+        aggs = {"s": ("v", "sum"), "m": ("v", "mean")}
+        base = Dataset.from_rows(rows[:2], name="fold", ctypes=ctypes)
+        board = IncrementalGroupBy(base, ["g"], aggs)
+        result = board.refresh(append_rows(base, rows[2:]))
+        assert [_bits(x) for x in result["s"].tolist()] == [_bits(0.0), _bits(0.0)]
+        assert [_bits(x) for x in result["m"].tolist()] == [_bits(0.0), _bits(0.0)]
+
+    def test_advancing_on_opened_stores_materialises_no_column(self, tmp_path):
+        base = _base_dataset(200)
+        opened = Dataset.open(base.save(tmp_path / "base.rps"))
+        merged = Dataset.open(append_rows(base, _delta_rows(40)).save(tmp_path / "merged.rps"))
+        try:
+            cube = Cube(opened, dimensions=[Dimension("geo", ("region",))],
+                        measures=[Measure("total", "amount", "sum"), Measure("top", "score", "max")])
+            grouped = incremental_cube_aggregate(cube, ["region", "year"])
+            kpis = IncrementalKPIBoard([KPI("avg_score", "score", target=0.5)], cube, "region")
+            grouped_result, kpi_result = grouped.refresh(merged), kpis.refresh(merged)
+            for dataset in (opened, merged):
+                assert all(c._cells is None for c in dataset.columns if isinstance(c, StoredColumn))
+            cold = _cold(merged)
+            _assert_identical_datasets(grouped_result, group_by(cold, ["region", "year"], cube._aggregations()))
+            reference_cube = Cube(cold, dimensions=cube.dimensions, measures=cube.measures, name=cube.name)
+            _assert_identical_datasets(
+                kpi_result,
+                evaluate_kpis_by_level([KPI("avg_score", "score", target=0.5)], reference_cube, "region"),
+            )
+        finally:
+            opened.close()
+            merged.close()
+
     def test_refresh_target_validation(self):
         base = _base_dataset(30)
         board = IncrementalGroupBy(base, ["region"], self.AGGS)
@@ -718,6 +811,69 @@ class TestIncrementalProfile:
         _assert_identical_profiles(
             profile.refresh(merged), measure_quality(_cold(merged), ["balance"])
         )
+
+
+class TestDuplicationState:
+    """The packed-key duplication state against the batch criterion and the row path, delta by delta."""
+
+    CTYPES = {"name": ColumnType.STRING, "flag": ColumnType.BOOLEAN, "x": ColumnType.NUMERIC,
+              "empty": ColumnType.CATEGORICAL}
+    BATCHES = [
+        [
+            {"name": "Café", "flag": True, "x": 0.0, "empty": None},
+            {"name": None, "flag": False, "x": 1.5, "empty": None},
+            {"name": "cafe", "flag": True, "x": 0.0, "empty": None},
+            {"name": "bar", "flag": None, "x": None, "empty": None},
+            {"name": "bar", "flag": None, "x": None, "empty": None},
+        ],
+        [
+            # "<missing>" first appears here: it keys with the missing cell of row 1.
+            {"name": "<missing>", "flag": False, "x": 1.5, "empty": None},
+            {"name": "CAFÉ", "flag": True, "x": -0.0, "empty": None},
+            {"name": "new level", "flag": False, "x": 2.0000001, "empty": None},
+            {"name": "new level", "flag": False, "x": 2.0, "empty": None},
+            {"name": "  Bar ", "flag": None, "x": None, "empty": None},
+        ],
+        [
+            {"name": "missing", "flag": False, "x": 1.5, "empty": None},
+            {"name": "café", "flag": False, "x": 0.0, "empty": None},
+            {"name": "new level", "flag": True, "x": 2.0, "empty": None},
+            {"name": None, "flag": False, "x": 1.5, "empty": None},
+        ],
+    ]
+
+    @pytest.mark.parametrize("fuzzy", [True, False])
+    def test_every_delta_matches_the_batch_and_row_tiers(self, fuzzy):
+        merged = Dataset.from_rows(self.BATCHES[0], name="dups", ctypes=self.CTYPES)
+        profile = IncrementalProfile(merged, criteria=[DuplicationCriterion(fuzzy=fuzzy)])
+        assert profile.incremental_criteria == ["duplication"]
+        row_tier = DuplicationCriterion(fuzzy=fuzzy)
+        row_tier._force_row_measure = True
+        for rows in self.BATCHES[1:]:
+            merged = append_rows(merged, rows)
+            refreshed = profile.refresh(merged)
+            _assert_identical_profiles(
+                refreshed, measure_quality(_cold(merged), [DuplicationCriterion(fuzzy=fuzzy)])
+            )
+            _assert_identical_profiles(refreshed, measure_quality(_cold(merged), [row_tier]))
+        details = refreshed.details("duplication")
+        # Exact: the repeated "bar" row, "<missing>" and a later missing cell
+        # against row 1, and 2.0000001 rounding to 2.0.  Fuzzy adds the café
+        # variants, " Bar " and "missing" against "<missing>".
+        assert details["n_exact_duplicates"] == 4
+        assert details["n_fuzzy_duplicates"] == (7 if fuzzy else 0)
+
+    def test_keys_that_share_a_hash_still_count_exactly(self, monkeypatch):
+        # A hash with three values makes most keys collide, driving the paths
+        # a 64-bit hash almost never takes: ties sorted by key at seeding and
+        # several candidates compared per lookup.
+        monkeypatch.setattr(incremental_module, "_row_hashes", lambda cells: cells[:, 0] % np.uint64(3))
+        merged = _base_dataset(120)
+        profile = IncrementalProfile(merged, criteria=["duplication"])
+        for seed in (5, 6, 7, 8):
+            merged = append_rows(merged, _delta_rows(30, seed=seed) + _base_rows(10, seed=seed))
+            _assert_identical_profiles(profile.refresh(merged), measure_quality(_cold(merged), ["duplication"]))
+        assert profile.profile().details("duplication")["n_exact_duplicates"] > 0
 
 
 # ---------------------------------------------------------------------------

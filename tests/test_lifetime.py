@@ -293,6 +293,36 @@ def test_a_lease_across_the_reload_keeps_the_payload_until_it_ends(no_gc, app):
     assert payload() is None
 
 
+def test_reload_frees_the_retired_payload_when_states_advance(no_gc, tmp_path):
+    """Advanced query states move to the new payload and keep none of the retired one."""
+    store = tmp_path / "budget.rps"
+    current = _table(3, 2_000)
+    current.save(store)
+    app = ReproApp()
+    app.registry.publish("budget", store)
+    queries = [
+        ("/profile", PROFILE),
+        ("/kpi", {"kpis": [{"name": "avg_rate", "column": "rate", "target": 0.6}], "level": "district"}),
+        ("/cube/aggregate", {"dimensions": ["district"], "measures": [{"column": "amount"}],
+                             "levels": ["district"]}),
+    ]
+    try:
+        for cycle in range(1, 5):
+            for path, params in queries:
+                assert app.handle("POST", path, params)[0] == 200
+            payload = weakref.ref(app.registry.get("budget").payload)
+            current = current.append_rows(_rows(10 + cycle, 200))
+            tmp = store.with_name(store.name + ".tmp")
+            current.save(tmp)
+            os.replace(tmp, store)
+            status, _, body = app.handle("POST", "/reload", {"name": "budget"})
+            assert status == 200
+            assert json.loads(body)["states_advanced"] == (len(queries) if cycle > 1 else 0)
+            assert payload() is None
+    finally:
+        app.registry.close_all()
+
+
 # ---------------------------------------------------------------------------
 # The server's allocator pin
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ Hypothesis drives two families of properties:
   mutating a single cell yields a different one (a changed store can
   never alias a cached result);
 * **cache/swap interleavings** — arbitrary sequences of {query,
-  raw request, re-save-modified-store, swap} driven through
+  raw request, re-save-modified-store, swap, append-and-reload} driven through
   :meth:`repro.serve.ReproApp.handle` and :meth:`repro.serve.ReproApp.respond`
   (the exact code path the HTTP server runs, minus sockets; repeated raw
   requests go through the exact-request aliases) never return a response
@@ -132,18 +132,30 @@ def test_fingerprint_ignores_the_file_name(tmp_path, version):
 # -- cache/swap interleavings -------------------------------------------------
 
 
+def _appended(path, batch: int):
+    """The store at ``path`` plus a few rows, one of them in a group it may not have had."""
+    current = open_dataset(path)
+    try:
+        rows = [{"g": _GROUPS[(batch + i) % 2] if i else f"new{batch}", "x": batch / 3 + i * 0.1,
+                 "y": float(i)} for i in range(3)]
+        return _save(current.append_rows(rows), tmp_path=path.parent)
+    finally:
+        current.close()
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     ops=st.lists(
-        st.sampled_from(["query0", "query1", "raw0", "raw1", "modify", "swap"]),
+        st.sampled_from(["query0", "query1", "raw0", "raw1", "modify", "swap", "append"]),
         min_size=1, max_size=12,
     )
 )
 def test_interleavings_never_serve_stale_or_torn_results(tmp_path, ops):
     """The central cache property, under arbitrary op interleavings.
 
-    Whatever order queries, re-saves and swaps arrive in: a query's
+    Whatever order queries, re-saves, swaps and append reloads (which
+    advance the recurring queries' states) arrive in: a query's
     fingerprint always equals the registered snapshot's, and its body is
     bit-identical to the direct library call on that snapshot's file —
     so a cached result can never outlive the content it was computed on.
@@ -154,10 +166,17 @@ def test_interleavings_never_serve_stale_or_torn_results(tmp_path, ops):
     registry.publish("tiny", live_path)
     app = ReproApp(registry, ResultCache(max_entries=8))
     try:
-        for op in ops:
+        for batch, op in enumerate(ops):
             if op == "modify":
                 version += 1
                 pending_path = _save(_make_dataset(version), tmp_path)
+            elif op == "append":
+                live_path = pending_path = _appended(live_path, batch)
+                status, _, body = app.handle(
+                    "POST", "/reload", {"name": "tiny", "path": str(live_path)}
+                )
+                assert status == 200
+                assert json.loads(body)["appended_rows"] == 3
             elif op == "swap":
                 status, _, body = app.handle(
                     "POST", "/reload", {"name": "tiny", "path": str(pending_path)}
@@ -350,15 +369,38 @@ def test_an_alias_of_an_unnamed_query_ends_when_the_default_does(tmp_path):
         for _ in range(3):
             status, _, _ = app.respond("POST", path, _raw(params))
             assert status == 200
-        # /reload turns "other" into a second dataset: "tiny" still serves the
-        # same fingerprint, but an unnamed query is now ambiguous.
-        swap = {"name": "other", "path": str(_save(_make_dataset(2), tmp_path))}
-        assert app.handle("POST", "/reload", swap)[0] == 200
+        # A second dataset name: "tiny" still serves the same fingerprint,
+        # but an unnamed query is now ambiguous.
+        registry.publish("second", _save(_make_dataset(2), tmp_path))
         status, _, body = app.respond("POST", path, _raw(params))
     finally:
         registry.close_all()
     assert status == 400
     assert "several dataset snapshots" in json.loads(body)["error"]
+
+
+def test_a_reload_to_another_kind_is_refused_and_the_old_snapshot_serves(tmp_path):
+    """A graph store cannot replace a dataset name: a 400 naming both kinds, and nothing changes."""
+    registry = SnapshotRegistry()
+    registry.publish("tiny", _save(_make_dataset(0), tmp_path))
+    graph = civic_lod_graph(_make_dataset(0), entity_class="Row").save(tmp_path / "graph.rps")
+    app = ReproApp(registry, ResultCache(max_entries=8))
+    path, params = _QUERIES[0]
+    try:
+        _, _, before = app.respond("POST", path, _raw(params))
+        fingerprint, layout = registry.get("tiny").fingerprint, registry.layout
+        status, _, body = app.handle("POST", "/reload", {"name": "tiny", "path": str(graph)})
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert "a dataset snapshot" in error and "holds a graph" in error
+        assert registry.get("tiny").fingerprint == fingerprint
+        assert registry.get("tiny").kind == "dataset"
+        assert registry.layout == layout
+        status, head, after = app.respond("POST", path, _raw(params))
+    finally:
+        registry.close_all()
+    assert status == 200 and after == before
+    assert _head(head)[FINGERPRINT_HEADER] == fingerprint
 
 
 def test_concurrent_repeats_lose_no_count_and_keep_the_bound(tmp_path):

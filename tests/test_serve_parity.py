@@ -11,13 +11,17 @@ responses are tolerated.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import random
+import sys
 import threading
 import urllib.error
 import urllib.request
 from urllib.parse import quote
 
+import numpy as np
 import pytest
 
 from repro.datasets import service_requests
@@ -25,12 +29,15 @@ from repro.datasets.civic import civic_lod_graph
 from repro.serve import (
     CACHE_HEADER,
     FINGERPRINT_HEADER,
+    ReproApp,
     create_server,
     encode_response,
     evaluate,
     fingerprint_path,
 )
 from repro.store import open_dataset, open_graph
+from repro.tabular.dataset import ColumnRole, ColumnType, Dataset
+from repro.tabular.encoded import encode_dataset
 from rawhttp import exchange
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -389,3 +396,211 @@ class TestKeepAliveFraming:
         replies, _ = exchange(server, request + follow, 2)
         assert [status for status, _, _ in replies] == [200, 200]
         assert all(json.loads(body)["status"] == "ok" for _, _, body in replies)
+
+
+# ---------------------------------------------------------------------------
+# Appended snapshots: recurring queries advanced at /reload
+# ---------------------------------------------------------------------------
+
+GATE = ["completeness", "consistency", "duplication", "balance", "dimensionality"]
+#: The maintained query shapes, as a dashboard over a growing budget table asks them.
+APPEND_QUERIES: list[tuple[str, dict]] = [
+    ("/profile", {"criteria": GATE}),
+    ("/profile", {}),
+    ("/kpi", {"kpis": [{"name": "avg_rate", "column": "rate", "target": 0.6},
+                       {"name": "avg_amount", "column": "amount", "target": 250_000.0,
+                        "higher_is_better": False}],
+              "level": "district"}),
+    ("/cube/aggregate", {
+        "dimensions": ["district", "category"],
+        "measures": [{"column": "amount", "aggregation": "sum", "name": "total"},
+                     {"column": "rate", "aggregation": "mean"},
+                     {"column": "amount", "aggregation": "std"}],
+        "levels": ["district", "category"],
+    }),
+]
+BUDGET_CTYPES = {"district": ColumnType.CATEGORICAL, "category": ColumnType.CATEGORICAL,
+                 "amount": ColumnType.NUMERIC, "rate": ColumnType.NUMERIC}
+
+
+def _budget_rows(seed: int, n: int, districts: int = 6) -> list[dict]:
+    """Budget rows whose float sums round (cents, thirds), with gaps in a key and a measure."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        rows.append({
+            "district": None if rng.random() < 0.05 else f"d{int(rng.integers(districts))}",
+            "category": ("roads", "parks", "schools")[int(rng.integers(3))],
+            "amount": None if rng.random() < 0.05 else float(np.round(rng.uniform(1, 5e5), 2)),
+            "rate": float(rng.integers(1, 100)) / 3.0,
+        })
+    return rows
+
+
+def _budget(rows: list[dict], name: str = "budget") -> Dataset:
+    return Dataset.from_rows(rows, name=name, ctypes=BUDGET_CTYPES)
+
+
+def _replace(dataset: Dataset, store) -> None:
+    """Save ``dataset`` beside ``store`` and move it over ``store``, as ``repro ingest`` does."""
+    tmp = store.with_name(store.name + ".tmp")
+    dataset.save(tmp)
+    os.replace(tmp, store)
+
+
+def _direct(store, path: str, params: dict) -> bytes:
+    """The reference bytes: ``evaluate`` on a separately opened copy of ``store``."""
+    payload = open_dataset(store)
+    try:
+        return encode_response(evaluate(path, payload, params))
+    finally:
+        payload.close()
+
+
+class TestAppendedSnapshots:
+    def test_append_cycles_serve_the_batch_bytes(self, tmp_path):
+        """Six append → save → replace → /reload cycles: every answer is the direct call's."""
+        store = tmp_path / "budget.rps"
+        current = _budget(_budget_rows(0, 400))
+        current.save(store)
+        srv = create_server(stores=[store])
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for cycle in range(1, 7):
+                # Each batch brings a district the base never had.
+                current = current.append_rows(_budget_rows(cycle, 60, districts=6 + cycle))
+                _replace(current, store)
+                status, _, body = _post(srv.url, "/reload", {"name": "budget"})
+                assert status == 200
+                reply = json.loads(body)
+                assert reply["appended_rows"] == 60
+                assert reply["snapshot"]["appended_rows"] == 60
+                expected_states = (0, 0) if cycle == 1 else (0, 4) if cycle == 2 else (4, 0)
+                assert (reply["states_advanced"], reply["states_seeded"]) == expected_states
+                for path, params in APPEND_QUERIES:
+                    status, headers, body = _post(srv.url, path, params)
+                    assert status == 200
+                    assert headers[FINGERPRINT_HEADER] == reply["snapshot"]["fingerprint"]
+                    assert headers[CACHE_HEADER] == ("miss" if cycle == 1 else "hit")
+                    assert body == _direct(store, path, params), (cycle, path)
+            status, _, body = _get(srv.url, "/snapshots")
+            assert json.loads(body)["snapshots"][0]["appended_rows"] == 60
+        finally:
+            srv.shutdown()
+            thread.join(timeout=10)
+            srv.close()
+
+    def test_append_reloads_under_load_never_serve_torn_or_stale_bytes(self, tmp_path):
+        """Threads query while append reloads advance the states: each body is its fingerprint's."""
+        versions = [_budget(_budget_rows(0, 300))]
+        for batch in range(1, 5):
+            versions.append(versions[-1].append_rows(_budget_rows(batch, 30, districts=6 + batch)))
+        paths = [dataset.save(tmp_path / f"v{i}.rps") for i, dataset in enumerate(versions)]
+        expected = {
+            fingerprint_path(path): {_expected_key(q, p): _direct(path, q, p) for q, p in APPEND_QUERIES}
+            for path in paths
+        }
+        app = ReproApp()
+        app.registry.publish("budget", paths[0])
+        requests = [(q, p, json.dumps(p).encode()) for q, p in APPEND_QUERIES]
+        failures: list[str] = []
+        stop = threading.Event()
+
+        def hammer(worker: int) -> None:
+            for i in itertools.count(worker):
+                if stop.is_set():
+                    return
+                path, params, raw = requests[i % len(requests)]
+                status, head, body = app.respond("POST", path, raw)
+                fingerprint = dict(
+                    line.split(": ", 1) for line in head.decode("latin-1").split("\r\n") if line
+                ).get(FINGERPRINT_HEADER)
+                if status != 200 or body != expected.get(fingerprint, {}).get(_expected_key(path, params)):
+                    failures.append(f"{path} on {fingerprint}: status {status}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
+        try:
+            for thread in threads:
+                thread.start()
+            for path in paths[1:]:
+                status, _, body = app.handle("POST", "/reload", {"name": "budget", "path": str(path)})
+                assert status == 200 and json.loads(body)["appended_rows"] == 30
+                # A query after the reload returned leases the new snapshot.
+                _, headers, _ = app.handle("POST", *APPEND_QUERIES[0])
+                assert headers[FINGERPRINT_HEADER] == fingerprint_path(path)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+            app.registry.close_all()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:5]
+
+    @pytest.mark.parametrize("change", [
+        "first_row", "rows_removed", "vocabulary_reordered", "column_added",
+        "renamed", "role", "ctype", "unrelated_store", "same_file",
+    ])
+    def test_a_reload_that_is_not_an_append_takes_the_batch_path(self, tmp_path, change):
+        """After states exist, any other reload reports no append and serves the direct bytes."""
+        store = tmp_path / "budget.rps"
+        rows = _budget_rows(0, 300)
+        current = _budget(rows)
+        current.save(store)
+        app = ReproApp()
+        app.registry.publish("budget", store)
+        try:
+            for batch in (1, 2):  # the second append seeds every query's state
+                for path, params in APPEND_QUERIES:
+                    assert app.handle("POST", path, params)[0] == 200
+                rows = rows + _budget_rows(batch, 40)
+                current = current.append_rows(rows[-40:])
+                _replace(current, store)
+                assert app.handle("POST", "/reload", {"name": "budget"})[0] == 200
+            assert len(app._states["budget"][1]) == len(APPEND_QUERIES)
+            new_rows = rows + _budget_rows(9, 40)
+            ctypes = dict(BUDGET_CTYPES)
+            roles, name, target = {}, "budget", store
+            if change == "first_row":
+                new_rows[0] = dict(new_rows[0], rate=new_rows[0]["rate"] + 1.0)
+            elif change == "rows_removed":
+                new_rows = rows[:-10]
+            elif change == "column_added":
+                new_rows = [dict(row, extra=1.0) for row in new_rows]
+            elif change == "renamed":
+                name = "budget_v2"
+            elif change == "role":
+                roles = {"category": ColumnRole.TARGET}
+            elif change == "ctype":
+                ctypes["category"] = ColumnType.STRING
+            elif change == "unrelated_store":
+                new_rows = _budget_rows(77, 500)
+                target = tmp_path / "unrelated.rps"
+            elif change == "same_file":
+                new_rows = rows
+            replacement = Dataset.from_rows(new_rows, name=name, ctypes=ctypes, roles=roles)
+            if change == "vocabulary_reordered":
+                codes, vocabulary, _ = encode_dataset(replacement).codes_view("district")
+                reordered = vocabulary[::-1]
+                remap = np.asarray([reordered.index(level) for level in vocabulary] + [-1])
+                replacement = Dataset.from_rows(new_rows, name=name, ctypes=ctypes)
+                encode_dataset(replacement).seed_categorical("district", remap[codes], reordered)
+            if change != "same_file":
+                _replace(replacement, target)
+            params = {"name": "budget"} if target == store else {"name": "budget", "path": str(target)}
+            status, _, body = app.handle("POST", "/reload", params)
+            assert status == 200
+            reply = json.loads(body)
+            assert reply["appended_rows"] is None
+            assert (reply["states_advanced"], reply["states_seeded"]) == (0, 0)
+            assert reply["changed"] is (change != "same_file")
+            for path, params in APPEND_QUERIES:
+                status, headers, body = app.handle("POST", path, params)
+                assert status == 200
+                assert headers[FINGERPRINT_HEADER] == fingerprint_path(target)
+                assert body == _direct(target, path, params), path
+        finally:
+            app.registry.close_all()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.exceptions import SchemaError
@@ -129,6 +131,21 @@ class TestGroupBy:
         grouped = group_by(ds, ["g"], {"n": ("x", "count")})
         by_group = {row["g"]: row["n"] for row in grouped.iter_rows()}
         assert by_group["a"] == 1.0
+
+    @pytest.mark.parametrize("force_row", [False, True])
+    @pytest.mark.parametrize("n_values", [3, 40])
+    def test_sums_are_a_left_fold_from_zero(self, force_row, n_values):
+        # 0 + 1e16 + 1.0 - 1e16 is 0.0 as a left fold (1e16 + 1.0 rounds back
+        # to 1e16); compensated summation, builtin sum since Python 3.12, gives
+        # 1.0.  A group of -0.0 sums to 0.0, as a fold from int 0 does.  Forty
+        # values take the fold's numpy branch, three its Python loop.
+        big = [1e16, 1.0, -1e16] + [0.0] * (n_values - 3)
+        rows = [{"g": "big", "x": x} for x in big] + [{"g": "zero", "x": -0.0}] * n_values
+        ds = Dataset.from_rows(rows, ctypes={"g": ColumnType.CATEGORICAL, "x": ColumnType.NUMERIC})
+        grouped = group_by(ds, ["g"], {"s": ("x", "sum"), "m": ("x", "mean")}, force_row=force_row)
+        for column in ("s", "m"):
+            assert [math.copysign(1.0, v) * abs(v) for v in grouped[column].tolist()] == [0.0, 0.0]
+            assert [math.copysign(1.0, v) for v in grouped[column].tolist()] == [1.0, 1.0]
 
     def test_unknown_aggregation_rejected(self, sales):
         with pytest.raises(SchemaError):
