@@ -4,8 +4,8 @@ Times the BI front end's hot aggregations over a municipal-budget-style fact
 table at 100k rows, for both execution paths: the vectorized encoded-core
 path (group keys from the cached int64 code arrays, measures reduced over
 sorted-scan segments of the float views) and the retained row-at-a-time
-reference (forced via the cube's ``_force_row_olap`` escape hatch /
-``group_by(..., force_row=True)``).  Three workloads are timed:
+reference (the same workload inside ``repro.tiers.reference()``).  Three
+workloads are timed:
 
 ``rollup``
     ``Cube.rollup`` to the district level (three measures).
@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.bi import Cube, Dimension, KPI, Measure, evaluate_kpis_by_level
 from repro.tabular.dataset import ColumnType, Dataset
+from repro.tiers import reference
 
 try:
     from benchmarks import _harness
@@ -80,9 +81,9 @@ def fact_table(n_rows: int) -> Dataset:
     )
 
 
-def cube(dataset: Dataset, force_row: bool = False) -> Cube:
+def cube(dataset: Dataset) -> Cube:
     """The district × category × year cube over the fact table."""
-    result = Cube(
+    return Cube(
         dataset,
         dimensions=[
             Dimension("district", ("district",)),
@@ -95,8 +96,6 @@ def cube(dataset: Dataset, force_row: bool = False) -> Cube:
             Measure("n", "amount", "count"),
         ],
     )
-    result._force_row_olap = force_row
-    return result
 
 
 #: workload name → callable(cube) -> Dataset.
@@ -116,9 +115,7 @@ def cases(n_rows: int, repeats: int = 1) -> dict:
             _harness.drop_caches(dataset)
             return workload(cube(dataset))
 
-        results[name] = _harness.compare(
-            encoded_run, lambda: workload(cube(dataset, force_row=True)), repeats
-        )
+        results[name] = _harness.compare(encoded_run, reference()(lambda: workload(cube(dataset))), repeats)
     return results
 
 

@@ -3,8 +3,9 @@
 Times 3-fold cross-validation of every registry classifier with a
 vectorized path (kNN, naive Bayes, decision tree, OneR, PRISM and the
 bagged-tree ensemble) at n ∈ {500, 2000} rows, for both the vectorized
-batch path and the retained row-at-a-time reference path (forced by
-disabling the batch hooks and the encoded fits).  The row numbers are *not*
+batch path and the retained row-at-a-time reference path (the same call
+inside ``repro.tiers.reference()``, where the batch hooks and the encoded
+fits stand aside).  The row numbers are *not*
 pure seed timings: the row loops still benefit from the encoded fold slicing
 and vectorized metrics of the current code, so ``speedup`` isolates
 batch-vs-row execution and slightly understates the end-to-end gain over the
@@ -20,6 +21,7 @@ import sys
 
 from repro.datasets import make_classification_dataset
 from repro.mining import CLASSIFIER_REGISTRY, cross_validate
+from repro.tiers import reference
 
 try:
     from benchmarks import _harness
@@ -34,30 +36,6 @@ FULL = {str(n): dict(n_rows=n) for n in (500, 2000)}
 QUICK = {"400": dict(n_rows=400, classifiers=GUARDED, repeats=3)}
 
 
-def _force_row_path(model):
-    """Pin one estimator instance to its row-at-a-time reference paths."""
-    model._force_row_fit = True
-    model._predict_batch = lambda encoded: None
-    model._predict_proba_batch = lambda encoded: None
-    return model
-
-
-def _legacy_factory(name: str):
-    """A classifier factory whose instances take the row-at-a-time fitting and
-    prediction paths (fold slicing and metrics still run on the current
-    vectorized infrastructure).  Ensemble members are pinned too, so the
-    ensemble case measures the full committee on the row path."""
-
-    def factory():
-        model = _force_row_path(CLASSIFIER_REGISTRY[name]())
-        base_factory = getattr(model, "base_factory", None)
-        if base_factory is not None:
-            model.base_factory = lambda: _force_row_path(base_factory())
-        return model
-
-    return factory
-
-
 def _same_scores(fast, slow) -> bool:
     return (
         fast.accuracy == slow.accuracy
@@ -70,15 +48,13 @@ def _same_scores(fast, slow) -> bool:
 def cases(n_rows: int, classifiers: tuple[str, ...] = CLASSIFIERS, repeats: int = 1) -> dict:
     """Time batch vs row cross-validation of each classifier."""
     dataset = make_classification_dataset(n_rows=n_rows, n_numeric=4, n_categorical=2, seed=0)
-    return {
-        name: _harness.compare(
-            lambda: cross_validate(CLASSIFIER_REGISTRY[name], dataset, k=CV_FOLDS, seed=0),
-            lambda: cross_validate(_legacy_factory(name), dataset, k=CV_FOLDS, seed=0),
-            repeats,
-            same=_same_scores,
-        )
-        for name in classifiers
-    }
+    results = {}
+    for name in classifiers:
+        def run():
+            return cross_validate(CLASSIFIER_REGISTRY[name], dataset, k=CV_FOLDS, seed=0)
+
+        results[name] = _harness.compare(run, reference()(run), repeats, same=_same_scores)
+    return results
 
 
 def check(sizes: dict) -> None:

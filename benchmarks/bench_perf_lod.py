@@ -3,8 +3,7 @@
 Times the three LOD hot paths on both execution tiers — the vectorized
 columnar tier (interned id arrays, ``searchsorted`` joins, blocked linking,
 direct-to-encoded column assembly) and the retained dict-index / pairwise
-reference tier (``select(..., force_row=True)``, ``_force_pairwise_link``,
-``tabulate_entities(..., force_row=True)``):
+reference tier (the same calls inside ``repro.tiers.reference()``):
 
 ``select``
     A query session — five rounds of a four-query SPARQL-like batch — over
@@ -43,6 +42,7 @@ from repro.lod.terms import Literal
 from repro.lod.tabulate import tabulate_entities
 from repro.lod.vocabulary import Namespace, RDF
 from repro.tabular.encoded import encode_dataset
+from repro.tiers import reference
 
 try:
     from benchmarks import _harness
@@ -129,10 +129,10 @@ def _city_registry(suffix: str, n_entities: int, perturb: bool) -> Graph:
     return graph
 
 
-def _session(graph: Graph, queries: list[dict], force_row: bool) -> list:
+def _session(graph: Graph, queries: list[dict]) -> list:
     """Run the query batch ``SELECT_ROUNDS`` times; return the last round's results."""
     for _ in range(SELECT_ROUNDS):
-        results = [select(graph, force_row=force_row, **query) for query in queries]
+        results = [select(graph, **query) for query in queries]
     return results
 
 
@@ -165,21 +165,23 @@ def cases(n_triples: int, linker_per_side: int, repeats: int = 1) -> dict:
 
     def fast_select():
         _harness.drop_caches(graph)
-        return _session(graph, queries, False)
+        return _session(graph, queries)
 
     results = {
         "select": _harness.compare(
-            fast_select, lambda: _session(graph, queries, True), repeats, same=_same_bindings
+            fast_select, reference()(lambda: _session(graph, queries)), repeats, same=_same_bindings
         )
     }
 
     left = _city_registry("left", linker_per_side, perturb=False)
     right = _city_registry("right", linker_per_side, perturb=True)
-    blocked = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=0.9)
-    pairwise = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=0.9)
-    pairwise._force_pairwise_link = True
-    fast, fast_s = _harness.timed(lambda: blocked.link(left, EX.City, right, EX.City), repeats)
-    ref, ref_s = _harness.timed(lambda: pairwise.link(left, EX.City, right, EX.City))
+    linker = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=0.9)
+
+    def link():
+        return linker.link(left, EX.City, right, EX.City)
+
+    fast, fast_s = _harness.timed(link, repeats)
+    ref, ref_s = _harness.timed(reference()(link))
     results["linker"] = _harness.case(fast_s, ref_s, _link_keys(fast) == _link_keys(ref))
 
     def fast_tabulate():
@@ -188,7 +190,7 @@ def cases(n_triples: int, linker_per_side: int, repeats: int = 1) -> dict:
 
     results["tabulate"] = _harness.compare(
         fast_tabulate,
-        lambda: _materialised(tabulate_entities(graph, EX.Reading, force_row=True)),
+        reference()(lambda: _materialised(tabulate_entities(graph, EX.Reading))),
         repeats,
         same=lambda a, b: _harness.identical(a, b) and _harness.encoded_bytes(a) == _harness.encoded_bytes(b),
     )

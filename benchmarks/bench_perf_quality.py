@@ -5,7 +5,7 @@ incoming dataset — over a mixed-type dataset (numeric, categorical, boolean,
 datetime and free-text columns, with injected missing values and fuzzy
 near-duplicates) at 10k rows, for both execution paths: the vectorized
 ``_measure_encoded`` criteria over the shared encoded views, and the retained
-row-at-a-time reference path (forced via ``_force_row_measure``).  The
+row-at-a-time reference path (inside ``repro.tiers.reference()``).  The
 ``profile`` case's encoded timing includes encoding the dataset from scratch
 (the instance cache is dropped before every run), so its speedup is what a
 cold ``advise`` call actually sees; one case per criterion, over a warm
@@ -26,6 +26,7 @@ from repro.quality import get_criterion, measure_quality
 from repro.quality.profile import DEFAULT_CRITERIA
 from repro.tabular.dataset import Column, ColumnType, Dataset
 from repro.tabular.encoded import encode_dataset
+from repro.tiers import reference
 
 try:
     from benchmarks import _harness
@@ -58,15 +59,6 @@ def _dataset(n_rows: int) -> Dataset:
     return MissingValuesInjector().apply(base, 0.1, seed=3)
 
 
-def _row_criteria():
-    criteria = []
-    for name in DEFAULT_CRITERIA:
-        criterion = get_criterion(name)
-        criterion._force_row_measure = True
-        criteria.append(criterion)
-    return criteria
-
-
 def _same_profile(fast, slow) -> bool:
     return (
         list(fast.as_vector(DEFAULT_CRITERIA)) == list(slow.as_vector(DEFAULT_CRITERIA))
@@ -84,10 +76,7 @@ def cases(n_rows: int, repeats: int = 1) -> dict:
 
     results = {
         "profile": _harness.compare(
-            encoded_run,
-            lambda: measure_quality(dataset, criteria=_row_criteria()),
-            repeats,
-            same=_same_profile,
+            encoded_run, reference()(lambda: measure_quality(dataset)), repeats, same=_same_profile
         )
     }
     encoded = encode_dataset(dataset)

@@ -4,9 +4,9 @@ A :class:`KPI` evaluates to a single number for a whole dataset
 (:meth:`KPI.value`) or to one number per group of an OLAP cube level
 (:func:`evaluate_kpis_by_level`).  The per-level evaluation rides on the
 two-tier :func:`~repro.tabular.transforms.group_by`: it runs vectorized over
-the cube dataset's cached encoded views by default and on the row-at-a-time
-reference path when the cube's ``_force_row_olap`` escape hatch is set, with
-bit-identical results either way.
+the cube dataset's cached encoded views, and on the row-at-a-time reference
+path inside :func:`repro.tiers.reference`, with bit-identical results either
+way.
 """
 
 from __future__ import annotations
@@ -88,10 +88,8 @@ def evaluate_kpis_by_level(kpis: Sequence[KPI], cube: Cube, level: str) -> Datas
 
     Returns a dataset with one row per distinct ``level`` value (in first-seen
     order), holding each KPI's per-group mean and its traffic-light status
-    column (``<name>_status``).  The group means come from the cube's two-tier
-    ``group_by`` — vectorized over the encoded views unless the cube's
-    ``_force_row_olap`` escape hatch routes to the row-at-a-time reference —
-    so both paths produce bit-identical scoreboards.
+    column (``<name>_status``).  The group means come from the two-tier
+    ``group_by``, so both of its paths produce bit-identical scoreboards.
 
     Only column KPIs are supported here: a callable ``compute`` cannot be
     pushed into the grouped aggregation and raises :class:`ReproError`.
@@ -117,7 +115,7 @@ def evaluate_kpis_by_level(kpis: Sequence[KPI], cube: Cube, level: str) -> Datas
                 )
             out_columns.add(column)
         aggregations[kpi.name] = (kpi.compute, "mean")
-    grouped = group_by(cube.dataset, [level], aggregations, force_row=cube._force_row_olap)
+    grouped = group_by(cube.dataset, [level], aggregations)
     out_rows: list[dict[str, Any]] = []
     for row in grouped.iter_rows():
         out: dict[str, Any] = {level: row[level]}

@@ -10,9 +10,8 @@ Execution follows the library's two-tier protocol (see
 dataset's cached encoded views (group keys from the int64 code arrays, slice
 and dice masks from code/float comparisons, measures reduced on the float
 views) and a retained row-at-a-time reference path.  The two are bit-identical
-— values, row order and key order — and the ``_force_row_olap`` attribute is
-the escape hatch that routes a cube (and every sub-cube derived from it) to
-the reference implementation.
+— values, row order and key order — and every operation takes the reference
+inside :func:`repro.tiers.reference`.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from repro.exceptions import OLAPError, SchemaError
 from repro.tabular.dataset import Column, Dataset, is_missing_value
 from repro.tabular.encoded import encode_dataset
 from repro.tabular.transforms import group_by
+from repro.tiers import use_reference
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,10 @@ class Measure:
 class Cube:
     """A multidimensional view over a dataset.
 
-    All operations run on the vectorized encoded path by default; set the
-    ``_force_row_olap`` attribute to ``True`` to force the row-at-a-time
-    reference path (it propagates to the sub-cubes ``slice`` and ``dice``
-    return).  Both paths produce bit-identical datasets.
+    All operations run on the vectorized encoded path, and on the
+    row-at-a-time reference inside :func:`repro.tiers.reference`.  Both paths
+    produce bit-identical datasets.
     """
-
-    #: Escape hatch: route every operation to the row-at-a-time reference.
-    _force_row_olap = False
 
     def __init__(
         self,
@@ -118,10 +114,8 @@ class Cube:
         return {measure.name: (measure.column, measure.aggregation) for measure in self.measures}
 
     def _derive(self, dataset: Dataset, name: str) -> "Cube":
-        """Build a sub-cube over ``dataset``, carrying the execution-path flag."""
-        cube = Cube(dataset, self.dimensions, self.measures, name=name)
-        cube._force_row_olap = self._force_row_olap
-        return cube
+        """Build a sub-cube over ``dataset`` with this cube's dimensions and measures."""
+        return Cube(dataset, self.dimensions, self.measures, name=name)
 
     def _keep_rows(self, level: str, allowed: Sequence[Any], name: str) -> "Cube":
         """Vectorized selection: keep the rows whose ``level`` cell is in ``allowed``.
@@ -169,22 +163,19 @@ class Cube:
     def aggregate(self, levels: Sequence[str] | None = None) -> Dataset:
         """Aggregate the measures grouped by the given dimension levels.
 
-        With no levels, the grand total (one row) is returned.  Runs on the
-        encoded path unless ``_force_row_olap`` is set; both paths are
-        bit-identical (values, row order, key order).
+        With no levels, the grand total (one row) is returned.  Both
+        ``group_by`` paths are bit-identical (values, row order, key order).
         """
         if levels:
             for level in levels:
                 if level not in self.dataset:
                     raise OLAPError(f"unknown group-by level {level!r}")
-            return group_by(
-                self.dataset, list(levels), self._aggregations(), force_row=self._force_row_olap
-            )
+            return group_by(self.dataset, list(levels), self._aggregations())
         # Grand total: group by a constant pseudo-column.  Always a plain
         # Column — the dataset's own columns may be memory-mapped
         # StoredColumn views, which cannot be built from a value list.
         working = self.dataset.add_column(Column("__all__", ["all"] * self.dataset.n_rows))
-        result = group_by(working, ["__all__"], self._aggregations(), force_row=self._force_row_olap)
+        result = group_by(working, ["__all__"], self._aggregations())
         return result.drop_columns(["__all__"]) if result.n_columns > 1 else result
 
     def rollup(self, dimension_name: str, to_level: str | None = None) -> Dataset:
@@ -212,7 +203,7 @@ class Cube:
         if level not in self.dataset:
             raise OLAPError(f"unknown level {level!r}")
         name = f"{self.name}_slice_{level}"
-        if self._force_row_olap:
+        if use_reference():
             filtered = self.dataset.filter(
                 lambda row: not is_missing_value(row[level]) and row[level] == value
             )
@@ -232,7 +223,7 @@ class Cube:
                 raise OLAPError(f"unknown level {level!r}")
         name = f"{self.name}_dice"
 
-        if self._force_row_olap:
+        if use_reference():
 
             def keep(row: dict[str, Any]) -> bool:
                 """Row predicate: every selected level non-missing and allowed."""
@@ -267,10 +258,7 @@ class Cube:
         if measure is None:
             raise OLAPError(f"no measure named {measure_name!r}")
         grouped = group_by(
-            self.dataset,
-            [row_level, column_level],
-            {measure.name: (measure.column, measure.aggregation)},
-            force_row=self._force_row_olap,
+            self.dataset, [row_level, column_level], {measure.name: (measure.column, measure.aggregation)}
         )
         row_values = grouped[row_level].distinct()
         column_values = grouped[column_level].distinct()

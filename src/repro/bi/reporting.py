@@ -3,9 +3,8 @@
 Besides free-form :class:`Report` building, :func:`cube_report` turns an OLAP
 :class:`~repro.bi.olap.Cube` into a ready-made report; its tables come from
 the cube's vectorized encoded-path aggregations (or the row-at-a-time
-reference when the cube's ``_force_row_olap`` escape hatch is set — the
-rendered output is identical either way because the aggregated datasets are
-bit-identical).
+reference inside :func:`repro.tiers.reference` — the rendered output is
+identical either way because the aggregated datasets are bit-identical).
 """
 
 from __future__ import annotations

@@ -321,7 +321,7 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
         from repro.recovery import salvage_store
         from repro.tabular.dataset import Dataset as _Dataset
 
-        payload, report = salvage_store(path)
+        payload, report = salvage_store(path, strict=args.strict)
         if args.output:
             if isinstance(payload, _Dataset):
                 from repro.tabular.io_csv import write_csv
@@ -340,7 +340,7 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
         return 0
     is_ntriples = args.format == "ntriples" or (args.format == "auto" and path.suffix == ".nt")
     if is_ntriples:
-        graph, report = salvage_ntriples(path, _force_strict=args.strict)
+        graph, report = salvage_ntriples(path, strict=args.strict)
         if args.output:
             to_ntriples(graph, args.output)
             print(f"wrote {len(graph)} salvaged triples to {args.output}")
@@ -351,7 +351,7 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
             path,
             delimiter=args.delimiter,
             encoding=args.encoding,
-            _force_strict=args.strict,
+            strict=args.strict,
         )
         if args.output:
             write_csv(dataset, args.output)

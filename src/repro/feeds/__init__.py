@@ -14,8 +14,8 @@ for an O(|delta|) change.  This subpackage closes that gap end to end:
   of whether one dataset is another plus appended rows;
 * :mod:`repro.feeds.incremental` — delta maintenance of quality profiles,
   group-by/cube aggregates and KPI scoreboards, bit-identical to the batch
-  recompute, with ``_force_full_refresh`` hatches and automatic fallback
-  where the math does not permit a fold.
+  recompute (the reference tier inside :func:`repro.tiers.reference`), with
+  automatic fallback where the math does not permit a fold.
 
 The ``repro ingest`` CLI ties these to the persistence and serving tiers:
 append a feed batch to a ``.rps`` store and ``POST /reload`` a running

@@ -32,9 +32,10 @@ reference tier, ``refresh(merged)`` is the delta tier, and the two must be
 Anything that cannot be incrementalized this way — a non-numeric aggregation
 source, a criterion without a maintainable state (accuracy, correlation,
 outliers, a numeric-target balance, an explicit-schema consistency, any
-subclassed criterion) — automatically falls back to the batch recompute, and
-every class carries a ``_force_full_refresh`` escape hatch that pins the
-batch tier outright, mirroring ``_force_row_*`` elsewhere.
+subclassed criterion) — automatically falls back to the batch recompute.
+Inside :func:`repro.tiers.reference` every ``refresh`` takes the batch
+recompute and re-seeds its state, so a later refresh outside the block
+resumes incrementally.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.quality.profile import DEFAULT_CRITERIA, DataQualityProfile, get_crit
 from repro.tabular.dataset import ColumnRole, ColumnType, Dataset
 from repro.tabular.encoded import MISSING_KEY_SENTINEL, EncodedDataset, encode_dataset
 from repro.tabular.transforms import _AGGREGATIONS, fold_sum, group_by, group_order
+from repro.tiers import use_reference
 
 
 def _check_refresh_target(state_dataset: Dataset, state_rows: int, merged: Dataset) -> None:
@@ -87,10 +89,7 @@ class IncrementalGroupBy:
     semantics (per-cell ``float(v)`` coercion of string cells) cannot be
     maintained as a fold, so the instance routes every call to the batch
     ``group_by`` instead; :attr:`incremental` reports which tier is active.
-    Setting ``_force_full_refresh`` pins the batch tier on any instance.
     """
-
-    _force_full_refresh: bool = False
 
     def __init__(
         self,
@@ -243,7 +242,7 @@ class IncrementalGroupBy:
         :meth:`Dataset.append_rows`/:meth:`Dataset.append_dataset` return.
         """
         _check_refresh_target(self._dataset, self._n_rows if self.incremental else 0, merged)
-        if self._force_full_refresh or not self.incremental:
+        if use_reference() or not self.incremental:
             self._dataset = merged
             if self.incremental:
                 self._rebuild_state()
@@ -266,17 +265,12 @@ def incremental_cube_aggregate(cube: Cube, levels: Sequence[str]) -> Incremental
 
     ``levels`` must be non-empty (the grand-total pseudo-level of
     ``aggregate([])`` has no delta structure worth maintaining — recompute
-    it).  A cube pinned to the row tier via ``_force_row_olap`` gets its
-    incremental board pinned to the full-refresh tier, keeping the escape
-    hatches aligned across the protocol.
+    it).
     """
     levels = list(levels)
     if not levels:
         raise OLAPError("incremental cube aggregation needs at least one level")
-    board = IncrementalGroupBy(cube.dataset, levels, cube._aggregations())
-    if cube._force_row_olap:
-        board._force_full_refresh = True
-    return board
+    return IncrementalGroupBy(cube.dataset, levels, cube._aggregations())
 
 
 class IncrementalKPIBoard:
@@ -289,8 +283,6 @@ class IncrementalKPIBoard:
     dataset.  Validation (column KPIs only, numeric sources, no column
     collisions) matches the batch evaluator's.
     """
-
-    _force_full_refresh: bool = False
 
     def __init__(self, kpis: Sequence[KPI], cube: Cube, level: str) -> None:
         """Seed per-level KPI folds from ``cube``'s dataset for ``level``."""
@@ -319,21 +311,10 @@ class IncrementalKPIBoard:
         self._name = f"{cube.name}_kpis_by_{level}"
         self._level = level
         self._grouped = IncrementalGroupBy(cube.dataset, [level], aggregations)
-        if cube._force_row_olap:
-            self._grouped._force_full_refresh = True
 
     def refresh(self, merged: Dataset) -> Dataset:
         """Fold the appended rows in and return the refreshed scoreboard."""
-        if self._force_full_refresh:
-            forced_before = self._grouped._force_full_refresh
-            self._grouped._force_full_refresh = True
-            try:
-                grouped = self._grouped.refresh(merged)
-            finally:
-                self._grouped._force_full_refresh = forced_before
-        else:
-            grouped = self._grouped.refresh(merged)
-        return self._scoreboard(grouped, merged)
+        return self._scoreboard(self._grouped.refresh(merged), merged)
 
     def result(self) -> Dataset:
         """The scoreboard for the rows folded in so far."""
@@ -627,13 +608,10 @@ def _build_criterion_state(
 
     Mirrors the ``_uses_reference_measure`` guard of the encoded tier: only
     the exact library classes (not subclasses, which may override
-    ``measure``) with their reference implementation intact get a state, and
-    an instance pinned to the row tier via ``_force_row_measure`` falls back
-    too, so the profile stays bit-identical to ``measure_quality`` in every
+    ``measure``) with their reference implementation intact get a state, so
+    the profile stays bit-identical to ``measure_quality`` in every
     configuration.
     """
-    if criterion._force_row_measure:
-        return None
     if type(criterion) is CompletenessCriterion:
         return _CompletenessState(criterion, dataset, encoded)
     if type(criterion) is DimensionalityCriterion:
@@ -656,11 +634,8 @@ class IncrementalProfile:
     :attr:`incremental_criteria`).  :meth:`refresh` updates those states from
     the appended rows only, recomputes the rest over the merged dataset's
     (extended) encoded views, and returns a profile bit-identical to
-    ``measure_quality(merged, criteria)``.  Setting ``_force_full_refresh``
-    pins every criterion to the batch recompute.
+    ``measure_quality(merged, criteria)``.
     """
-
-    _force_full_refresh: bool = False
 
     def __init__(self, dataset: Dataset, criteria: Sequence[str | Criterion] | None = None) -> None:
         """Resolve ``criteria`` and seed a running state per incrementalizable one."""
@@ -706,7 +681,7 @@ class IncrementalProfile:
     def refresh(self, merged: Dataset) -> DataQualityProfile:
         """Fold the appended rows of ``merged`` in and return the refreshed profile."""
         _check_refresh_target(self._dataset, self._n_rows, merged)
-        if self._force_full_refresh:
+        if use_reference():
             self._dataset = merged
             self._n_rows = merged.n_rows
             self._build_states()

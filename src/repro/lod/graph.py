@@ -26,15 +26,7 @@ class Graph:
     * namespace prefix bindings used during Turtle serialisation;
     * convenience methods to describe resources (`add_resource`) and read
       back property values.
-
-    Setting ``graph._force_row_select = True`` routes every
-    :mod:`repro.lod.query` evaluation on this graph through the
-    binding-at-a-time reference tier instead of the vectorized id-column
-    join (the LOD counterpart of ``Cube._force_row_olap``).
     """
-
-    #: Escape hatch: force the reference tier for queries on this graph.
-    _force_row_select = False
 
     def __init__(self, identifier: str = "http://openbi.example.org/graph/default") -> None:
         """Create an empty graph named by ``identifier``."""
@@ -190,7 +182,7 @@ class Graph:
         return save_graph(self, path)
 
     @classmethod
-    def open(cls, path, force_memory: bool = False, verify: bool = False) -> "Graph":
+    def open(cls, path, verify: bool = False) -> "Graph":
         """Open a graph store file as zero-copy memory-mapped views.
 
         The returned graph carries a pre-wired
@@ -198,12 +190,12 @@ class Graph:
         queries run without any per-triple Python; the reference-tier dict
         indexes replay lazily from the saved arrays in their exact original
         iteration order, keeping every result bit-identical to the graph
-        that was saved.  ``force_memory=True`` materialises all arrays into
-        memory; ``verify=True`` checksums every array section up front.
+        that was saved.  ``verify=True`` checksums every array section up
+        front.
         """
         from repro.store import open_graph
 
-        return open_graph(path, force_memory=force_memory, verify=verify)
+        return open_graph(path, verify=verify)
 
     def close(self) -> None:
         """Release the memory-mapped store file backing this graph, if any.

@@ -19,8 +19,8 @@ Linking follows the library-wide two-tier protocol (``docs/encoded-core.md``):
   linker's threshold survives and the emitted link set and scores are
   identical to the reference tier.
 
-Set ``linker._force_pairwise_link = True`` to route through the reference
-tier; custom comparators fall back to it automatically.
+Inside :func:`repro.tiers.reference` linking runs the reference tier;
+custom comparators fall back to it automatically.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from repro.exceptions import LODError
 from repro.lod.graph import Graph
 from repro.lod.terms import IRI, Literal, Predicate, Subject, Triple
 from repro.lod.vocabulary import OWL
+from repro.tabular.encoded import distinct_sorted
+from repro.tiers import use_reference
 
 #: When active (inside ``EntityLinker.link``/``score_pair``), memoises
 #: ``normalise_string`` per distinct raw string so the costly Unicode
@@ -326,13 +328,9 @@ class EntityLinker:
 
     The linker scores every candidate pair of resources of the requested types
     with the weighted average of its rules and keeps pairs above ``threshold``.
-    Candidate generation is blocked and vectorized by default (see the module
-    docstring); ``_force_pairwise_link`` routes back to the exhaustive
-    reference tier.
+    Candidate generation is blocked and vectorized (see the module
+    docstring), and exhaustive inside :func:`repro.tiers.reference`.
     """
-
-    #: Escape hatch: force the exhaustive pairwise reference tier.
-    _force_pairwise_link = False
 
     def __init__(self, rules: Sequence[LinkRule], threshold: float = 0.85) -> None:
         """Validate the rules and the threshold."""
@@ -406,7 +404,7 @@ class EntityLinker:
         right_subjects = right_graph.subjects_of_type(right_type)
         vectorizable = all(rule.comparator is string_similarity for rule in self.rules)
         with self._cached_lookups():
-            if self._force_pairwise_link or not vectorizable:
+            if use_reference() or not vectorizable:
                 return self._link_pairwise(left_graph, left_subjects, right_graph, right_subjects)
             return self._link_blocked(left_graph, left_subjects, right_graph, right_subjects)
 
@@ -487,13 +485,15 @@ class EntityLinker:
                 # Stop-word-degenerate token distribution: blocking would be
                 # near-quadratic anyway, so use the reference tier outright.
                 return self._link_pairwise(left_graph, left_subjects, right_graph, right_subjects)
-            value_keys = np.union1d(jaccard_keys, _edit_bound_candidates(lnorms, rnorms, floor))
+            value_keys = distinct_sorted(
+                np.concatenate([jaccard_keys, _edit_bound_candidates(lnorms, rnorms, floor)])
+            )
             if value_keys.size:
                 subject_keys = lowners[value_keys // len(rnorms)] * n_right + rowners[value_keys % len(rnorms)]
-                survivor_keys.append(np.unique(subject_keys))
+                survivor_keys.append(distinct_sorted(subject_keys))
         if not survivor_keys:
             return []
-        keys = np.unique(np.concatenate(survivor_keys))
+        keys = distinct_sorted(np.concatenate(survivor_keys))
 
         # One block per left subject; ascending keys keep right_subjects order.
         splits = np.flatnonzero(np.diff(keys // n_right)) + 1

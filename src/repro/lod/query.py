@@ -17,9 +17,8 @@ bindings, same binding-dict key order, same row order:
   resolving per-binding candidate ranges with ``searchsorted`` block lookups
   and equality constraints with array masks (:func:`_join_encoded`).
 
-``select``/``ask``/``count`` accept ``force_row=True``, and a graph can set
-``graph._force_row_select = True``, to route every query through the
-reference tier.
+Inside :func:`repro.tiers.reference`, ``select`` (and so ``ask`` and
+``count``) runs the reference tier.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from repro.exceptions import LODError
 from repro.lod.graph import Graph
 from repro.lod.terms import IRI, BNode, Literal
 from repro.lod.triples import ColumnarTriples
+from repro.tiers import use_reference
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,7 +238,6 @@ def select(
     order_by: str | None = None,
     descending: bool = False,
     limit: int | None = None,
-    force_row: bool = False,
 ) -> list[Binding]:
     """Evaluate a basic graph pattern and return variable bindings.
 
@@ -254,15 +253,14 @@ def select(
         Optional predicate applied to each full binding (a SPARQL FILTER).
     distinct, order_by, descending, limit:
         Result modifiers analogous to their SPARQL counterparts.
-    force_row:
-        Route the join through the binding-at-a-time reference tier instead
-        of the vectorized id-column join (``graph._force_row_select = True``
-        has the same effect for every query on that graph).
+
+    The join is the vectorized id-column join, or the binding-at-a-time
+    reference tier inside :func:`repro.tiers.reference`.
     """
     if not patterns:
         raise LODError("select needs at least one triple pattern")
 
-    if force_row or getattr(graph, "_force_row_select", False):
+    if use_reference():
         bindings, bound = _join_reference(graph, patterns)
     else:
         bindings, bound = _join_encoded(graph, patterns)
@@ -310,19 +308,18 @@ def _sort_key(value: Any) -> tuple:
     return (1, 0.0, str(value))
 
 
-def ask(graph: Graph, patterns: Sequence[TriplePattern], force_row: bool = False) -> bool:
+def ask(graph: Graph, patterns: Sequence[TriplePattern]) -> bool:
     """Return ``True`` when the basic graph pattern has at least one solution."""
-    return bool(select(graph, patterns, limit=1, force_row=force_row))
+    return bool(select(graph, patterns, limit=1))
 
 
 def count(
     graph: Graph,
     patterns: Sequence[TriplePattern],
     distinct_variable: str | None = None,
-    force_row: bool = False,
 ) -> int:
     """Count solutions (or distinct values of one variable) of a pattern."""
-    results = select(graph, patterns, force_row=force_row)
+    results = select(graph, patterns)
     if distinct_variable is None:
         return len(results)
     return len({_sort_key(r.get(distinct_variable)) for r in results})

@@ -21,7 +21,7 @@ Assembly follows the two-tier protocol (``docs/encoded-core.md``):
   re-encodes what the tabulation already encoded.
 
 Both tiers produce bit-identical datasets (cells, column order, ctypes,
-roles); ``tabulate_entities(..., force_row=True)`` routes through the
+roles); inside :func:`repro.tiers.reference` ``tabulate_entities`` runs the
 reference tier.
 """
 
@@ -36,7 +36,8 @@ from repro.lod.graph import Graph
 from repro.lod.terms import IRI, BNode, Literal, Object
 from repro.lod.vocabulary import OWL, RDF, RDFS
 from repro.tabular.dataset import Column, ColumnRole, Dataset, is_missing_value
-from repro.tabular.encoded import encode_dataset
+from repro.tabular.encoded import distinct_sorted, encode_dataset
+from repro.tiers import use_reference
 
 
 #: Predicates that never become property columns (hoisted: every Namespace
@@ -71,7 +72,6 @@ def tabulate_entities(
     multivalued: str = "first",
     follow_same_as: bool = True,
     min_property_coverage: float = 0.0,
-    force_row: bool = False,
 ) -> Dataset:
     """Build a :class:`~repro.tabular.dataset.Dataset` from the instances of a class.
 
@@ -97,9 +97,10 @@ def tabulate_entities(
         Drop auto-discovered property columns present on fewer than this
         fraction of rows (mitigates extreme sparsity); explicit ``properties``
         are never dropped.
-    force_row:
-        Assemble through the row-at-a-time reference tier instead of the
-        columnar tier (the result is bit-identical either way).
+
+    Property discovery and assembly run on the columnar tier, or on the
+    row-at-a-time reference tier inside :func:`repro.tiers.reference`; the
+    result is bit-identical either way.
     """
     if multivalued not in ("first", "count"):
         raise LODError(f"unknown multivalued policy {multivalued!r}")
@@ -117,8 +118,9 @@ def tabulate_entities(
                 if isinstance(obj, (IRI, BNode)) and obj not in canonical:
                     merged_from[subject].append(obj)
 
+    reference = use_reference()
     if properties is None:
-        if force_row:
+        if reference:
             properties = _discover_properties_rows(graph, subjects, merged_from, min_property_coverage)
         else:
             properties = _discover_properties_columnar(graph, subjects, merged_from, min_property_coverage)
@@ -139,7 +141,7 @@ def tabulate_entities(
     # "label" collide with the built-in row keys; keep that (odd) semantics
     # by routing such tabulations through the reference.
     collision = any(name in ("subject", "label") for name in names.values())
-    if force_row or collision:
+    if reference or collision:
         return _tabulate_rows_reference(
             graph, subjects, merged_from, properties, names, include_subject, multivalued, rdf_type
         )
@@ -192,7 +194,7 @@ def _discover_properties_columnar(
     for subject in subjects:
         for source in merged_from[subject]:
             source_occurrences[columnar.term_id(source)] += 1
-    pairs = np.unique(s_arr * np.int64(n_terms) + p_arr)
+    pairs = distinct_sorted(s_arr * np.int64(n_terms) + p_arr)
     pair_subjects = pairs // n_terms
     pair_predicates = pairs % n_terms
     counts = np.bincount(

@@ -305,7 +305,7 @@ class TripleStore:
         """Add many triples; return how many were new."""
         return sum(1 for t in triples if self.add(t))
 
-    def append(self, triples: Iterable[Triple], _force_rebuild: bool = False) -> int:
+    def append(self, triples: Iterable[Triple]) -> int:
         """Add many triples, extending the columnar snapshot when possible.
 
         Behaves exactly like :meth:`update` (same dict-index mutations, same
@@ -318,20 +318,16 @@ class TripleStore:
         fresh :class:`ColumnarTriples` build of the mutated store.
 
         When any subject already exists (its SPO rows would have to grow in
-        the middle of the array), when no snapshot is materialised, or when
-        ``_force_rebuild`` pins the reference behaviour, the call falls back
-        to :meth:`update` and the snapshot is rebuilt lazily as usual.
+        the middle of the array) or when no snapshot is materialised, the
+        call falls back to :meth:`update` and the snapshot is rebuilt lazily
+        as usual.
         """
         triples = list(triples)
         for triple in triples:
             if not isinstance(triple, Triple):
                 raise LODError("TripleStore.append expects Triples")
         snapshot = self._columnar
-        if (
-            _force_rebuild
-            or snapshot is None
-            or any(t.subject in self._spo for t in triples)
-        ):
+        if snapshot is None or any(t.subject in self._spo for t in triples):
             return self.update(triples)
         new_subjects = list(dict.fromkeys(t.subject for t in triples))
         added = sum(1 for t in triples if self.add(t))  # clears self._columnar

@@ -6,6 +6,8 @@ row-at-a-time :meth:`Classifier._predict_row`, and an optional vectorized
 dataset (:mod:`repro.tabular.encoded`).  :meth:`Classifier.predict` tries the
 batch path first and transparently falls back to the row loop, so estimators
 opt into vectorization without changing the public API or its semantics.
+Inside :func:`repro.tiers.reference` every batch hook and encoded fit stands
+aside.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Any
 from repro.exceptions import MiningError
 from repro.tabular.dataset import Column, Dataset
 from repro.tabular.encoded import EncodedDataset, encode_dataset
+from repro.tiers import use_reference
 
 
 def check_fitted(estimator: "Classifier | Clusterer | Transformer") -> None:
@@ -96,9 +99,10 @@ class Classifier(ABC):
     def predict(self, dataset: Dataset) -> list[Any]:
         """Predict a class label for every row of ``dataset``."""
         check_fitted(self)
-        batch = self._predict_batch(encode_dataset(dataset))
-        if batch is not None:
-            return list(batch)
+        if not use_reference():
+            batch = self._predict_batch(encode_dataset(dataset))
+            if batch is not None:
+                return list(batch)
         predictions = []
         for row in dataset.iter_rows():
             features_only = {name: row.get(name) for name in self.feature_names_}
@@ -108,9 +112,10 @@ class Classifier(ABC):
     def predict_proba(self, dataset: Dataset) -> list[dict[str, float]]:
         """Per-class probabilities; default is a degenerate distribution."""
         check_fitted(self)
-        batch = self._predict_proba_batch(encode_dataset(dataset))
-        if batch is not None:
-            return batch
+        if not use_reference():
+            batch = self._predict_proba_batch(encode_dataset(dataset))
+            if batch is not None:
+                return batch
         predictions = self.predict(dataset)
         return [
             {cls: (1.0 if str(pred) == cls else 0.0) for cls in self.classes_}

@@ -28,6 +28,7 @@ from repro.mining.base import Classifier, check_fitted
 from repro.mining.tree import DecisionTreeClassifier
 from repro.tabular.dataset import Column, ColumnRole, Dataset, is_missing_value
 from repro.tabular.encoded import EncodedDataset, encode_dataset
+from repro.tiers import use_reference
 
 
 class BaggingClassifier(Classifier):
@@ -140,7 +141,7 @@ class BaggingClassifier(Classifier):
         label_index: dict[str, int] = {}
         member_codes: list[np.ndarray] = []
         for member in self.estimators_:
-            labels = member._predict_batch(encoded)
+            labels = None if use_reference() else member._predict_batch(encoded)
             if labels is None:
                 labels = member.predict(encoded.dataset)
             codes = np.fromiter(
@@ -196,9 +197,10 @@ class BaggingClassifier(Classifier):
 
     def predict(self, dataset: Dataset) -> list[str]:
         check_fitted(self)
-        batch = self._predict_batch(encode_dataset(dataset))
-        if batch is not None:
-            return batch
+        if not use_reference():
+            batch = self._predict_batch(encode_dataset(dataset))
+            if batch is not None:
+                return batch
         predictions = []
         for votes in self._member_votes(dataset):
             counts = Counter(votes)
@@ -207,9 +209,10 @@ class BaggingClassifier(Classifier):
 
     def predict_proba(self, dataset: Dataset) -> list[dict[str, float]]:
         check_fitted(self)
-        batch = self._predict_proba_batch(encode_dataset(dataset))
-        if batch is not None:
-            return batch
+        if not use_reference():
+            batch = self._predict_proba_batch(encode_dataset(dataset))
+            if batch is not None:
+                return batch
         results = []
         for votes in self._member_votes(dataset):
             counts = Counter(votes)

@@ -29,6 +29,7 @@ from repro.exceptions import MiningError
 from repro.mining.base import Classifier, check_fitted
 from repro.tabular.dataset import Column, Dataset, is_missing_value
 from repro.tabular.encoded import EncodedDataset, encode_dataset, map_codes_to_index
+from repro.tiers import use_reference
 
 #: Test-rows-per-chunk budget for the pairwise distance blocks (~8M cells).
 _CHUNK_CELLS = 8_000_000
@@ -263,9 +264,10 @@ class KNNClassifier(Classifier):
 
     def predict_proba(self, dataset: Dataset) -> list[dict[str, float]]:
         check_fitted(self)
-        batch = self._predict_proba_batch(encode_dataset(dataset))
-        if batch is not None:
-            return batch
+        if not use_reference():
+            batch = self._predict_proba_batch(encode_dataset(dataset))
+            if batch is not None:
+                return batch
         results = []
         k = min(self.k, len(self._rows))
         for row in dataset.iter_rows():

@@ -26,6 +26,7 @@ from repro.exceptions import MiningError
 from repro.mining.base import Classifier, check_fitted
 from repro.tabular.dataset import Column, Dataset, is_missing_value
 from repro.tabular.encoded import EncodedDataset, encode_dataset
+from repro.tiers import use_reference
 
 _MIN_VARIANCE = 1e-9
 
@@ -201,9 +202,10 @@ class NaiveBayesClassifier(Classifier):
 
     def predict_proba(self, dataset: Dataset) -> list[dict[str, float]]:
         check_fitted(self)
-        batch = self._predict_proba_batch(encode_dataset(dataset))
-        if batch is not None:
-            return batch
+        if not use_reference():
+            batch = self._predict_proba_batch(encode_dataset(dataset))
+            if batch is not None:
+                return batch
         results = []
         for row in dataset.iter_rows():
             features_only = {name: row.get(name) for name in self.feature_names_}

@@ -29,6 +29,7 @@ from repro.exceptions import MiningError
 from repro.mining.base import Classifier
 from repro.tabular.dataset import Column, Dataset, is_missing_value
 from repro.tabular.encoded import EncodedDataset, encode_dataset, merge_missing_level
+from repro.tiers import use_reference
 
 _MISSING = "<missing>"
 
@@ -162,7 +163,7 @@ class OneRClassifier(_DiscretisingClassifier):
             self._fit_rows(dataset, features, target)
 
     def _encoded_fit_supported(self) -> bool:
-        return not getattr(self, "_force_row_fit", False) and self._uses_base_impl(
+        return not use_reference() and self._uses_base_impl(
             OneRClassifier, "_fit_rows"
         ) and self._uses_base_impl(_DiscretisingClassifier, "_prepare_rows")
 
@@ -294,7 +295,7 @@ class PrismClassifier(_DiscretisingClassifier):
             self._fit_rows(dataset, features, target)
 
     def _encoded_fit_supported(self) -> bool:
-        return not getattr(self, "_force_row_fit", False) and self._uses_base_impl(
+        return not use_reference() and self._uses_base_impl(
             PrismClassifier, "_fit_rows", "_induce_rule"
         ) and self._uses_base_impl(_DiscretisingClassifier, "_prepare_rows")
 

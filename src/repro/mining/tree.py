@@ -31,6 +31,7 @@ from repro.exceptions import MiningError
 from repro.mining.base import Classifier
 from repro.tabular.dataset import Column, Dataset, is_missing_value
 from repro.tabular.encoded import EncodedDataset, encode_dataset, merge_missing_level
+from repro.tiers import use_reference
 
 _MISSING_BRANCH = "<missing>"
 
@@ -192,8 +193,8 @@ class DecisionTreeClassifier(Classifier):
 
     def _encoded_fit_supported(self) -> bool:
         """The encoded fit replicates the row-path induction; bypass it when a
-        subclass customised that machinery (or the caller forced the row fit)."""
-        return not getattr(self, "_force_row_fit", False) and self._uses_base_impl(
+        subclass customised that machinery, or inside :func:`repro.tiers.reference`."""
+        return not use_reference() and self._uses_base_impl(
             DecisionTreeClassifier,
             "_fit_rows",
             "_build",
@@ -683,9 +684,10 @@ class DecisionTreeClassifier(Classifier):
         from repro.mining.base import check_fitted
 
         check_fitted(self)
-        batch = self._predict_proba_batch(encode_dataset(dataset))
-        if batch is not None:
-            return batch
+        if not use_reference():
+            batch = self._predict_proba_batch(encode_dataset(dataset))
+            if batch is not None:
+                return batch
         results = []
         for row in dataset.iter_rows():
             node = self.root_

@@ -9,6 +9,7 @@ from typing import Any
 from repro.exceptions import DataQualityError
 from repro.tabular.dataset import Dataset
 from repro.tabular.encoded import EncodedDataset
+from repro.tiers import use_reference
 
 
 @dataclass(frozen=True)
@@ -44,18 +45,14 @@ class Criterion(ABC):
     dataset (:mod:`repro.tabular.encoded`).  :meth:`measure_encoded` — the
     entry point used by :func:`repro.quality.profile.measure_quality` — tries
     the encoded path first and transparently falls back to :meth:`measure`, so
-    criteria opt into vectorization without changing the public API.
+    criteria opt into vectorization without changing the public API.  Inside
+    :func:`repro.tiers.reference` it calls :meth:`measure` directly.
     """
 
     #: Registry key; subclasses override.
     name: str = "criterion"
     #: One-line human readable description used in reports.
     description: str = ""
-    #: Set to ``True`` (on an instance, or on a class for a whole run) to pin
-    #: measurement to the row-at-a-time reference path — the same escape hatch
-    #: as ``_force_row_fit`` on the miners.  Used by the equivalence tests and
-    #: the ``bench_perf_quality`` benchmark.
-    _force_row_measure: bool = False
 
     @abstractmethod
     def measure(self, dataset: Dataset) -> CriterionMeasure:
@@ -96,7 +93,7 @@ class Criterion(ABC):
         column encodings are shared across criteria (and with any mining that
         runs on the dataset afterwards, e.g. the advisor's cross-validation).
         """
-        if not self._force_row_measure:
+        if not use_reference():
             result = self._measure_encoded(encoded)
             if result is not None:
                 return result

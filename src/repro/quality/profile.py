@@ -152,8 +152,8 @@ def measure_quality(
     :class:`~repro.tabular.encoded.EncodedDataset` views are shared by every
     criterion — and by whatever mining runs on the same dataset instance
     afterwards, e.g. the cross-validation following the advisor's advice.
-    Criteria with ``_force_row_measure`` set take their row-at-a-time
-    reference path; both paths are bit-identical.
+    Inside :func:`repro.tiers.reference` every criterion takes its
+    row-at-a-time reference path; both paths are bit-identical.
     """
     unknown = sorted(set(criterion_kwargs) - set(CRITERIA_REGISTRY))
     if unknown:

@@ -8,8 +8,9 @@ mis-encoded or truncated, and discarding a 100k-row file over one bad byte
 wastes the other 99 999 rows.  The salvage readers repair what is repairable,
 drop only what is not, and account for every intervention with per-cell
 provenance flags and a structured report.  On clean input they are
-bit-identical to the strict tier (verified by the equivalence test suite and
-the ``_force_strict`` escape hatches).
+bit-identical to the strict tier (verified by the equivalence test suite).
+Each salvage reader takes ``strict=True`` to read through its strict tier
+instead, which fails on the first defect (``repro salvage --strict``).
 
 The :mod:`~repro.recovery.corrupt` module provides the matching seeded,
 severity-parameterised file corruptors so the inject → salvage → profile

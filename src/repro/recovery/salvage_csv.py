@@ -29,8 +29,8 @@ input it degrades in a principled way:
   requested numeric column type become missing
   (:data:`~repro.recovery.provenance.COERCED_MISSING`) instead of raising.
 
-Pass ``_force_strict=True`` to route through the strict reference reader
-(the salvage analogue of ``_force_row_*`` escape hatches).
+Pass ``strict=True`` to read through the strict reference reader instead,
+which raises on the first defect.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def salvage_csv_text(
     roles: Mapping[str, str] | None = None,
     heal_newlines: bool = True,
     flag_replacement_chars: bool = False,
-    _force_strict: bool = False,
+    strict: bool = False,
 ) -> SalvageResult:
     """Tolerantly parse CSV content into a dataset plus a salvage report.
 
@@ -211,7 +211,7 @@ def salvage_csv_text(
     dataset instance so the data quality layer can surface it.
     """
     report = SalvageReport(source=name)
-    if _force_strict:
+    if strict:
         dataset = read_csv_text(text, name=name, delimiter=delimiter, ctypes=ctypes, roles=roles)
         report.n_physical_lines = len(text.splitlines())
         report.n_rows, report.n_columns = dataset.shape
@@ -378,7 +378,7 @@ def salvage_csv(
     roles: Mapping[str, str] | None = None,
     encoding: str = "utf-8",
     heal_newlines: bool = True,
-    _force_strict: bool = False,
+    strict: bool = False,
 ) -> SalvageResult:
     """Salvage a CSV file (path) or raw byte payload into a dataset + report.
 
@@ -402,7 +402,7 @@ def salvage_csv(
         roles=roles,
         heal_newlines=heal_newlines,
         flag_replacement_chars=n_replaced > 0,
-        _force_strict=_force_strict,
+        strict=strict,
     )
     report = result.report
     report.requested_encoding = encoding

@@ -16,7 +16,8 @@ machinery (:func:`repro.lod.serialization.parse_ntriples_line`) and instead
 On clean input the resulting :class:`~repro.lod.graph.Graph` is bit-identical
 to the strict parse (same triples in the same insertion order, same default
 identifier) and the report :attr:`~NtSalvageReport.is_clean`.  Pass
-``_force_strict=True`` to route through the strict parser.
+``strict=True`` to read through the strict parser instead, which raises on
+the first defect.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _attempt_repairs(line: str) -> tuple[Triple, str] | None:
 def salvage_ntriples(
     source: str | Path,
     identifier: str | None = None,
-    _force_strict: bool = False,
+    strict: bool = False,
 ) -> NtSalvageResult:
     """Tolerantly parse N-Triples content into a partial graph plus a report.
 
@@ -81,7 +82,7 @@ def salvage_ntriples(
     itself never raises on malformed content.
     """
     report = NtSalvageReport(source=str(identifier or "ntriples"))
-    if _force_strict:
+    if strict:
         graph = parse_ntriples(source, identifier=identifier)
         report.n_lines = len(_read_source(source).splitlines())
         report.n_triples = len(graph)

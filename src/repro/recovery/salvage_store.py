@@ -41,7 +41,7 @@ from repro.lod.graph import Graph
 from repro.lod.triples import TripleStore
 from repro.lod.terms import Triple
 from repro.store.format import KIND_DATASET, KIND_NAMES, StoreFile
-from repro.store.reader import _decode_terms
+from repro.store.reader import _decode_terms, open_dataset, open_graph
 from repro.tabular.dataset import Column, ColumnType, Dataset
 
 
@@ -98,14 +98,24 @@ class StoreSalvageResult(NamedTuple):
     report: StoreSalvageReport
 
 
-def salvage_store(path: Path | str) -> StoreSalvageResult:
+def salvage_store(path: Path | str, strict: bool = False) -> StoreSalvageResult:
     """Recover as much as possible from a damaged store file.
 
     Raises :class:`~repro.exceptions.StoreError` when nothing can be
     recovered: an unreadable header or directory, damaged metadata, a
     damaged graph term table or SPO ordering, or a dataset whose every
     column lost a primary section.
+
+    With ``strict=True`` the file is read through the verifying strict
+    opener instead: the payload is its memory-mapped one, and any defect
+    raises its :class:`~repro.exceptions.StoreCorruptionError`, which names
+    the section.
     """
+    if strict:
+        with StoreFile(path) as probe:
+            kind = probe.kind
+        opener = open_dataset if kind == KIND_DATASET else open_graph
+        return StoreSalvageResult(opener(path, verify=True), StoreSalvageReport(path, KIND_NAMES[kind]))
     # The payload is rebuilt fully in memory, so the store file (and its
     # file descriptor) is released as soon as salvage finishes.
     with StoreFile(path, tolerant=True) as store_file:

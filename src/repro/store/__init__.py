@@ -11,8 +11,7 @@ entirely and costs O(metadata), not O(cells); the views can exceed RAM.
 
 The tier follows the library-wide two-tier protocol: everything computed on
 a reopened (memmap) payload is bit-identical to a cold in-memory encode of
-the same data, and ``force_memory=True`` on the open calls is the escape
-hatch that materialises every array back into memory.  Corrupt or truncated
+the same data, which is this tier's reference.  Corrupt or truncated
 files fail with :class:`~repro.exceptions.StoreCorruptionError` naming the
 offending section; salvageable damage can be routed through
 :func:`repro.recovery.salvage_store`.

@@ -17,9 +17,8 @@ Two store-backed lazy types bridge the gap to the object tiers:
   first access, so reference-tier scans see the exact iteration order the
   live store had at save time.
 
-``force_memory=True`` is the escape hatch back to the in-memory tier: every
-array is copied out of the map (the two tiers must be bit-identical, which
-the round-trip test suite enforces).
+The reference of this tier is a cold in-memory encode of the same data; the
+round-trip test suite holds the two bit-identical.
 """
 
 from __future__ import annotations
@@ -210,12 +209,7 @@ def _open_store(path: Path | str, expected_kind: int) -> StoreFile:
     return store_file
 
 
-def _loader(force_memory: bool):
-    """Identity for the memmap tier; a copying loader for the memory tier."""
-    return (lambda view: np.array(view)) if force_memory else (lambda view: view)
-
-
-def open_dataset(path: Path | str, force_memory: bool = False, verify: bool = False) -> Dataset:
+def open_dataset(path: Path | str, verify: bool = False) -> Dataset:
     """Open a dataset store file; see :meth:`repro.tabular.dataset.Dataset.open`.
 
     Numeric columns alias the mapped ``float64`` sections directly; object
@@ -228,7 +222,6 @@ def open_dataset(path: Path | str, force_memory: bool = False, verify: bool = Fa
     """
     store_file = _open_store(path, KIND_DATASET)
     meta = store_file.json("meta")
-    load = _loader(force_memory)
     columns: list[Column] = []
     seeds: list[tuple] = []
     for described in meta["columns"]:
@@ -238,12 +231,12 @@ def open_dataset(path: Path | str, force_memory: bool = False, verify: bool = Fa
             column.name = name
             column.ctype = ctype
             column.role = role
-            column._values = load(store_file.array(f"{prefix}.val"))
+            column._values = store_file.array(f"{prefix}.val")
             column._missing_cache = None
         else:
-            codes = load(store_file.array(f"{prefix}.cod"))
+            codes = store_file.array(f"{prefix}.cod")
             vocabulary = store_file.strings(f"{prefix}.lev")
-            mask = load(store_file.array(f"{prefix}.msk"))
+            mask = store_file.array(f"{prefix}.msk")
             levels = [text == "True" for text in vocabulary] if ctype == ColumnType.BOOLEAN else vocabulary
             column = StoredColumn._build(name, ctype, role, codes, levels, mask)
             seeds.append(
@@ -251,8 +244,8 @@ def open_dataset(path: Path | str, force_memory: bool = False, verify: bool = Fa
                     name,
                     codes,
                     vocabulary,
-                    load(store_file.array(f"{prefix}.num")),
-                    load(store_file.array(f"{prefix}.nmk")),
+                    store_file.array(f"{prefix}.num"),
+                    store_file.array(f"{prefix}.nmk"),
                     store_file.strings(f"{prefix}.nrm"),
                 )
             )
@@ -321,7 +314,7 @@ def _new_iri(value: str) -> IRI:
     return iri
 
 
-def open_graph(path: Path | str, force_memory: bool = False, verify: bool = False) -> Graph:
+def open_graph(path: Path | str, verify: bool = False) -> Graph:
     """Open a graph store file; see :meth:`repro.lod.graph.Graph.open`.
 
     The columnar snapshot is rebuilt directly from the mapped id arrays and
@@ -332,17 +325,16 @@ def open_graph(path: Path | str, force_memory: bool = False, verify: bool = Fals
     """
     store_file = _open_store(path, KIND_GRAPH)
     meta = store_file.json("meta")
-    load = _loader(force_memory)
     terms = _decode_terms(store_file)
     term_ids: dict = {}
     for i, term in enumerate(terms):
         term_ids.setdefault(term, i)
     orders = {
-        index: tuple(load(store_file.array(f"{index}.{position}")) for position in "spo")
+        index: tuple(store_file.array(f"{index}.{position}") for position in "spo")
         for index in ("spo", "pos", "osp")
     }
     blocks = {
-        index: tuple(load(store_file.array(f"{index}.{suffix}")) for suffix in ("bk", "bs", "be"))
+        index: tuple(store_file.array(f"{index}.{suffix}") for suffix in ("bk", "bs", "be"))
         for index in ("spo", "pos", "osp")
     }
     store = StoredTripleStore(terms, orders, int(meta["n_triples"]))

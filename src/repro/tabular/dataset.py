@@ -736,20 +736,19 @@ class Dataset:
         return save_dataset(self, path)
 
     @classmethod
-    def open(cls, path, force_memory: bool = False, verify: bool = False) -> "Dataset":
+    def open(cls, path, verify: bool = False) -> "Dataset":
         """Open a dataset store file as zero-copy memory-mapped views.
 
         The returned dataset skips encoding entirely: its
         :class:`~repro.tabular.encoded.EncodedDataset` cache is pre-seeded
         with the saved arrays, and every hot path is bit-identical to a cold
         in-memory encode of the same data.  The mapped views are read-only;
-        mutating operations copy-on-write into memory.  ``force_memory=True``
-        materialises all arrays into memory instead of mapping them;
-        ``verify=True`` checksums every array section up front.
+        mutating operations copy-on-write into memory.  ``verify=True``
+        checksums every array section up front.
         """
         from repro.store import open_dataset
 
-        return open_dataset(path, force_memory=force_memory, verify=verify)
+        return open_dataset(path, verify=verify)
 
     def close(self) -> None:
         """Release the memory-mapped store file backing this dataset, if any.

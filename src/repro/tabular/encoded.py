@@ -423,17 +423,31 @@ def row_keys(code_columns: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
     return key
 
 
-def count_distinct(keys: np.ndarray) -> int:
-    """Number of distinct values in the 1-D array ``keys``.
+def _sorted_with_starts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` sorted, and the mask of the positions where a new value starts.
 
-    Sorts and counts the boundaries.  A plain ``np.unique(keys)`` takes
-    numpy's hash path for integers, which measured far slower than a sort
-    on row-sized key arrays.
+    A plain ``np.unique(keys)`` takes numpy's hash path for integers, which
+    measured far slower than a sort on row-sized key arrays.
     """
-    if keys.size == 0:
-        return 0
     ordered = np.sort(keys)
-    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return ordered, starts
+
+
+def count_distinct(keys: np.ndarray) -> int:
+    """Number of distinct values in the 1-D array ``keys``: a sort and a count of boundaries."""
+    return int(np.count_nonzero(_sorted_with_starts(keys)[1]))
+
+
+def distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-D integer array ``keys``, ascending.
+
+    Equal to a plain ``np.unique(keys)``, computed by a sort.
+    """
+    ordered, starts = _sorted_with_starts(keys)
+    return ordered[starts]
 
 
 def map_codes_to_index(

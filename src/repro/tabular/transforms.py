@@ -16,6 +16,7 @@ import numpy as np
 from repro.exceptions import SchemaError
 from repro.tabular.dataset import Column, ColumnRole, ColumnType, Dataset, is_missing_value
 from repro.tabular.encoded import MISSING_KEY_SENTINEL, encode_dataset
+from repro.tiers import use_reference
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,6 @@ def group_by(
     dataset: Dataset,
     keys: Sequence[str],
     aggregations: Mapping[str, tuple[str, str]],
-    force_row: bool = False,
 ) -> Dataset:
     """Group rows by ``keys`` and compute aggregations.
 
@@ -184,8 +184,8 @@ def group_by(
     are reduced over contiguous sorted-scan segments of the float views —
     bit-identical to the row-at-a-time reference, including the float
     summation order, the first-seen group order and the first-row key values.
-    ``force_row=True`` is the escape hatch that routes to the retained
-    row-at-a-time reference implementation.
+    Inside :func:`repro.tiers.reference` it runs the retained row-at-a-time
+    reference implementation.
     """
     keys = list(keys)
     for key in keys:
@@ -197,7 +197,7 @@ def group_by(
         if agg not in _AGGREGATIONS:
             raise SchemaError(f"unknown aggregation {agg!r}; choose from {sorted(_AGGREGATIONS)}")
 
-    if not force_row and all(
+    if not use_reference() and all(
         dataset[source].is_numeric() for source, _ in aggregations.values()
     ):
         out_rows = _grouped_rows_encoded(dataset, keys, aggregations)

@@ -3,8 +3,8 @@
 Every OLAP operation has two execution paths: the vectorized encoded-core
 path (group keys from the cached int64 code arrays, measures reduced over
 sorted-scan segments of the float views) and the retained row-at-a-time
-reference, selected by the ``_force_row_olap`` escape hatch on :class:`Cube`
-(and the ``force_row`` parameter of ``group_by``).  The two must be
+reference, which every operation takes inside ``repro.tiers.reference()``.
+The two must be
 **bit-identical**: same values (float bits included), same row order, same
 column order and types.  The harness also pins the missing-value semantics of
 every aggregation on both paths, the OLAP edge cases from the issue (empty
@@ -19,45 +19,17 @@ import struct
 
 import numpy as np
 import pytest
+from parity import assert_identical_datasets, on_reference
 
 from repro.bi import Cube, Dimension, KPI, Measure, cube_report, evaluate_kpis_by_level
 from repro.exceptions import ReproError, SchemaError
 from repro.tabular.dataset import ColumnType, Dataset
 from repro.tabular.encoded import encode_dataset
 from repro.tabular.transforms import group_by
+from repro.tiers import reference
 import repro.tabular.transforms as transforms_module
 
 AGGREGATIONS = ("sum", "mean", "min", "max", "count", "std", "median")
-
-
-# ---------------------------------------------------------------------------
-# Comparison helpers
-# ---------------------------------------------------------------------------
-
-def _bits(value):
-    """A bit-exact comparison key: floats by their IEEE-754 bytes."""
-    if isinstance(value, float):
-        return ("float", struct.pack("<d", value))
-    return (type(value).__name__, value)
-
-
-def _assert_identical_datasets(a: Dataset, b: Dataset):
-    """Exact equality: column names/order, ctypes, roles, row order, float bits."""
-    assert a.column_names == b.column_names, f"column order {a.column_names} != {b.column_names}"
-    assert a.n_rows == b.n_rows, f"row count {a.n_rows} != {b.n_rows}"
-    for name in a.column_names:
-        ca, cb = a[name], b[name]
-        assert ca.ctype == cb.ctype, f"{name}: ctype {ca.ctype} != {cb.ctype}"
-        assert ca.role == cb.role, f"{name}: role {ca.role} != {cb.role}"
-        for i, (x, y) in enumerate(zip(ca.tolist(), cb.tolist())):
-            assert _bits(x) == _bits(y), f"{name}[{i}]: {x!r} != {y!r}"
-
-
-def _forced(cube: Cube) -> Cube:
-    """A copy of ``cube`` routed to the row-at-a-time reference path."""
-    clone = Cube(cube.dataset, cube.dimensions, cube.measures, name=cube.name)
-    clone._force_row_olap = True
-    return clone
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +102,9 @@ def cube(sales):
 @pytest.mark.parametrize("agg", AGGREGATIONS)
 def test_group_by_every_aggregation_identical(sales, agg):
     aggs = {"out": ("amount", agg)}
-    _assert_identical_datasets(
+    assert_identical_datasets(
         group_by(sales, ["district"], aggs),
-        group_by(sales, ["district"], aggs, force_row=True),
+        on_reference(group_by, sales, ["district"], aggs),
     )
 
 
@@ -144,9 +116,9 @@ def test_group_by_every_aggregation_identical(sales, agg):
 def test_group_by_key_combinations_identical(sales, keys):
     aggs = {f"amount_{agg}": ("amount", agg) for agg in AGGREGATIONS}
     aggs["rate_mean"] = ("rate", "mean")
-    _assert_identical_datasets(
+    assert_identical_datasets(
         group_by(sales, keys, aggs),
-        group_by(sales, keys, aggs, force_row=True),
+        on_reference(group_by, sales, keys, aggs),
     )
 
 
@@ -158,8 +130,8 @@ def test_group_by_missing_sentinel_collision_identical():
         ctypes={"k": ColumnType.CATEGORICAL, "x": ColumnType.NUMERIC},
     )
     fast = group_by(ds, ["k"], {"s": ("x", "sum")})
-    slow = group_by(ds, ["k"], {"s": ("x", "sum")}, force_row=True)
-    _assert_identical_datasets(fast, slow)
+    slow = on_reference(group_by, ds, ["k"], {"s": ("x", "sum")})
+    assert_identical_datasets(fast, slow)
     assert fast.n_rows == 2  # {"a"} and {missing, literal sentinel}
     assert fast["s"].tolist() == [1.0 + 4.0, 2.0 + 3.0 + 5.0]
 
@@ -169,8 +141,8 @@ def test_group_by_numeric_key_nan_group_identical():
         {"k": [1.0, None, 2.0, 1.0, None], "x": [10.0, 20.0, 30.0, 40.0, 50.0]}
     )
     fast = group_by(ds, ["k"], {"s": ("x", "sum")})
-    slow = group_by(ds, ["k"], {"s": ("x", "sum")}, force_row=True)
-    _assert_identical_datasets(fast, slow)
+    slow = on_reference(group_by, ds, ["k"], {"s": ("x", "sum")})
+    assert_identical_datasets(fast, slow)
     assert fast.n_rows == 3  # 1.0, the nan group, 2.0 — in first-seen order
     assert fast["s"].tolist() == [50.0, 70.0, 30.0]
 
@@ -191,12 +163,12 @@ def test_group_by_edge_inputs_identical(columns):
     keys = [name for name in columns if name != "x"] or ["x"]
     aggs = {f"x_{agg}": ("x", agg) for agg in AGGREGATIONS}
     try:
-        slow = group_by(ds, keys, aggs, force_row=True)
+        slow = on_reference(group_by, ds, keys, aggs)
     except ReproError as exc:
         with pytest.raises(type(exc)):
             group_by(ds, keys, aggs)
         return
-    _assert_identical_datasets(group_by(ds, keys, aggs), slow)
+    assert_identical_datasets(group_by(ds, keys, aggs), slow)
 
 
 @pytest.mark.parametrize("n_groups", [257, 65_537])
@@ -212,7 +184,7 @@ def test_group_by_past_the_narrow_sort_dtype_boundaries_identical(n_groups):
     aggs = {"s": ("x", "sum"), "n": ("x", "count")}
     fast = group_by(ds, ["k"], aggs)
     assert fast.n_rows == n_groups
-    _assert_identical_datasets(fast, group_by(ds, ["k"], aggs, force_row=True))
+    assert_identical_datasets(fast, on_reference(group_by, ds, ["k"], aggs))
 
 
 def test_group_by_wide_distinct_keys_overflow_the_radix_and_densify():
@@ -237,7 +209,7 @@ def test_group_by_wide_distinct_keys_overflow_the_radix_and_densify():
     aggs = {"s": ("x", "sum"), "n": ("x", "count")}
     fast = group_by(ds, keys, aggs)
     assert fast.n_rows == n + 2
-    _assert_identical_datasets(fast, group_by(ds, keys, aggs, force_row=True))
+    assert_identical_datasets(fast, on_reference(group_by, ds, keys, aggs))
 
 
 def test_group_by_float_summation_order_is_sequential(sales):
@@ -284,7 +256,7 @@ def test_group_by_non_numeric_measure_falls_back_to_reference(monkeypatch):
     assert calls == {"encoded": 1, "reference": 0}
     group_by(ds, ["g"], {"m": ("code", "sum")})
     assert calls == {"encoded": 1, "reference": 1}
-    group_by(ds, ["g"], {"m": ("x", "mean")}, force_row=True)
+    on_reference(group_by, ds, ["g"], {"m": ("x", "mean")})
     assert calls == {"encoded": 1, "reference": 2}
 
 
@@ -293,41 +265,35 @@ def test_group_by_non_numeric_measure_falls_back_to_reference(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_cube_aggregate_and_grand_total_identical(cube):
-    forced = _forced(cube)
-    _assert_identical_datasets(cube.aggregate(["district"]), forced.aggregate(["district"]))
-    _assert_identical_datasets(
-        cube.aggregate(["region", "year"]), forced.aggregate(["region", "year"])
+    assert_identical_datasets(cube.aggregate(["district"]), on_reference(cube.aggregate, ["district"]))
+    assert_identical_datasets(
+        cube.aggregate(["region", "year"]), on_reference(cube.aggregate, ["region", "year"])
     )
-    _assert_identical_datasets(cube.aggregate(), forced.aggregate())
+    assert_identical_datasets(cube.aggregate(), on_reference(cube.aggregate))
 
 
 def test_cube_rollup_and_drill_down_identical(cube):
-    forced = _forced(cube)
-    _assert_identical_datasets(cube.rollup("place"), forced.rollup("place"))
-    _assert_identical_datasets(cube.drill_down("place"), forced.drill_down("place"))
-    _assert_identical_datasets(cube.rollup("year"), forced.rollup("year"))
+    assert_identical_datasets(cube.rollup("place"), on_reference(cube.rollup, "place"))
+    assert_identical_datasets(cube.drill_down("place"), on_reference(cube.drill_down, "place"))
+    assert_identical_datasets(cube.rollup("year"), on_reference(cube.rollup, "year"))
 
 
 def test_cube_pivot_identical(cube):
-    forced = _forced(cube)
-    _assert_identical_datasets(cube.pivot("district", "year"), forced.pivot("district", "year"))
-    _assert_identical_datasets(
+    assert_identical_datasets(cube.pivot("district", "year"), on_reference(cube.pivot, "district", "year"))
+    assert_identical_datasets(
         cube.pivot("region", "flagged", measure_name="mean_rate"),
-        forced.pivot("region", "flagged", measure_name="mean_rate"),
+        on_reference(cube.pivot, "region", "flagged", measure_name="mean_rate"),
     )
 
 
 def test_cube_slice_identical(cube):
-    forced = _forced(cube)
     for level, value in (("district", "d03"), ("year", 2020.0), ("flagged", True)):
         fast = cube.slice(level, value)
-        slow = forced.slice(level, value)
-        _assert_identical_datasets(fast.dataset, slow.dataset)
-        _assert_identical_datasets(fast.aggregate(["region"]), slow.aggregate(["region"]))
-    # A sub-cube of an encoded cube stays on the encoded path; of a forced
-    # cube, on the row path.
-    assert cube.slice("flagged", True)._force_row_olap is False
-    assert forced.slice("flagged", True)._force_row_olap is True
+        with reference():
+            slow = cube.slice(level, value)
+            slow_aggregate = slow.aggregate(["region"])
+        assert_identical_datasets(fast.dataset, slow.dataset)
+        assert_identical_datasets(fast.aggregate(["region"]), slow_aggregate)
 
 
 def test_cube_slice_exotic_numeric_candidates_match_row_semantics(cube):
@@ -336,14 +302,13 @@ def test_cube_slice_exotic_numeric_candidates_match_row_semantics(cube):
     from decimal import Decimal
     from fractions import Fraction
 
-    forced = _forced(cube)
     for value in (Decimal("2020"), Fraction(2021, 1)):
         fast = cube.slice("year", value)
-        slow = forced.slice("year", value)
-        _assert_identical_datasets(fast.dataset, slow.dataset)
+        slow = on_reference(cube.slice, "year", value)
+        assert_identical_datasets(fast.dataset, slow.dataset)
     diced = cube.dice({"year": [Decimal("2019"), 2021.0]})
-    _assert_identical_datasets(
-        diced.dataset, forced.dice({"year": [Decimal("2019"), 2021.0]}).dataset
+    assert_identical_datasets(
+        diced.dataset, on_reference(cube.dice, {"year": [Decimal("2019"), 2021.0]}).dataset
     )
 
 
@@ -352,31 +317,32 @@ def test_cube_slice_type_mismatch_matches_row_semantics(cube):
     # nothing on the row path (str == int is False) and must do the same on
     # the encoded path — both raise because every row is filtered out.
     with pytest.raises(SchemaError):
-        _forced(cube).slice("district", 3)
+        on_reference(cube.slice, "district", 3)
     with pytest.raises(SchemaError):
         cube.slice("district", 3)
 
 
 def test_cube_dice_identical(cube):
-    forced = _forced(cube)
     selections = {"district": ["d01", "d02", "d05"], "flagged": [True], "year": [2019.0, 2021.0]}
     fast = cube.dice(selections)
-    slow = forced.dice(selections)
-    _assert_identical_datasets(fast.dataset, slow.dataset)
-    _assert_identical_datasets(fast.aggregate(["district"]), slow.aggregate(["district"]))
+    with reference():
+        slow = cube.dice(selections)
+        slow_aggregate = slow.aggregate(["district"])
+    assert_identical_datasets(fast.dataset, slow.dataset)
+    assert_identical_datasets(fast.aggregate(["district"]), slow_aggregate)
 
 
 def test_cube_empty_dice_selections_identical(cube):
     # dice({}) keeps every row but must still return a *fresh* sub-cube with
     # the row path's name, on both paths.
     fast = cube.dice({})
-    slow = _forced(cube).dice({})
+    slow = on_reference(cube.dice, {})
     assert fast is not cube and slow.name == fast.name == f"{cube.name}_dice"
-    _assert_identical_datasets(fast.dataset, slow.dataset)
+    assert_identical_datasets(fast.dataset, slow.dataset)
 
 
 def test_cube_measure_summary_identical(cube):
-    assert cube.measure_summary() == _forced(cube).measure_summary()
+    assert cube.measure_summary() == on_reference(cube.measure_summary)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +361,16 @@ def test_aggregation_missing_semantics_pinned():
         ctypes={"g": ColumnType.CATEGORICAL, "x": ColumnType.NUMERIC},
     )
     aggs = {f"x_{agg}": ("x", agg) for agg in AGGREGATIONS}
-    for force in (False, True):
-        grouped = group_by(ds, ["g"], aggs, force_row=force)
+    for grouped in (group_by(ds, ["g"], aggs), on_reference(group_by, ds, ["g"], aggs)):
         by_group = {row["g"]: row for row in grouped.iter_rows()}
         a, b = by_group["a"], by_group["b"]
         assert a["x_count"] == 2.0 and a["x_sum"] == 4.0 and a["x_mean"] == 2.0
         assert a["x_min"] == 1.0 and a["x_max"] == 3.0
         assert b["x_count"] == 0.0
         for agg in ("sum", "mean", "min", "max", "std", "median"):
-            assert np.isnan(b[f"x_{agg}"]), f"b.{agg} should be nan on force_row={force}"
-    _assert_identical_datasets(
-        group_by(ds, ["g"], aggs), group_by(ds, ["g"], aggs, force_row=True)
+            assert np.isnan(b[f"x_{agg}"]), f"b.{agg} should be nan on both paths"
+    assert_identical_datasets(
+        group_by(ds, ["g"], aggs), on_reference(group_by, ds, ["g"], aggs)
     )
 
 
@@ -425,7 +390,7 @@ def test_empty_dice_raises_on_both_paths(cube):
     with pytest.raises(SchemaError):
         cube.dice(selections)
     with pytest.raises(SchemaError):
-        _forced(cube).dice(selections)
+        on_reference(cube.dice, selections)
 
 
 def test_single_group_rollup_both_paths():
@@ -435,8 +400,8 @@ def test_single_group_rollup_both_paths():
     )
     cube = Cube(ds, [Dimension("g", ("g",))], [Measure("s", "x", "sum")])
     fast = cube.rollup("g")
-    slow = _forced(cube).rollup("g")
-    _assert_identical_datasets(fast, slow)
+    slow = on_reference(cube.rollup, "g")
+    assert_identical_datasets(fast, slow)
     assert fast.n_rows == 1 and fast["s"][0] == 21.0
 
 
@@ -451,8 +416,8 @@ def test_all_missing_measure_column_both_paths():
         [Measure("s", "x", "sum"), Measure("n", "x", "count"), Measure("m", "x", "mean")],
     )
     fast = cube.aggregate(["g"])
-    slow = _forced(cube).aggregate(["g"])
-    _assert_identical_datasets(fast, slow)
+    slow = on_reference(cube.aggregate, ["g"])
+    assert_identical_datasets(fast, slow)
     assert fast["n"].tolist() == [0.0, 0.0]
     assert all(np.isnan(v) for v in fast["s"].tolist() + fast["m"].tolist())
 
@@ -468,7 +433,7 @@ def test_multi_level_drill_down_ordering(cube, sales):
             seen.add(key)
             expected.append(None if key == "\0<missing>" else value)
     assert drilled["district"].tolist() == expected
-    _assert_identical_datasets(drilled, _forced(cube).drill_down("place"))
+    assert_identical_datasets(drilled, on_reference(cube.drill_down, "place"))
 
 
 def test_cube_operations_do_not_mutate_shared_views(cube):
@@ -503,8 +468,8 @@ def test_evaluate_kpis_by_level_identical(cube):
         KPI("mean_amount", "amount", target=100.0, higher_is_better=False, tolerance=0.2),
     ]
     fast = evaluate_kpis_by_level(kpis, cube, "district")
-    slow = evaluate_kpis_by_level(kpis, _forced(cube), "district")
-    _assert_identical_datasets(fast, slow)
+    slow = on_reference(evaluate_kpis_by_level, kpis, cube, "district")
+    assert_identical_datasets(fast, slow)
     assert fast.column_names == [
         "district", "mean_rate", "mean_rate_status", "mean_amount", "mean_amount_status",
     ]
@@ -531,7 +496,7 @@ def test_evaluate_kpis_by_level_validation(cube):
 
 def test_cube_report_identical_rendering(cube):
     fast = cube_report(cube, levels=["district", "year"])
-    slow = cube_report(_forced(cube), levels=["district", "year"])
+    slow = on_reference(cube_report, cube, levels=["district", "year"])
     for fmt in ("text", "markdown", "html"):
         assert fast.render(fmt) == slow.render(fmt)
     text = fast.render("text")

@@ -19,6 +19,7 @@ import urllib.request
 
 import numpy as np
 import pytest
+from parity import assert_identical_datasets, bits
 
 from repro.bi import KPI, Cube, Dimension, Measure, evaluate_kpis_by_level
 from repro.exceptions import FeedError, FeedTransientError, LODError, OLAPError, ReproError, SchemaError
@@ -45,6 +46,7 @@ from repro.tabular import read_csv, write_csv
 from repro.tabular.dataset import ColumnRole, ColumnType, Dataset
 from repro.tabular.encoded import _CACHE_ATTR, encode_dataset
 from repro.tabular.transforms import group_by
+from repro.tiers import reference
 
 AGGREGATIONS = ("sum", "mean", "min", "max", "count", "std", "median")
 
@@ -53,34 +55,16 @@ AGGREGATIONS = ("sum", "mean", "min", "max", "count", "std", "median")
 # Comparison helpers
 # ---------------------------------------------------------------------------
 
-def _bits(value):
-    """A bit-exact comparison key: floats by their IEEE-754 bytes."""
-    if isinstance(value, float):
-        return ("float", struct.pack("<d", value))
-    return (type(value).__name__, value)
-
-
-def _assert_identical_datasets(a: Dataset, b: Dataset):
-    """Exact equality: column names/order, ctypes, row order, float bits."""
-    assert a.column_names == b.column_names, f"column order {a.column_names} != {b.column_names}"
-    assert a.n_rows == b.n_rows, f"row count {a.n_rows} != {b.n_rows}"
-    for name in a.column_names:
-        ca, cb = a[name], b[name]
-        assert ca.ctype == cb.ctype, f"{name}: ctype {ca.ctype} != {cb.ctype}"
-        for i, (x, y) in enumerate(zip(ca.tolist(), cb.tolist())):
-            assert _bits(x) == _bits(y), f"{name}[{i}]: {x!r} != {y!r}"
-
-
 def _assert_identical_profiles(a, b):
     """Profiles compared through their canonical JSON form (float-exact repr)."""
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
 
 
-def _assert_identical_encodings(merged: Dataset, reference: Dataset):
-    """The merged dataset's cached views equal a cold encode, bit for bit."""
+def _assert_identical_encodings(merged: Dataset, source: Dataset):
+    """The merged dataset's cached views equal a cold encode of ``source``, bit for bit."""
     seeded = getattr(merged, _CACHE_ATTR, None)
     assert seeded is not None and seeded.dataset is merged
-    cold = encode_dataset(reference)
+    cold = encode_dataset(source)
     for column in merged.columns:
         if column.is_numeric():
             values, missing = seeded.numeric_view(column.name)
@@ -309,7 +293,7 @@ class TestChunkedReaders:
         for block in blocks[1:]:
             combined = combined.concat(block)
         combined.name = whole.name
-        _assert_identical_datasets(combined, whole)
+        assert_identical_datasets(combined, whole)
 
     def test_csv_chunks_single_block(self, csv_file):
         blocks = list(read_csv_chunks(csv_file, chunk_rows=1000))
@@ -509,14 +493,14 @@ class TestIncrementalGroupBy:
         board = IncrementalGroupBy(base, ["region", "year"], self.AGGS)
         assert board.incremental
         merged = append_rows(base, _delta_rows(50))
-        _assert_identical_datasets(
+        assert_identical_datasets(
             board.refresh(merged), group_by(_cold(merged), ["region", "year"], self.AGGS)
         )
 
     def test_initial_result_matches_group_by(self):
         base = _base_dataset(120)
         board = IncrementalGroupBy(base, ["region"], self.AGGS)
-        _assert_identical_datasets(board.result(), group_by(base, ["region"], self.AGGS))
+        assert_identical_datasets(board.result(), group_by(base, ["region"], self.AGGS))
 
     def test_sequential_refreshes(self):
         merged = _base_dataset(100)
@@ -524,42 +508,21 @@ class TestIncrementalGroupBy:
         for seed in (5, 6, 7):
             merged = append_rows(merged, _delta_rows(20, seed=seed))
             result = board.refresh(merged)
-        _assert_identical_datasets(result, group_by(_cold(merged), ["region"], self.AGGS))
+        assert_identical_datasets(result, group_by(_cold(merged), ["region"], self.AGGS))
 
     def test_empty_delta_refresh(self):
         base = _base_dataset(60)
         board = IncrementalGroupBy(base, ["region"], self.AGGS)
-        _assert_identical_datasets(board.refresh(base), group_by(base, ["region"], self.AGGS))
-
-    def test_force_full_refresh_routes_to_group_by(self, monkeypatch):
-        base = _base_dataset(50)
-        board = IncrementalGroupBy(base, ["region"], {"total": ("amount", "sum")})
-        merged = append_rows(base, _delta_rows(10))
-        calls = []
-        real = incremental_module.group_by
-
-        def _spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(incremental_module, "group_by", _spy)
-        board.refresh(merged)
-        assert not calls  # incremental path: no batch group_by
-        board._force_full_refresh = True
-        merged2 = append_rows(merged, _delta_rows(5, seed=3))
-        result = board.refresh(merged2)
-        assert len(calls) == 1
-        _assert_identical_datasets(result, real(_cold(merged2), ["region"], {"total": ("amount", "sum")}))
+        assert_identical_datasets(board.refresh(base), group_by(base, ["region"], self.AGGS))
 
     def test_forced_instance_can_resume_incrementally(self):
         base = _base_dataset(50)
         board = IncrementalGroupBy(base, ["region"], self.AGGS)
-        board._force_full_refresh = True
         merged = append_rows(base, _delta_rows(10))
-        board.refresh(merged)
-        board._force_full_refresh = False
+        with reference():
+            board.refresh(merged)
         merged2 = append_rows(merged, _delta_rows(10, seed=4))
-        _assert_identical_datasets(
+        assert_identical_datasets(
             board.refresh(merged2), group_by(_cold(merged2), ["region"], self.AGGS)
         )
 
@@ -583,7 +546,7 @@ class TestIncrementalGroupBy:
         merged = append_dataset(base, delta)
         result = board.refresh(merged)
         assert len(calls) == 1
-        _assert_identical_datasets(result, real(_cold(merged), ["g"], {"n": ("v", "sum")}))
+        assert_identical_datasets(result, real(_cold(merged), ["g"], {"n": ("v", "sum")}))
 
     def test_validation_matches_group_by(self):
         base = _base_dataset(10)
@@ -604,8 +567,8 @@ class TestIncrementalGroupBy:
         base = Dataset.from_rows(rows[:2], name="fold", ctypes=ctypes)
         board = IncrementalGroupBy(base, ["g"], aggs)
         result = board.refresh(append_rows(base, rows[2:]))
-        assert [_bits(x) for x in result["s"].tolist()] == [_bits(0.0), _bits(0.0)]
-        assert [_bits(x) for x in result["m"].tolist()] == [_bits(0.0), _bits(0.0)]
+        assert [bits(x) for x in result["s"].tolist()] == [bits(0.0), bits(0.0)]
+        assert [bits(x) for x in result["m"].tolist()] == [bits(0.0), bits(0.0)]
 
     def test_advancing_on_opened_stores_materialises_no_column(self, tmp_path):
         base = _base_dataset(200)
@@ -620,9 +583,9 @@ class TestIncrementalGroupBy:
             for dataset in (opened, merged):
                 assert all(c._cells is None for c in dataset.columns if isinstance(c, StoredColumn))
             cold = _cold(merged)
-            _assert_identical_datasets(grouped_result, group_by(cold, ["region", "year"], cube._aggregations()))
+            assert_identical_datasets(grouped_result, group_by(cold, ["region", "year"], cube._aggregations()))
             reference_cube = Cube(cold, dimensions=cube.dimensions, measures=cube.measures, name=cube.name)
-            _assert_identical_datasets(
+            assert_identical_datasets(
                 kpi_result,
                 evaluate_kpis_by_level([KPI("avg_score", "score", target=0.5)], reference_cube, "region"),
             )
@@ -652,18 +615,13 @@ class TestIncrementalCubeAndKPIs:
         base = _base_dataset(150)
         board = incremental_cube_aggregate(self._cube(base), ["region", "year"])
         merged = append_rows(base, _delta_rows(40))
-        _assert_identical_datasets(
+        assert_identical_datasets(
             board.refresh(merged), self._cube(_cold(merged)).aggregate(["region", "year"])
         )
 
     def test_empty_levels_is_an_error(self):
         with pytest.raises(OLAPError, match="at least one level"):
             incremental_cube_aggregate(self._cube(_base_dataset(10)), [])
-
-    def test_force_row_olap_pins_full_refresh(self):
-        cube = self._cube(_base_dataset(10))
-        cube._force_row_olap = True
-        assert incremental_cube_aggregate(cube, ["region"])._force_full_refresh
 
     def test_kpi_board_refresh_matches_batch(self):
         kpis = [
@@ -675,14 +633,13 @@ class TestIncrementalCubeAndKPIs:
         merged = append_rows(base, _delta_rows(40))
         refreshed = board.refresh(merged)
         batch = evaluate_kpis_by_level(kpis, self._cube(_cold(merged)), "region")
-        _assert_identical_datasets(refreshed, batch)
-        _assert_identical_datasets(board.result(), batch)
+        assert_identical_datasets(refreshed, batch)
+        assert_identical_datasets(board.result(), batch)
 
     def test_kpi_board_forced_refresh_matches_batch(self, monkeypatch):
         kpis = [KPI("spend", "amount", target=100.0)]
         base = _base_dataset(60)
         board = IncrementalKPIBoard(kpis, self._cube(base), "region")
-        board._force_full_refresh = True
         calls = []
         real = incremental_module.group_by
         monkeypatch.setattr(
@@ -690,10 +647,10 @@ class TestIncrementalCubeAndKPIs:
             lambda *a, **k: calls.append(a) or real(*a, **k),
         )
         merged = append_rows(base, _delta_rows(15))
-        refreshed = board.refresh(merged)
+        with reference():
+            refreshed = board.refresh(merged)
         assert len(calls) == 1
-        assert not board._grouped._force_full_refresh  # restored after the forced pass
-        _assert_identical_datasets(
+        assert_identical_datasets(
             refreshed, evaluate_kpis_by_level(kpis, self._cube(_cold(merged)), "region")
         )
 
@@ -761,12 +718,6 @@ class TestIncrementalProfile:
             profile.refresh(merged), measure_quality(_cold(merged), ["balance"])
         )
 
-    def test_force_row_criterion_falls_back(self):
-        criterion = CompletenessCriterion()
-        criterion._force_row_measure = True
-        profile = IncrementalProfile(_base_dataset(40), criteria=[criterion])
-        assert profile.fallback_criteria == ["completeness"]
-
     def test_subclassed_criterion_falls_back(self):
         class CustomCompleteness(CompletenessCriterion):
             pass
@@ -776,26 +727,6 @@ class TestIncrementalProfile:
         merged = append_rows(profile._dataset, _delta_rows(10))
         _assert_identical_profiles(
             profile.refresh(merged), measure_quality(_cold(merged), [CustomCompleteness()])
-        )
-
-    def test_force_full_refresh_routes_to_measure_quality(self, monkeypatch):
-        base = _base_dataset(50)
-        profile = IncrementalProfile(base, criteria=["completeness", "balance"])
-        calls = []
-        real = incremental_module.measure_quality
-        monkeypatch.setattr(
-            incremental_module, "measure_quality",
-            lambda *a, **k: calls.append(a) or real(*a, **k),
-        )
-        merged = append_rows(base, _delta_rows(10))
-        profile.refresh(merged)
-        assert not calls
-        profile._force_full_refresh = True
-        merged2 = append_rows(merged, _delta_rows(10, seed=2))
-        refreshed = profile.refresh(merged2)
-        assert len(calls) == 1
-        _assert_identical_profiles(
-            refreshed, real(_cold(merged2), ["completeness", "balance"])
         )
 
     def test_refresh_target_validation(self):
@@ -847,15 +778,15 @@ class TestDuplicationState:
         merged = Dataset.from_rows(self.BATCHES[0], name="dups", ctypes=self.CTYPES)
         profile = IncrementalProfile(merged, criteria=[DuplicationCriterion(fuzzy=fuzzy)])
         assert profile.incremental_criteria == ["duplication"]
-        row_tier = DuplicationCriterion(fuzzy=fuzzy)
-        row_tier._force_row_measure = True
         for rows in self.BATCHES[1:]:
             merged = append_rows(merged, rows)
             refreshed = profile.refresh(merged)
             _assert_identical_profiles(
                 refreshed, measure_quality(_cold(merged), [DuplicationCriterion(fuzzy=fuzzy)])
             )
-            _assert_identical_profiles(refreshed, measure_quality(_cold(merged), [row_tier]))
+            with reference():
+                row_tier = measure_quality(_cold(merged), [DuplicationCriterion(fuzzy=fuzzy)])
+            _assert_identical_profiles(refreshed, row_tier)
         details = refreshed.details("duplication")
         # Exact: the repeated "bar" row, "<missing>" and a later missing cell
         # against row 1, and 2.0000001 rounding to 2.0.  Fuzzy adds the café
@@ -942,7 +873,7 @@ class TestTripleStoreAppend:
     def test_append_force_rebuild_invalidates(self):
         store = self._store(10)
         store.columnar()
-        store.append(_graph_triples(2, prefix="fresh"), _force_rebuild=True)
+        store.update(_graph_triples(2, prefix="fresh"))
         assert store._columnar is None
 
     def test_append_rejects_non_triples(self):

@@ -10,10 +10,10 @@ over the concatenation of all the batches.
 from __future__ import annotations
 
 import json
-import struct
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from parity import assert_identical_datasets
 
 from repro.bi import KPI, Cube, Dimension, Measure, evaluate_kpis_by_level
 from repro.feeds import IncrementalGroupBy, IncrementalKPIBoard, IncrementalProfile, append_rows
@@ -46,20 +46,6 @@ _CTYPES = {"group": ColumnType.CATEGORICAL, "value": ColumnType.NUMERIC}
 def _dataset(rows, name="prop"):
     padded = rows if rows else [{"group": "alpha", "value": 0.0}]
     return Dataset.from_rows(padded, name=name, ctypes=_CTYPES, column_order=["group", "value"])
-
-
-def _bits(value):
-    if isinstance(value, float):
-        return struct.pack("<d", value)
-    return value
-
-
-def _assert_identical(a: Dataset, b: Dataset):
-    assert a.column_names == b.column_names
-    assert a.n_rows == b.n_rows
-    for name in a.column_names:
-        for x, y in zip(a[name].tolist(), b[name].tolist()):
-            assert _bits(x) == _bits(y)
 
 
 # -- properties ---------------------------------------------------------------
@@ -102,7 +88,7 @@ def test_incremental_group_by_matches_one_shot_rebuild(base, batches):
         merged = append_rows(merged, batch)
         all_rows.extend(batch)
         result = board.refresh(merged)
-    _assert_identical(result, group_by(_dataset(all_rows), ["group"], aggregations))
+    assert_identical_datasets(result, group_by(_dataset(all_rows), ["group"], aggregations))
 
 
 @given(base=st.lists(_row, min_size=1, max_size=20), batches=_batches)
@@ -139,7 +125,7 @@ def test_incremental_kpi_board_matches_one_shot_rebuild(base, batches):
         merged = append_rows(merged, batch)
         all_rows.extend(batch)
         result = board.refresh(merged)
-    _assert_identical(result, evaluate_kpis_by_level(kpis, _cube(_dataset(all_rows)), "group"))
+    assert_identical_datasets(result, evaluate_kpis_by_level(kpis, _cube(_dataset(all_rows)), "group"))
 
 
 @given(

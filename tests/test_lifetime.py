@@ -195,8 +195,8 @@ def test_take_fold_whose_parent_was_dropped_answers_alone(no_gc):
 
 
 def test_opened_store_encoding_answers_after_its_dataset_is_dropped(no_gc, tmp_path):
-    path = _table(5, 600).save(tmp_path / "budget.rps")
-    reference = open_dataset(path, force_memory=True)
+    reference = _table(5, 600)
+    path = reference.save(tmp_path / "budget.rps")
     opened = open_dataset(path)
     encoded = encode_dataset(opened)
     owners = [weakref.ref(opened), weakref.ref(opened._store_file)]

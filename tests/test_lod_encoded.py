@@ -4,26 +4,25 @@ Every LOD hot path has two implementations — the dict-index / pairwise
 reference tier and the vectorized columnar tier — that must be bit-identical:
 ``select``/``ask``/``count`` bindings (values, row order, binding-dict key
 order), linker link sets and scores (float bits), and tabulated datasets
-(cells, column order, ctypes, roles).  These tests pin that contract, the
-force-hatch routing, cache invalidation on mutation, the no-mutation
-guarantee of the shared columnar snapshot, and the encode-exactly-once
-behaviour of the tabulate → profile → cube pipeline.
+(cells, column order, ctypes, roles).  These tests pin that contract, with
+the reference side inside ``repro.tiers.reference()``, plus cache
+invalidation on mutation, the no-mutation guarantee of the shared columnar
+snapshot, and the encode-exactly-once behaviour of the tabulate → profile →
+cube pipeline.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from parity import assert_identical_bindings, assert_identical_datasets, bits, on_reference
 
 from repro.datasets import air_quality
 from repro.datasets.civic import CIVIC, civic_lod_graph
 from repro.exceptions import LODError
 from repro.lod.graph import Graph
 from repro.lod.linker import EntityLinker, LinkRule
-from repro.lod import query as query_module
 from repro.lod import tabulate as tabulate_module
 from repro.lod.query import TriplePattern, Variable, ask, count, select
 from repro.lod.serialization import parse_ntriples, to_ntriples, to_turtle
@@ -37,33 +36,10 @@ from repro.tabular.encoded import EncodedDataset, encode_dataset
 EX = Namespace("http://example.org/")
 
 
-def _bits(value):
-    """Bit-exact comparison key (floats compared by their IEEE-754 bytes)."""
-    if isinstance(value, float):
-        return ("float", struct.pack("<d", value))
-    return (type(value).__name__, value)
-
-
-def assert_identical_bindings(fast, slow):
-    """Same bindings, same row order, same dict key order, same term objects."""
-    assert len(fast) == len(slow)
-    for a, b in zip(fast, slow):
-        assert list(a) == list(b)  # key insertion order
-        assert a == b
-
-
-def assert_identical_datasets(a, b):
-    """Bit-exact dataset equality: columns, ctypes, roles, cells and types."""
+def assert_identical_tabulations(a, b):
+    """Bit-identical datasets under the same dataset name."""
     assert a.name == b.name
-    assert a.column_names == b.column_names
-    for name in a.column_names:
-        left, right = a[name], b[name]
-        assert left.ctype == right.ctype
-        assert left.role == right.role
-        for x, y in zip(left.tolist(), right.tolist()):
-            if isinstance(x, float) and isinstance(y, float) and np.isnan(x) and np.isnan(y):
-                continue
-            assert _bits(x) == _bits(y)
+    assert_identical_datasets(a, b)
 
 
 @pytest.fixture
@@ -111,17 +87,17 @@ class TestSelectEquivalence:
     @pytest.mark.parametrize("patterns", QUERIES, ids=range(len(QUERIES)))
     def test_select_bit_identical(self, city_graph, patterns):
         fast = select(city_graph, patterns)
-        slow = select(city_graph, patterns, force_row=True)
+        slow = on_reference(select, city_graph, patterns)
         assert_identical_bindings(fast, slow)
 
     @pytest.mark.parametrize("patterns", QUERIES, ids=range(len(QUERIES)))
     def test_ask_and_count_identical(self, city_graph, patterns):
-        assert ask(city_graph, patterns) == ask(city_graph, patterns, force_row=True)
-        assert count(city_graph, patterns) == count(city_graph, patterns, force_row=True)
+        assert ask(city_graph, patterns) == on_reference(ask, city_graph, patterns)
+        assert count(city_graph, patterns) == on_reference(count, city_graph, patterns)
         variables = sorted({v for pattern in patterns for v in pattern.variables()})
         if variables:
-            assert count(city_graph, patterns, distinct_variable=variables[0]) == count(
-                city_graph, patterns, distinct_variable=variables[0], force_row=True
+            assert count(city_graph, patterns, distinct_variable=variables[0]) == on_reference(
+                count, city_graph, patterns, distinct_variable=variables[0]
             )
 
     def test_modifiers_identical(self, city_graph):
@@ -136,7 +112,7 @@ class TestSelectEquivalence:
         )
         assert_identical_bindings(
             select(city_graph, patterns, **kwargs),
-            select(city_graph, patterns, force_row=True, **kwargs),
+            on_reference(select, city_graph, patterns, **kwargs),
         )
 
     def test_unbound_projection_raises_on_both_tiers(self, city_graph):
@@ -144,12 +120,12 @@ class TestSelectEquivalence:
         with pytest.raises(LODError):
             select(city_graph, patterns, variables=["ghost"])
         with pytest.raises(LODError):
-            select(city_graph, patterns, variables=["ghost"], force_row=True)
+            on_reference(select, city_graph, patterns, variables=["ghost"])
 
     def test_empty_graph(self):
         graph = Graph()
         patterns = [TriplePattern(Variable("s"), RDF.type, EX.City)]
-        assert select(graph, patterns) == select(graph, patterns, force_row=True) == []
+        assert select(graph, patterns) == on_reference(select, graph, patterns) == []
         assert not ask(graph, patterns)
         assert count(graph, patterns) == 0
 
@@ -164,29 +140,8 @@ class TestSelectEquivalence:
         city_graph.remove(triple)
         assert len(select(city_graph, patterns)) == before
         assert_identical_bindings(
-            select(city_graph, patterns), select(city_graph, patterns, force_row=True)
+            select(city_graph, patterns), on_reference(select, city_graph, patterns)
         )
-
-    def test_routing_spies(self, city_graph, monkeypatch):
-        calls = []
-        original_encoded = query_module._join_encoded
-        original_reference = query_module._join_reference
-        monkeypatch.setattr(
-            query_module, "_join_encoded", lambda *a: calls.append("encoded") or original_encoded(*a)
-        )
-        monkeypatch.setattr(
-            query_module,
-            "_join_reference",
-            lambda *a: calls.append("reference") or original_reference(*a),
-        )
-        patterns = [TriplePattern(Variable("s"), RDF.type, EX.City)]
-        select(city_graph, patterns)
-        assert calls == ["encoded"]
-        select(city_graph, patterns, force_row=True)
-        assert calls == ["encoded", "reference"]
-        city_graph._force_row_select = True
-        select(city_graph, patterns)
-        assert calls == ["encoded", "reference", "reference"]
 
     def test_select_does_not_mutate_the_graph_or_the_snapshot(self, city_graph):
         triples_before = set(city_graph)
@@ -194,7 +149,7 @@ class TestSelectEquivalence:
         snapshots = {name: tuple(col.copy() for col in columnar.order(name)) for name in ("spo", "pos", "osp")}
         for patterns in QUERIES:
             select(city_graph, patterns)
-            select(city_graph, patterns, force_row=True)
+            on_reference(select, city_graph, patterns)
         assert set(city_graph) == triples_before
         assert city_graph.store.columnar() is columnar
         for name, arrays in snapshots.items():
@@ -268,9 +223,9 @@ class TestSerializationRoundTrip:
         parsed = parse_ntriples(to_ntriples(graph))
         patterns = [TriplePattern(Variable("s"), EX["p0"], Variable("o"))]
         fast = select(parsed, patterns, distinct=True, order_by="o")
-        slow = select(parsed, patterns, distinct=True, order_by="o", force_row=True)
+        slow = on_reference(select, parsed, patterns, distinct=True, order_by="o")
         assert_identical_bindings(fast, slow)
-        assert count(parsed, patterns) == count(graph, patterns, force_row=True)
+        assert count(parsed, patterns) == on_reference(count, graph, patterns)
 
 
 def _city_graph(suffix: str, names: list[str | None], extras: dict[int, list[str]] | None = None) -> Graph:
@@ -305,12 +260,10 @@ class TestLinkerEquivalence:
         left = _city_graph("a", left_names)
         right = _city_graph("b", right_names)
         linker = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=threshold)
-        forced = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=threshold)
-        forced._force_pairwise_link = True
         fast = linker.link(left, EX.City, right, EX.City)
-        slow = forced.link(left, EX.City, right, EX.City)
+        slow = on_reference(linker.link, left, EX.City, right, EX.City)
         assert [(l.left, l.right) for l in fast] == [(l.left, l.right) for l in slow]
-        assert [_bits(l.score) for l in fast] == [_bits(l.score) for l in slow]
+        assert [bits(l.score) for l in fast] == [bits(l.score) for l in slow]
 
     def test_multi_rule_and_multi_value_identical(self):
         left = _city_graph("a", ["Alicante", "Elche", None], extras={0: ["Alacant"], 2: ["Elx"]})
@@ -321,23 +274,19 @@ class TestLinkerEquivalence:
             LinkRule(EX.cityName, EX.alias, weight=2.0),
         ]
         linker = EntityLinker(rules, threshold=0.5)
-        forced = EntityLinker(rules, threshold=0.5)
-        forced._force_pairwise_link = True
         fast = linker.link(left, EX.City, right, EX.City)
-        slow = forced.link(left, EX.City, right, EX.City)
-        assert [(l.left, l.right, _bits(l.score)) for l in fast] == [
-            (l.left, l.right, _bits(l.score)) for l in slow
+        slow = on_reference(linker.link, left, EX.City, right, EX.City)
+        assert [(l.left, l.right, bits(l.score)) for l in fast] == [
+            (l.left, l.right, bits(l.score)) for l in slow
         ]
 
     def test_same_graph_skips_self_pairs_on_both_tiers(self):
         graph = _city_graph("s", ["Alicante", "ALICANTE", "Elche"])
         linker = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=0.9)
-        forced = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=0.9)
-        forced._force_pairwise_link = True
         fast = linker.link(graph, EX.City, graph, EX.City)
-        slow = forced.link(graph, EX.City, graph, EX.City)
-        assert [(l.left, l.right, _bits(l.score)) for l in fast] == [
-            (l.left, l.right, _bits(l.score)) for l in slow
+        slow = on_reference(linker.link, graph, EX.City, graph, EX.City)
+        assert [(l.left, l.right, bits(l.score)) for l in fast] == [
+            (l.left, l.right, bits(l.score)) for l in slow
         ]
         assert all(link.left != link.right for link in fast)
 
@@ -345,36 +294,18 @@ class TestLinkerEquivalence:
         left = _city_graph("a", ["Alicante"])
         right = _city_graph("b", [None, None])
         linker = EntityLinker([LinkRule(EX.cityName, EX.cityName)])
-        forced = EntityLinker([LinkRule(EX.cityName, EX.cityName)])
-        forced._force_pairwise_link = True
         assert linker.link(left, EX.City, right, EX.City) == []
-        assert forced.link(left, EX.City, right, EX.City) == []
+        assert on_reference(linker.link, left, EX.City, right, EX.City) == []
 
-    def test_routing_spies(self, monkeypatch):
+    def test_custom_comparator_falls_back_to_pairwise(self, monkeypatch):
         calls = []
-        original_blocked = EntityLinker._link_blocked
-        original_pairwise = EntityLinker._link_pairwise
+        original = EntityLinker._link_pairwise
         monkeypatch.setattr(
-            EntityLinker,
-            "_link_blocked",
-            lambda self, *a: calls.append("blocked") or original_blocked(self, *a),
+            EntityLinker, "_link_pairwise", lambda self, *a: calls.append("pairwise") or original(self, *a)
         )
-        monkeypatch.setattr(
-            EntityLinker,
-            "_link_pairwise",
-            lambda self, *a: calls.append("pairwise") or original_pairwise(self, *a),
-        )
-        left = _city_graph("a", ["Alicante"])
-        right = _city_graph("b", ["Alicante"])
-        linker = EntityLinker([LinkRule(EX.cityName, EX.cityName)])
-        linker.link(left, EX.City, right, EX.City)
-        assert calls == ["blocked"]
-        linker._force_pairwise_link = True
-        linker.link(left, EX.City, right, EX.City)
-        assert calls == ["blocked", "pairwise"]
         custom = EntityLinker([LinkRule(EX.cityName, EX.cityName, comparator=lambda a, b: 1.0)])
-        custom.link(left, EX.City, right, EX.City)
-        assert calls == ["blocked", "pairwise", "pairwise"]
+        custom.link(_city_graph("a", ["Alicante"]), EX.City, _city_graph("b", ["Alicante"]), EX.City)
+        assert calls == ["pairwise"]
 
     def test_value_cache_is_scoped_to_the_run(self):
         left = _city_graph("a", ["Alicante"])
@@ -395,12 +326,10 @@ class TestLinkerEquivalence:
         left = _city_graph("a", ["rio alto", "rio bajo", "villa rio", "monte alto"])
         right = _city_graph("b", ["RIO ALTO", "rio  bajo", "alto monte", "villa rio x"])
         linker = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=0.6)
-        forced = EntityLinker([LinkRule(EX.cityName, EX.cityName)], threshold=0.6)
-        forced._force_pairwise_link = True
         fast = linker.link(left, EX.City, right, EX.City)
-        slow = forced.link(left, EX.City, right, EX.City)
-        assert [(l.left, l.right, _bits(l.score)) for l in fast] == [
-            (l.left, l.right, _bits(l.score)) for l in slow
+        slow = on_reference(linker.link, left, EX.City, right, EX.City)
+        assert [(l.left, l.right, bits(l.score)) for l in fast] == [
+            (l.left, l.right, bits(l.score)) for l in slow
         ]
 
     def test_degenerate_shared_token_falls_back_to_pairwise(self, monkeypatch):
@@ -451,9 +380,9 @@ class TestTabulateEquivalence:
         ids=["default", "count", "no-subject", "coverage", "no-sameas"],
     )
     def test_tiers_bit_identical(self, lod_graph, kwargs):
-        assert_identical_datasets(
+        assert_identical_tabulations(
             tabulate_entities(lod_graph, CIVIC.AirQualityReading, **kwargs),
-            tabulate_entities(lod_graph, CIVIC.AirQualityReading, force_row=True, **kwargs),
+            on_reference(tabulate_entities, lod_graph, CIVIC.AirQualityReading, **kwargs),
         )
 
     def test_same_as_merging_and_late_label(self):
@@ -463,17 +392,17 @@ class TestTabulateEquivalence:
         graph.add(EX["e1"], OWL.sameAs, EX["e1b"])
         graph.add_resource(EX["e2"], rdf_type=EX.Entity, properties={EX.tag: "z"}, label="Second")
         for kwargs in ({}, {"multivalued": "count"}, {"follow_same_as": False}):
-            assert_identical_datasets(
+            assert_identical_tabulations(
                 tabulate_entities(graph, EX.Entity, **kwargs),
-                tabulate_entities(graph, EX.Entity, force_row=True, **kwargs),
+                on_reference(tabulate_entities, graph, EX.Entity, **kwargs),
             )
 
     def test_all_missing_predicate_column(self):
         graph = Graph()
         graph.add_resource(EX["e1"], rdf_type=EX.Entity, properties={EX.name: Literal("one")})
         fast = tabulate_entities(graph, EX.Entity, properties=[EX.name, EX.ghost])
-        slow = tabulate_entities(graph, EX.Entity, properties=[EX.name, EX.ghost], force_row=True)
-        assert_identical_datasets(fast, slow)
+        slow = on_reference(tabulate_entities, graph, EX.Entity, properties=[EX.name, EX.ghost])
+        assert_identical_tabulations(fast, slow)
         assert fast["ghost"].tolist() == [None]
 
     def test_empty_graph_raises_on_both_tiers(self):
@@ -481,7 +410,7 @@ class TestTabulateEquivalence:
         with pytest.raises(LODError):
             tabulate_entities(graph, EX.Entity)
         with pytest.raises(LODError):
-            tabulate_entities(graph, EX.Entity, force_row=True)
+            on_reference(tabulate_entities, graph, EX.Entity)
 
     def test_colliding_column_names_route_to_the_reference(self, monkeypatch):
         graph = Graph()
@@ -499,31 +428,12 @@ class TestTabulateEquivalence:
         tabulate_entities(graph, EX.Entity)
         assert calls == ["reference"]
 
-    def test_routing_spies(self, lod_graph, monkeypatch):
-        calls = []
-        original_encoded = tabulate_module._tabulate_encoded
-        original_reference = tabulate_module._tabulate_rows_reference
-        monkeypatch.setattr(
-            tabulate_module,
-            "_tabulate_encoded",
-            lambda *a: calls.append("encoded") or original_encoded(*a),
-        )
-        monkeypatch.setattr(
-            tabulate_module,
-            "_tabulate_rows_reference",
-            lambda *a: calls.append("reference") or original_reference(*a),
-        )
-        tabulate_entities(lod_graph, CIVIC.AirQualityReading)
-        assert calls == ["encoded"]
-        tabulate_entities(lod_graph, CIVIC.AirQualityReading, force_row=True)
-        assert calls == ["encoded", "reference"]
-
     def test_tabulate_does_not_mutate_the_graph(self, lod_graph):
         before = set(lod_graph)
         columnar = lod_graph.store.columnar()
         snapshot = tuple(col.copy() for col in columnar.order("spo"))
         tabulate_entities(lod_graph, CIVIC.AirQualityReading)
-        tabulate_entities(lod_graph, CIVIC.AirQualityReading, force_row=True)
+        on_reference(tabulate_entities, lod_graph, CIVIC.AirQualityReading)
         assert set(lod_graph) == before
         assert lod_graph.store.columnar() is columnar
         for old, new in zip(snapshot, columnar.order("spo")):

@@ -1,9 +1,11 @@
 """Equivalence tests for the encoded-matrix execution core.
 
 The vectorized batch paths (``_predict_batch`` / ``_predict_proba_batch``)
-must be drop-in replacements for the historical row-at-a-time loops: same
-labels, same probabilities, bit for bit, for every classifier in the registry,
-including datasets with missing values and mixed column types.
+and the encoded fits must be drop-in replacements for the historical
+row-at-a-time loops, which every classifier runs inside
+``repro.tiers.reference()``: same labels, same probabilities, bit for bit, for
+every classifier in the registry, including datasets with missing values and
+mixed column types.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from parity import on_reference
 
 from repro.core.injection import MissingValuesInjector
 from repro.datasets import make_classification_dataset
-from repro.exceptions import MiningError
 from repro.mining import (
     CLASSIFIER_REGISTRY,
     BaggingClassifier,
@@ -28,6 +30,7 @@ from repro.mining import (
 )
 from repro.tabular.dataset import Column, ColumnType, Dataset
 from repro.tabular.encoded import EncodedDataset, encode_dataset, merge_missing_level
+from repro.tiers import reference
 
 ALL_CLASSIFIERS = sorted(CLASSIFIER_REGISTRY)
 #: Classifiers with both an encoded fit and a retained row-at-a-time fit.
@@ -48,42 +51,6 @@ def _mixed_dataset(n_rows: int, missing: float, seed: int) -> Dataset:
     return base
 
 
-def _force_row_path(model):
-    """Disable the batch hooks on one fitted instance (instance attrs shadow
-    the class methods), so ``predict``/``predict_proba`` take the row loops."""
-    model._predict_batch = lambda encoded: None
-    model._predict_proba_batch = lambda encoded: None
-    return model
-
-
-def _force_row_fit(model):
-    """Pin one unfitted instance to its row-at-a-time reference fit."""
-    model._force_row_fit = True
-    return model
-
-
-def _full_row_factory(name):
-    """A factory whose instances take the row path end to end (fit + predict),
-    including ensemble members."""
-
-    def factory():
-        model = _force_row_path(_force_row_fit(CLASSIFIER_REGISTRY[name]()))
-        base_factory = getattr(model, "base_factory", None)
-        if base_factory is not None:
-            model.base_factory = lambda: _force_row_path(_force_row_fit(base_factory()))
-        return model
-
-    return factory
-
-
-def _row_loop_predictions(model, dataset):
-    rows = []
-    for row in dataset.iter_rows():
-        features_only = {name: row.get(name) for name in model.feature_names_}
-        rows.append(model._predict_row(features_only))
-    return rows
-
-
 @pytest.mark.parametrize("name", ALL_CLASSIFIERS)
 @pytest.mark.parametrize("missing", [0.0, 0.3])
 def test_batch_predict_equals_row_path(name, missing):
@@ -91,12 +58,7 @@ def test_batch_predict_equals_row_path(name, missing):
     test = _mixed_dataset(40, missing, seed=77)
     model = CLASSIFIER_REGISTRY[name]().fit(train)
     batch = model.predict(test)
-    try:
-        row = _row_loop_predictions(model, test)
-    except MiningError:
-        # Dataset-wise classifiers (logistic regression, bagging) have no row
-        # path; their predict() is a single unchanged implementation.
-        return
+    row = on_reference(model.predict, test)
     assert [str(p) for p in batch] == [str(p) for p in row]
 
 
@@ -106,10 +68,9 @@ def test_batch_proba_equals_row_path(name, missing):
     train = _mixed_dataset(80, missing, seed=13)
     test = _mixed_dataset(40, missing, seed=59)
     factory = CLASSIFIER_REGISTRY[name]
-    batch_model = factory().fit(train)
-    row_model = _force_row_path(factory().fit(train))
-    batch = batch_model.predict_proba(test)
-    row = row_model.predict_proba(test)
+    model = factory().fit(train)
+    batch = model.predict_proba(test)
+    row = on_reference(model.predict_proba, test)
     assert len(batch) == len(row) == test.n_rows
     for b, r in zip(batch, row):
         assert set(b) == set(r)
@@ -131,7 +92,7 @@ def test_knn_batch_bit_identical_property(n_rows, missing, seed, k, weighted):
     train = _mixed_dataset(n_rows, missing, seed=seed)
     test = _mixed_dataset(max(10, n_rows // 2), missing, seed=seed + 500)
     model = KNNClassifier(k=k, weighted=weighted).fit(train)
-    assert model.predict(test) == _row_loop_predictions(model, test)
+    assert model.predict(test) == on_reference(model.predict, test)
 
 
 @settings(max_examples=12, deadline=None)
@@ -144,7 +105,7 @@ def test_naive_bayes_batch_bit_identical_property(n_rows, missing, seed):
     train = _mixed_dataset(n_rows, missing, seed=seed)
     test = _mixed_dataset(max(10, n_rows // 2), missing, seed=seed + 500)
     model = NaiveBayesClassifier().fit(train)
-    assert model.predict(test) == _row_loop_predictions(model, test)
+    assert model.predict(test) == on_reference(model.predict, test)
 
 
 def test_batch_handles_dropped_feature_columns():
@@ -154,7 +115,7 @@ def test_batch_handles_dropped_feature_columns():
     test = _mixed_dataset(30, 0.0, seed=6).drop_columns(["num_0", "cat_0"])
     for name in ("knn", "naive_bayes"):
         model = CLASSIFIER_REGISTRY[name]().fit(train)
-        assert model.predict(test) == _row_loop_predictions(model, test)
+        assert model.predict(test) == on_reference(model.predict, test)
 
 
 def test_batch_handles_unseen_categories():
@@ -164,7 +125,7 @@ def test_batch_handles_unseen_categories():
     )
     for name in ("knn", "naive_bayes"):
         model = CLASSIFIER_REGISTRY[name]().fit(train)
-        assert model.predict(test) == _row_loop_predictions(model, test)
+        assert model.predict(test) == on_reference(model.predict, test)
 
 
 class TestEncodedDataset:
@@ -228,7 +189,7 @@ class TestEncodedFitEquivalence:
     def test_tree_encoded_fit_grows_identical_tree(self, missing, seed):
         train = _mixed_dataset(120, missing, seed=seed)
         encoded = DecisionTreeClassifier().fit(train)
-        row = _force_row_fit(DecisionTreeClassifier()).fit(train)
+        row = on_reference(DecisionTreeClassifier().fit, train)
         assert encoded.root_.rules() == row.root_.rules()
         assert encoded.depth() == row.depth()
         assert encoded.n_leaves() == row.n_leaves()
@@ -237,7 +198,7 @@ class TestEncodedFitEquivalence:
     def test_one_r_encoded_fit_matches_row_fit(self, missing):
         train = _mixed_dataset(110, missing, seed=23)
         encoded = OneRClassifier().fit(train)
-        row = _force_row_fit(OneRClassifier()).fit(train)
+        row = on_reference(OneRClassifier().fit, train)
         assert encoded.best_feature_ == row.best_feature_
         assert encoded.rules_ == row.rules_
         assert encoded.default_class_ == row.default_class_
@@ -247,7 +208,7 @@ class TestEncodedFitEquivalence:
     def test_prism_encoded_fit_matches_row_fit(self, missing):
         train = _mixed_dataset(110, missing, seed=29)
         encoded = PrismClassifier().fit(train)
-        row = _force_row_fit(PrismClassifier()).fit(train)
+        row = on_reference(PrismClassifier().fit, train)
         assert encoded.rule_texts() == row.rule_texts()
         assert encoded.default_class_ == row.default_class_
 
@@ -255,7 +216,7 @@ class TestEncodedFitEquivalence:
     def test_cross_validation_metrics_identical_to_row_path(self, name):
         dataset = _mixed_dataset(90, 0.2, seed=41)
         fast = cross_validate(CLASSIFIER_REGISTRY[name], dataset, k=3, seed=0)
-        slow = cross_validate(_full_row_factory(name), dataset, k=3, seed=0)
+        slow = on_reference(cross_validate, CLASSIFIER_REGISTRY[name], dataset, k=3, seed=0)
         assert fast.accuracy == slow.accuracy
         assert fast.macro_f1 == slow.macro_f1
         assert fast.kappa == slow.kappa
@@ -282,9 +243,9 @@ def test_tree_batch_bit_identical_property(n_rows, missing, seed):
     train = _mixed_dataset(n_rows, missing, seed=seed)
     test = _mixed_dataset(max(10, n_rows // 2), missing, seed=seed + 500)
     model = DecisionTreeClassifier().fit(train)
-    row_model = _force_row_fit(DecisionTreeClassifier()).fit(train)
+    row_model = on_reference(DecisionTreeClassifier().fit, train)
     assert model.root_.rules() == row_model.root_.rules()
-    assert model.predict(test) == _row_loop_predictions(model, test)
+    assert model.predict(test) == on_reference(model.predict, test)
 
 
 class TestEnsembleBatchVotes:
@@ -303,24 +264,26 @@ class TestEnsembleBatchVotes:
         train = _mixed_dataset(90, missing, seed=17)
         test = _mixed_dataset(45, missing, seed=71)
         model = factory().fit(train)
-        row_model = _force_row_path(factory().fit(train))
-        assert model.predict(test) == row_model.predict(test)
+        with reference():
+            row_predictions = model.predict(test)
+            row_proba = model.predict_proba(test)
+        assert model.predict(test) == row_predictions
         batch_proba = model.predict_proba(test)
-        row_proba = row_model.predict_proba(test)
         assert batch_proba == row_proba
 
     def test_members_without_batch_path_fall_back_per_member(self):
         train = _mixed_dataset(70, 0.1, seed=9)
         test = _mixed_dataset(30, 0.1, seed=19)
 
+        class RowOnlyTree(DecisionTreeClassifier):
+            def _predict_row(self, row):  # a customised row path has no batch twin
+                return super()._predict_row(row)
+
         def row_only_tree():
-            return _force_row_path(DecisionTreeClassifier(max_depth=4))
+            return RowOnlyTree(max_depth=4)
 
         model = BaggingClassifier(base_factory=row_only_tree, n_estimators=5, seed=2).fit(train)
-        reference = _force_row_path(
-            BaggingClassifier(base_factory=row_only_tree, n_estimators=5, seed=2).fit(train)
-        )
-        assert model.predict(test) == reference.predict(test)
+        assert model.predict(test) == on_reference(model.predict, test)
 
 
 class TestVectorizedEdgeCases:
@@ -341,7 +304,7 @@ class TestVectorizedEdgeCases:
         for name in DUAL_FIT_CLASSIFIERS:
             model = CLASSIFIER_REGISTRY[name]().fit(train)
             assert model.predict(test) == ["only"] * test.n_rows
-            assert model.predict(test) == _row_loop_predictions(model, test)
+            assert model.predict(test) == on_reference(model.predict, test)
         tree = DecisionTreeClassifier().fit(train)
         assert tree.root_.is_leaf
 
@@ -354,9 +317,9 @@ class TestVectorizedEdgeCases:
         )
         for name in DUAL_FIT_CLASSIFIERS:
             encoded_model = CLASSIFIER_REGISTRY[name]().fit(train)
-            row_model = _force_row_fit(CLASSIFIER_REGISTRY[name]()).fit(train)
-            assert encoded_model.predict(test) == _row_loop_predictions(encoded_model, test)
-            assert encoded_model.predict(test) == _row_loop_predictions(row_model, test)
+            row_model = on_reference(CLASSIFIER_REGISTRY[name]().fit, train)
+            assert encoded_model.predict(test) == on_reference(encoded_model.predict, test)
+            assert encoded_model.predict(test) == on_reference(row_model.predict, test)
 
     def test_prism_empty_rule_coverage_falls_back_to_default(self):
         """Test rows no induced rule covers must take the default class on both
@@ -374,7 +337,7 @@ class TestVectorizedEdgeCases:
             ctypes={"colour": ColumnType.CATEGORICAL},
         )
         batch = model.predict(test)
-        row = _row_loop_predictions(model, test)
+        row = on_reference(model.predict, test)
         assert batch == row
         assert batch[:2] == [model.default_class_] * 2
 

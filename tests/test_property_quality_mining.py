@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
+from parity import on_reference
 
 from repro.core.injection import INJECTOR_REGISTRY, get_injector
 from repro.datasets import make_classification_dataset
 from repro.mining.metrics import accuracy, cohen_kappa, macro_f1, rule_interestingness
-from repro.quality import get_criterion, measure_quality
-from repro.quality.criteria import Criterion
+from repro.quality import measure_quality
 from repro.quality.profile import DEFAULT_CRITERIA
 from repro.tabular.dataset import Column, ColumnRole, ColumnType, Dataset
 
@@ -49,15 +49,6 @@ def _random_datasets(draw):
         labels = draw(st.lists(st.sampled_from(["a", "b", None]), min_size=n_rows, max_size=n_rows))
         columns.append(Column("target", labels, ctype=ColumnType.CATEGORICAL, role=ColumnRole.TARGET))
     return Dataset(columns, name="random")
-
-
-def _row_path_criteria():
-    forced = []
-    for name in DEFAULT_CRITERIA:
-        criterion = get_criterion(name)
-        criterion._force_row_measure = True
-        forced.append(criterion)
-    return forced
 
 
 @given(_injector_names, _severities, st.integers(min_value=0, max_value=50))
@@ -119,7 +110,7 @@ def test_encoded_profile_equals_row_profile_on_random_datasets(dataset):
     """The encoded and row execution paths produce the same profile vector —
     bit for bit — and the same per-criterion details on arbitrary data."""
     fast = measure_quality(dataset)
-    slow = measure_quality(dataset, criteria=_row_path_criteria())
+    slow = on_reference(measure_quality, dataset)
     assert list(fast.as_vector(DEFAULT_CRITERIA)) == list(slow.as_vector(DEFAULT_CRITERIA))
     assert fast.to_json_dict() == slow.to_json_dict()
 
@@ -129,7 +120,7 @@ def test_encoded_profile_equals_row_profile_on_random_datasets(dataset):
 def test_encoded_profile_equals_row_profile_after_injection(name, severity, seed):
     degraded = get_injector(name).apply(_CLEAN, severity, seed=seed)
     fast = measure_quality(degraded)
-    slow = measure_quality(degraded, criteria=_row_path_criteria())
+    slow = on_reference(measure_quality, degraded)
     assert list(fast.as_vector(DEFAULT_CRITERIA)) == list(slow.as_vector(DEFAULT_CRITERIA))
     assert fast.to_json_dict() == slow.to_json_dict()
 
@@ -145,11 +136,7 @@ def test_advisor_recommendation_identical_on_both_paths(small_knowledge_base, na
     degraded = get_injector(name).apply(_CLEAN, severity, seed=seed)
     advisor = Advisor(small_knowledge_base, k=3)
     fast = advisor.advise(degraded)
-    try:
-        Criterion._force_row_measure = True
-        slow = advisor.advise(degraded)
-    finally:
-        Criterion._force_row_measure = False
+    slow = on_reference(advisor.advise, degraded)
     assert fast.best_algorithm == slow.best_algorithm
     assert fast.ranked_algorithms == slow.ranked_algorithms
     assert fast.quality_profile == slow.quality_profile

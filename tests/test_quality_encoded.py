@@ -6,15 +6,16 @@ encoded-matrix views.  They must be **bit-identical** — same ``score`` float
 and a ``details`` tree with the same keys in the same order, holding the same
 plain-Python value types — on mixed-type data, injected quality problems and
 every edge case.  The harness also pins the executional contracts: criteria
-never mutate the shared views, ``measure_quality`` encodes a dataset at most
-once (and the advisor's profile shares that encoding with subsequent mining),
-and the ``_force_row_measure`` escape hatch really routes to the reference.
+never mutate the shared views, and ``measure_quality`` encodes a dataset at
+most once (and the advisor's profile shares that encoding with subsequent
+mining).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from parity import on_reference
 
 from repro.core.injection import DuplicateInjector, MissingValuesInjector
 from repro.datasets import make_classification_dataset
@@ -337,28 +338,10 @@ def test_cramers_v_leaves_out_a_level_seen_only_beside_missing():
 # Executional contracts
 # ---------------------------------------------------------------------------
 
-def test_force_row_measure_skips_encoded_path():
-    dataset = _mixed_dataset(n_rows=60)
-    criterion = get_criterion("completeness")
-    criterion._force_row_measure = True
-
-    def boom(encoded):  # pragma: no cover - must never run
-        raise AssertionError("encoded path ran despite _force_row_measure")
-
-    criterion._measure_encoded = boom
-    forced = criterion.measure_encoded(encode_dataset(dataset))
-    _assert_identical(get_criterion("completeness").measure(dataset), forced)
-
-
 def test_measure_quality_row_and_encoded_profiles_identical():
     dataset = _mixed_dataset(n_rows=120)
     fast = measure_quality(dataset)
-    forced = []
-    for name in DEFAULT_CRITERIA:
-        criterion = get_criterion(name)
-        criterion._force_row_measure = True
-        forced.append(criterion)
-    slow = measure_quality(dataset, criteria=forced)
+    slow = on_reference(measure_quality, dataset)
     assert list(fast.as_vector()) == list(slow.as_vector())
     for name in DEFAULT_CRITERIA:
         _assert_identical(slow.measures[name], fast.measures[name])

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from parity import on_reference
 
 from repro.exceptions import ExperimentError, SchemaError
 from repro.lod.serialization import parse_ntriples, to_ntriples
@@ -61,11 +62,11 @@ class TestCleanEquivalence:
         assert report.is_clean
 
     def test_force_strict_hatch(self):
-        dataset, report = salvage_csv_text(CLEAN_CSV, _force_strict=True)
+        dataset, report = salvage_csv_text(CLEAN_CSV, strict=True)
         assert dataset == read_csv_text(CLEAN_CSV)
         assert report.is_clean
         with pytest.raises(SchemaError):
-            salvage_csv_text("a,b\n1,2,3\n", _force_strict=True)
+            salvage_csv_text("a,b\n1,2,3\n", strict=True)
 
     def test_clean_quality_profile_identical(self):
         strict_profile = measure_quality(read_csv_text(CLEAN_CSV))
@@ -190,12 +191,12 @@ class TestNtSalvage:
         assert report.line_recovery_rate == pytest.approx(3 / 4)
 
     def test_force_strict_hatch(self):
-        graph, report = salvage_ntriples(CLEAN_NT, _force_strict=True)
+        graph, report = salvage_ntriples(CLEAN_NT, strict=True)
         assert to_ntriples(graph) == to_ntriples(parse_ntriples(CLEAN_NT))
         from repro.exceptions import LODError
 
         with pytest.raises(LODError):
-            salvage_ntriples("garbage\n", _force_strict=True)
+            salvage_ntriples("garbage\n", strict=True)
 
     def test_path_source(self, tmp_path):
         path = tmp_path / "data.nt"
@@ -324,9 +325,8 @@ class TestQualityIntegration:
 
         dataset, _ = salvage_csv_text("a,b\nx,1,SPILL\ny\n")
         encoded = encode_dataset(dataset)
-        row = CompletenessCriterion()
-        row._force_row_measure = True
-        assert CompletenessCriterion().measure_encoded(encoded) == row.measure_encoded(encoded)
+        criterion = CompletenessCriterion()
+        assert criterion.measure_encoded(encoded) == on_reference(criterion.measure_encoded, encoded)
 
 
 class TestProvenanceHelpers:

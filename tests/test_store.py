@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from parity import on_reference
 
 from repro.bi import Cube, Dimension, Measure
 from repro.datasets import service_requests
@@ -88,18 +89,6 @@ def test_dataset_roundtrip_cells_and_schema(tmp_path):
                 assert isinstance(b, float) and np.isnan(b)
             else:
                 assert a == b and type(a) is type(b)
-
-
-def test_force_memory_identical(tmp_path):
-    dataset = _source()
-    path = save_dataset(dataset, tmp_path / "sr.rps")
-    mapped = open_dataset(path)
-    in_memory = open_dataset(path, force_memory=True)
-    assert _view_bytes(mapped) == _view_bytes(in_memory)
-    # only the memmap tier is read-only; the escape hatch owns its arrays
-    mapped_values, _ = encode_dataset(mapped).numeric_view("resolution_days")
-    with pytest.raises(ValueError):
-        np.asarray(mapped_values)[0] = 1.0
 
 
 def test_dataset_open_method_and_verify(tmp_path):
@@ -191,10 +180,8 @@ def test_graph_select_identical_both_tiers(tmp_path):
     graph = publish_dataset(_source(60))
     opened = open_graph(save_graph(graph, tmp_path / "g.rps"))
     patterns = [TriplePattern(Variable("s"), RDF.type, Variable("t"))]
-    for force_row in (False, True):
-        expected = select(graph, patterns, force_row=force_row)
-        actual = select(opened, patterns, force_row=force_row)
-        assert actual == expected
+    assert select(opened, patterns) == select(graph, patterns)
+    assert on_reference(select, opened, patterns) == on_reference(select, graph, patterns)
     assert count(opened, patterns) == count(graph, patterns)
 
 
@@ -367,9 +354,7 @@ def test_property_graph_roundtrip(tmp_path_factory, triples):
     assert list(opened) == list(graph)
     patterns = [TriplePattern(Variable("s"), Variable("p"), Variable("o"))]
     assert select(opened, patterns) == select(graph, patterns)
-    assert select(opened, patterns, force_row=True) == select(
-        graph, patterns, force_row=True
-    )
+    assert on_reference(select, opened, patterns) == on_reference(select, graph, patterns)
 
 
 # -- CLI smoke ----------------------------------------------------------------

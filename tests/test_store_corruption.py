@@ -256,3 +256,18 @@ def test_cli_open_refuses_corrupt_header(tmp_path, capsys):
     _, path = _dataset_store(tmp_path)
     _flip_bytes(path, 0, 8, seed=13)
     assert main(["store", "open", str(path)]) != 0
+
+
+def test_cli_salvage_strict_refuses_a_damaged_store(tmp_path, capsys):
+    from repro.cli.main import main
+
+    dataset, path = _dataset_store(tmp_path, n_rows=200)
+    _corrupt_section(path, "c2.cod", seed=12)
+    out_csv = tmp_path / "rescued.csv"
+    assert main(["salvage", str(path), "--strict", "--output", str(out_csv)]) == 2
+    assert "'c2.cod'" in capsys.readouterr().err
+    assert not out_csv.exists()
+    clean = save_dataset(dataset, tmp_path / "clean.rps")
+    assert main(["salvage", str(clean), "--strict", "--output", str(out_csv)]) == 0
+    assert "file is clean" in capsys.readouterr().out
+    assert out_csv.exists()

@@ -18,7 +18,7 @@ from repro.tabular.dataset import (
     infer_column_type,
     is_missing_value,
 )
-from repro.tabular.encoded import encode_dataset
+from repro.tabular.encoded import count_distinct, distinct_sorted, encode_dataset
 
 
 class TestMissingValues:
@@ -308,3 +308,17 @@ def test_dataset_pickle_drops_view_state(tmp_path, encodable):
     assert "_store_file" not in state
     assert "_encoded_cache" not in state
     opened.close()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[], [7], [3, 3, 3, 3], np.random.default_rng(0).integers(-50, 50, size=1_000).tolist()],
+    ids=["empty", "one", "all-equal", "random"],
+)
+def test_distinct_sorted_equals_np_unique(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    expected = np.unique(keys)
+    result = distinct_sorted(keys)
+    assert result.dtype == expected.dtype
+    assert np.array_equal(result, expected)
+    assert count_distinct(keys) == expected.size
