@@ -16,9 +16,10 @@ over the cold merged data.  Two workloads are timed:
     outliers have no delta form and fall back to an O(n) encoded recompute
     each refresh, diluting the ratio — recorded for honesty, not guarded.
 
-Incremental timings include the append itself (schema coercion, array
-concatenation, encoded-view extension); each repeat builds its boards on a
-fresh base first, untimed.  The full-recompute side gets the merged dataset
+Incremental timings include the append itself (the one-pass coding of the
+batch, the copy of the in-memory base's per-row arrays into growth buffers
+that a first append makes, and the encoded-view extension); each repeat
+builds its boards on a fresh base first, untimed.  The full-recompute side gets the merged dataset
 for free and pays only the cold encode plus the batch recomputes.  Identity
 covers every refreshed artefact against the batch recompute.
 ``benchmarks/_harness.py`` runs it, records ``BENCH_perf_ingest.json`` and

@@ -7,11 +7,12 @@ for an O(|delta|) change.  This subpackage closes that gap end to end:
 * :mod:`repro.feeds.readers` — chunked CSV/JSONL readers that stream a file
   as fixed-size dataset blocks;
 * :mod:`repro.feeds.connector` — an offline, cursor-based feed connector
-  (fixture-backed, with paging, retry and sleep throttling);
+  (fixture-backed and cursor-indexed, with paging, retry and sleep
+  throttling);
 * :mod:`repro.feeds.append` — schema-checked appends whose merged datasets
-  extend the base's encoded views instead of re-encoding
-  (:func:`repro.tabular.encoded.extend_encoding`), and the structural check
-  of whether one dataset is another plus appended rows;
+  extend the base's encoded views in place instead of re-encoding or
+  copying them (:func:`repro.tabular.encoded.extend_encoding`), and the
+  structural check of whether one dataset is another plus appended rows;
 * :mod:`repro.feeds.incremental` — delta maintenance of quality profiles,
   group-by/cube aggregates and KPI scoreboards, bit-identical to the batch
   recompute (the reference tier inside :func:`repro.tiers.reference`), with

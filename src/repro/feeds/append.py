@@ -1,14 +1,16 @@
 """Appendable datasets: schema-checked row/dataset appends that extend encodings.
 
-A feed batch arriving against a 100k-row base must not force the base's
-columns back through per-cell encoding.  ``append_dataset`` concatenates a
-schema-compatible delta onto a base dataset and — when the base already
-carries encoded views — seeds the merged dataset's encoding by extending
-those views with the delta's encoded block (see
+A feed batch arriving against a 100k-row base must cost work in proportion
+to the batch: no per-cell encoding of the base's columns, and no copy of
+its rows.  ``append_dataset`` appends a schema-compatible delta onto a base
+dataset and — when the base already carries encoded views — builds the
+merged dataset by extending those views with the delta's encoded block,
+growing its per-row arrays in place (see
 :func:`repro.tabular.encoded.extend_encoding`).  ``append_rows`` is the
-row-dictionary front end the CLI and connectors use: it coerces raw records
-against the base's schema first, so a schema-incompatible delta fails loudly
-as a :class:`~repro.exceptions.SchemaError` before anything is merged.
+row-dictionary front end the CLI and connectors use: it codes the raw
+records against the base's schema in one pass per column, so a
+schema-incompatible delta fails loudly as a
+:class:`~repro.exceptions.SchemaError` before anything is merged.
 ``appended_rows`` is the converse check: whether a dataset, however it was
 written, is another one plus appended rows.
 """
@@ -21,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import SchemaError
-from repro.tabular.dataset import Dataset
+from repro.tabular.dataset import CodedColumn, Column, ColumnType, Dataset, _coerce_value, is_missing_value
 from repro.tabular.encoded import encode_dataset
 
 
@@ -32,8 +34,11 @@ def append_dataset(base: Dataset, delta: Dataset, name: str | None = None) -> Da
     same ctypes; anything else raises :class:`SchemaError` mentioning the
     mismatch.  Roles follow the base.  The merged dataset keeps the base's
     name unless ``name`` overrides it.  Appending never re-encodes base rows:
-    views cached on the base are extended in O(len(delta)) and remain
-    bit-identical to a cold re-encode of the merged data.
+    views cached on the base are extended in O(len(delta) + new levels) and
+    remain bit-identical to a cold re-encode of the merged data.  On an
+    encoded base nothing is copied either, except where a buffer cannot grow
+    in place (the first append out of a memory map, a regrowth, a second
+    branch from one base); see :func:`repro.tabular.encoded.extend_encoding`.
     """
     if base.column_names != delta.column_names:
         raise SchemaError(
@@ -61,38 +66,99 @@ def append_rows(
 
     Each row may supply any subset of the base's columns (absent keys become
     missing cells); a key outside the base's columns, or a cell that cannot
-    be coerced to the column's ctype, raises :class:`SchemaError`.  An empty
-    ``rows`` sequence returns ``base`` itself unchanged.  Delegates to
-    :func:`append_dataset`, so cached encodings are extended, not rebuilt.
+    be coerced to the column's ctype, raises :class:`SchemaError` naming the
+    dataset before anything is merged.  An empty ``rows`` sequence returns
+    ``base`` itself unchanged.
+
+    The batch is coded in one pass per column (:func:`_code_batch`): each
+    cell is coerced exactly as :class:`~repro.tabular.dataset.Column` would,
+    and a non-numeric column comes out as codes in first-seen order, its
+    missing mask and its vocabulary, which seed the delta's encoding.
+    :func:`append_dataset` then extends the base through the one extension
+    path, so the whole append costs O(len(rows) + new levels): on an encoded
+    base no existing row is re-encoded or copied
+    (:func:`repro.tabular.encoded.extend_encoding`).
     """
-    rows = [dict(row) for row in rows]
+    rows = rows if isinstance(rows, list) else list(rows)
     if not rows:
         return base
     known = set(base.column_names)
     for position, row in enumerate(rows):
-        unknown = [key for key in row if key not in known]
-        if unknown:
+        if not known.issuperset(row):
+            unknown = [key for key in row if key not in known]
             raise SchemaError(
                 f"schema-incompatible rows for dataset {base.name!r}: row {position} has "
                 f"unknown column(s) {unknown}; expected a subset of {base.column_names}"
             )
-    ctypes = {column.name: column.ctype for column in base.columns}
-    roles = {column.name: column.role for column in base.columns}
     try:
-        delta = Dataset.from_rows(
-            rows,
-            name=f"{base.name}_delta",
-            ctypes=ctypes,
-            roles=roles,
-            column_order=base.column_names,
-        )
-    except SchemaError:
-        raise
+        delta = _code_batch(base, rows)
     except (TypeError, ValueError) as exc:
         raise SchemaError(
             f"schema-incompatible rows for dataset {base.name!r}: {exc}"
         ) from exc
     return append_dataset(base, delta, name=name)
+
+
+_NAN = float("nan")
+
+
+def _code_batch(base: Dataset, rows: list[Mapping[str, Any]]) -> Dataset:
+    """``rows`` as a dataset of ``base``'s schema, each column coded in one pass.
+
+    Numeric cells coerce through ``float()`` (so ``True`` is ``1.0`` and a
+    non-numeric string raises ``ValueError``).  Every other column becomes a
+    :class:`~repro.tabular.dataset.CodedColumn` whose codes, mask and
+    vocabulary — ``str`` of each coerced cell, in first-seen order — are
+    exactly what a cold encode of ``Column(name, cells, ctype)`` computes;
+    they seed the returned dataset's categorical views.  The fast paths
+    below cover the cells a JSON feed holds; any other cell goes through
+    ``_coerce_value`` itself.
+    """
+    columns, seeds = [], []
+    for column in base.columns:
+        key, ctype = column.name, column.ctype
+        cells = [row.get(key) for row in rows]
+        if ctype == ColumnType.NUMERIC:
+            values = np.array(
+                [cell if type(cell) is float and cell == cell
+                 else _NAN if cell is None else _coerce_value(cell, ctype) for cell in cells],
+                dtype=float,
+            )
+            coded = Column.__new__(Column)
+            coded.name, coded.ctype, coded.role = key, ctype, column.role
+            coded._values, coded._missing_cache = values, None
+            columns.append(coded)
+            continue
+        codes, vocabulary = _code_cells(cells, ctype)
+        columns.append(CodedColumn.from_vocabulary(key, ctype, column.role, codes, vocabulary, codes < 0))
+        seeds.append((key, codes, vocabulary))
+    delta = Dataset(columns, name=f"{base.name}_delta")
+    encoded = encode_dataset(delta)
+    for key, codes, vocabulary in seeds:
+        encoded.seed_categorical(key, codes, vocabulary)
+    return delta
+
+
+def _code_cells(cells: list[Any], ctype: str) -> tuple[np.ndarray, list[str]]:
+    """Codes (``-1`` missing) and first-seen ``str`` vocabulary of non-numeric ``cells``."""
+    index: dict[str, int] = {}
+    setdefault = index.setdefault
+
+    def code(cell: Any) -> int:
+        """The code of a cell no fast path takes: ``-1`` if missing, else its coerced level's."""
+        if is_missing_value(cell):
+            return -1
+        return setdefault(str(_coerce_value(cell, ctype)), len(index))
+
+    if ctype == ColumnType.BOOLEAN:
+        listed = [-1 if cell is None
+                  else setdefault("True" if cell else "False", len(index)) if type(cell) is bool
+                  else code(cell) for cell in cells]
+    else:
+        listed = [-1 if cell is None
+                  else setdefault(cell, len(index)) if type(cell) is str
+                  else code(cell) for cell in cells]
+    return np.array(listed, dtype=np.int64), list(index)
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:

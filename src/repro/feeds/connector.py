@@ -10,7 +10,8 @@ incremental-ingestion pipeline can be exercised and tested hermetically:
 
 * :class:`FixtureFeed` serves records from a JSONL file, or a directory of
   JSONL batch files consumed in sorted filename order, filtered by a cursor
-  field (records whose cursor sorts *after* the requested value);
+  field (records whose cursor sorts *after* the requested value, found by
+  bisecting a cursor index built at load);
 * :class:`FeedConnector` drives a feed page by page with retry/sleep
   throttling and assembles the fetched records into datasets ready for
   :func:`repro.feeds.append.append_rows`.
@@ -18,15 +19,18 @@ incremental-ingestion pipeline can be exercised and tested hermetically:
 
 from __future__ import annotations
 
+import bisect
 import json
 import time
 from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.exceptions import FeedError, FeedTransientError, SchemaError
 from repro.feeds.readers import _normalise_record_cell
-from repro.tabular.dataset import Dataset
+from repro.tabular.dataset import Dataset, is_missing_value
 
 
 class FixtureFeed:
@@ -38,9 +42,19 @@ class FixtureFeed:
     through the same missing-token normalisation as the file readers.
 
     ``page(offset, limit, since=...)`` returns one page of the records whose
-    ``cursor_field`` value sorts lexicographically *after* ``since`` (ISO
-    timestamps sort correctly this way); records lacking the cursor field
-    are only served by unfiltered queries.
+    ``cursor_field`` value, as a string, sorts lexicographically *after*
+    ``since`` (ISO timestamps sort correctly this way), in publication order.
+    Records whose cursor is absent or missing (JSON ``null``, a missing
+    token such as ``""`` or ``"n/a"``, NaN) are only served by unfiltered
+    queries.
+
+    The records are indexed by cursor once, when they load.  When the
+    cursors never decrease along the publication order — a feed appends
+    newer records — a delta query bisects straight to its first record, so
+    a page costs O(log n + page) and :meth:`FeedConnector.records` O(n)
+    over a whole backlog.  A feed whose cursor goes backwards keeps the
+    exact answer: each query sorts its matched positions once and reuses
+    them for its later pages.
     """
 
     def __init__(self, root: str | Path, cursor_field: str = "datum") -> None:
@@ -56,6 +70,14 @@ class FixtureFeed:
         else:
             raise FeedError(f"feed fixture {self.root} does not exist")
         self._records: list[dict[str, Any]] | None = None
+        #: ``str`` of every present cursor, in publication order.
+        self._keys: list[str] = []
+        #: Publication position of each key (int64), or ``None`` when every record has one.
+        self._positions: np.ndarray | None = None
+        #: Key indices in ascending key order (int64), or ``None`` when the keys never decrease.
+        self._order: np.ndarray | None = None
+        #: The last unsorted query: ``(since, matched publication positions)``.
+        self._query: tuple[str, np.ndarray] | None = None
 
     @property
     def batch_paths(self) -> list[Path]:
@@ -88,15 +110,40 @@ class FixtureFeed:
                             for key, value in record.items()
                         }
                     )
+        cursors = [record.get(self.cursor_field) for record in records]
+        present = [not is_missing_value(cursor) for cursor in cursors]
+        keys = [str(cursor) for cursor, kept in zip(cursors, present) if kept]
+        if len(keys) < len(records):
+            self._positions = np.flatnonzero(present)
+        if any(later < earlier for earlier, later in zip(keys, keys[1:])):
+            self._order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+        self._keys = keys
         self._records = records
         return records
+
+    def _matched(self, since: str) -> range | np.ndarray:
+        """Publication positions of the records whose cursor sorts after ``since``, in order."""
+        keys = self._keys
+        if self._order is None:
+            first = bisect.bisect_right(keys, since)
+            return range(first, len(keys)) if self._positions is None else self._positions[first:]
+        query = self._query
+        if query is None or query[0] != since:
+            first = bisect.bisect_right(self._order, since, key=keys.__getitem__)
+            matched = np.sort(self._order[first:])
+            query = (since, matched if self._positions is None else self._positions[matched])
+            self._query = query
+        return query[1]
 
     def page(self, offset: int, limit: int, since: str | None = None) -> list[dict[str, Any]]:
         """Return up to ``limit`` records starting at ``offset`` of the delta after ``since``."""
         records = self._load()
-        if since is not None:
-            records = [r for r in records if str(r.get(self.cursor_field, "")) > since]
-        return records[offset : offset + limit]
+        if since is None:
+            return records[offset : offset + limit]
+        selected = self._matched(since)[offset : offset + limit]
+        if isinstance(selected, range):
+            return records[selected.start : selected.stop]
+        return [records[position] for position in selected.tolist()]
 
 
 class FeedConnector:

@@ -22,7 +22,6 @@ The byte-level layout is a normative, versioned contract — see
 
 from repro.store.format import FORMAT_VERSION, MAGIC, StoreFile
 from repro.store.reader import (
-    StoredColumn,
     StoredTripleStore,
     inspect_store,
     open_dataset,
@@ -34,7 +33,6 @@ __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
     "StoreFile",
-    "StoredColumn",
     "StoredTripleStore",
     "inspect_store",
     "open_dataset",

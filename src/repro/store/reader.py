@@ -7,11 +7,12 @@ for datasets, :class:`~repro.lod.triples.ColumnarTriples` for graphs), so a
 reopened payload starts in microseconds regardless of size and every hot
 path is bit-identical to a cold in-memory encode of the same data.
 
-Two store-backed lazy types bridge the gap to the object tiers:
+Two lazy types bridge the gap to the object tiers:
 
-* :class:`StoredColumn` — a :class:`~repro.tabular.dataset.Column` whose
-  Python object cells are materialised from the code array and level table
-  only when something actually asks for them;
+* :class:`~repro.tabular.dataset.CodedColumn` — the library's one coded
+  column, whose Python object cells are materialised from the code array
+  and level table only when something actually asks for them (appends to
+  an encoded dataset build the same class);
 * :class:`StoredTripleStore` — a :class:`~repro.lod.triples.TripleStore`
   whose three dict indexes are replayed from the saved order arrays on
   first access, so reference-tier scans see the exact iteration order the
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 import weakref
 from pathlib import Path
-
-import numpy as np
 
 from repro.exceptions import StoreError
 from repro.lod.graph import Graph
@@ -42,77 +41,8 @@ from repro.store.writer import (
     VTAG_INT,
     VTAG_STR,
 )
-from repro.tabular.dataset import Column, ColumnType, Dataset
+from repro.tabular.dataset import CodedColumn, Column, ColumnType, Dataset
 from repro.tabular.encoded import encode_dataset
-
-
-class StoredColumn(Column):
-    """A non-numeric column backed by a store file's code array.
-
-    Holds the int64 codes, the raw level table (``str`` levels, or ``bool``
-    for BOOLEAN columns) and the memory-mapped missing mask; the object-cell
-    array every :class:`~repro.tabular.dataset.Column` API is defined over
-    is materialised lazily (``levels[code]``, ``None`` for ``-1``) the first
-    time something reads it.  The encoded hot paths never do — their views
-    are seeded from the store — so CV folds, group-bys and profiles run
-    without ever paying the object materialisation.
-
-    Mutating operations inherit the copy-on-write semantics of the plain
-    column API: they read the cells through the ``_values`` property and
-    build ordinary in-memory columns, leaving the map untouched.
-    """
-
-    __slots__ = ("_codes", "_levels", "_cells")
-
-    @classmethod
-    def _build(cls, name: str, ctype: str, role: str, codes: np.ndarray,
-               levels: list, missing: np.ndarray | None) -> "StoredColumn":
-        """Assemble a stored column without running ``Column.__init__``."""
-        column = cls.__new__(cls)
-        column.name = name
-        column.ctype = ctype
-        column.role = role
-        column._codes = codes
-        column._levels = levels
-        column._cells = None
-        column._missing_cache = missing
-        return column
-
-    @property
-    def _values(self) -> np.ndarray:
-        """The object-cell array, materialised on first access and cached."""
-        cells = self._cells
-        if cells is None:
-            table = np.empty(len(self._levels) + 1, dtype=object)
-            for i, level in enumerate(self._levels):
-                table[i] = level
-            table[-1] = None  # code -1 indexes here
-            cells = table[np.asarray(self._codes)]
-            self._cells = cells
-        return cells
-
-    def __len__(self) -> int:
-        """Row count, read from the code array (no cell materialisation)."""
-        return int(self._codes.shape[0])
-
-    def __getitem__(self, index):
-        """One cell read from its code (no materialisation); other indexes read the cells."""
-        if self._cells is None and isinstance(index, (int, np.integer)) and not isinstance(index, bool):
-            code = int(self._codes[index])
-            return None if code < 0 else self._levels[code]
-        return self._values[index]
-
-    def take(self, indices) -> "StoredColumn":
-        """Row subset that stays lazy: sliced codes, shared level table."""
-        index_array = np.asarray(indices, dtype=int)
-        return StoredColumn._build(
-            self.name,
-            self.ctype,
-            self.role,
-            np.asarray(self._codes)[index_array],
-            self._levels,
-            self._missing_cache[index_array] if self._missing_cache is not None else None,
-        )
 
 
 class StoredTripleStore(TripleStore):
@@ -213,7 +143,8 @@ def open_dataset(path: Path | str, verify: bool = False) -> Dataset:
     """Open a dataset store file; see :meth:`repro.tabular.dataset.Dataset.open`.
 
     Numeric columns alias the mapped ``float64`` sections directly; object
-    columns become lazy :class:`StoredColumn` instances; and the dataset's
+    columns become lazy :class:`~repro.tabular.dataset.CodedColumn` instances
+    over the mapped codes; and the dataset's
     :class:`~repro.tabular.encoded.EncodedDataset` cache is pre-seeded with
     the saved code arrays, vocabularies, numeric views and normalised level
     tables — so the encoding step every hot path starts with is skipped
@@ -237,8 +168,7 @@ def open_dataset(path: Path | str, verify: bool = False) -> Dataset:
             codes = store_file.array(f"{prefix}.cod")
             vocabulary = store_file.strings(f"{prefix}.lev")
             mask = store_file.array(f"{prefix}.msk")
-            levels = [text == "True" for text in vocabulary] if ctype == ColumnType.BOOLEAN else vocabulary
-            column = StoredColumn._build(name, ctype, role, codes, levels, mask)
+            column = CodedColumn.from_vocabulary(name, ctype, role, codes, vocabulary, mask)
             seeds.append(
                 (
                     name,

@@ -352,6 +352,118 @@ class Column:
         return clone
 
 
+class CodedColumn(Column):
+    """A non-numeric column held as int64 codes into a level table.
+
+    Holds the codes (``-1`` marking a missing cell), the raw level table and
+    the missing mask; the object-cell array every :class:`Column` API is
+    defined over is materialised lazily (``levels[code]``, ``None`` for
+    ``-1``) the first time something reads it.  The encoded hot paths never
+    do — their views are seeded with the same codes — so CV folds,
+    group-bys and profiles run without paying the object materialisation.
+
+    Two producers build it: :func:`repro.store.open_dataset`, over the
+    memory-mapped sections of a store file, and the append path
+    (:meth:`Dataset.concat` on an encoded base), over growth buffers shared
+    with the merged dataset's encoding.  Both derive the raw level table
+    from the ctype and the ``str`` vocabulary (:meth:`from_vocabulary`).
+
+    Mutating operations inherit the copy-on-write semantics of the plain
+    column API: they read the cells through the ``_values`` property and
+    build ordinary in-memory columns, leaving the codes untouched.
+    """
+
+    __slots__ = ("_codes", "_levels", "_cells")
+
+    def __init__(
+        self,
+        name: str,
+        ctype: str,
+        role: str,
+        codes: np.ndarray,
+        levels: list,
+        missing: np.ndarray | None,
+    ) -> None:
+        """Wrap ``codes`` into the raw ``levels`` (no validation, no per-cell work)."""
+        self.name = name
+        self.ctype = ctype
+        self.role = role
+        self._codes = codes
+        self._levels = levels
+        self._cells = None
+        self._missing_cache = missing
+
+    @classmethod
+    def from_vocabulary(
+        cls,
+        name: str,
+        ctype: str,
+        role: str,
+        codes: np.ndarray,
+        vocabulary: list[str],
+        missing: np.ndarray | None,
+    ) -> "CodedColumn":
+        """The column whose cells are ``vocabulary[code]`` as ``ctype`` holds them.
+
+        ``vocabulary`` lists ``str(cell)`` per level, as a categorical view
+        does.  A BOOLEAN column's cells are ``bool``, so its raw levels are
+        ``level == "True"``; every other non-numeric ctype holds ``str``
+        cells, which are their own levels.
+        """
+        levels = [level == "True" for level in vocabulary] if ctype == ColumnType.BOOLEAN else vocabulary
+        return cls(name, ctype, role, codes, levels, missing)
+
+    @property
+    def _values(self) -> np.ndarray:
+        """The object-cell array, materialised on first access and cached."""
+        cells = self._cells
+        if cells is None:
+            table = np.empty(len(self._levels) + 1, dtype=object)
+            for i, level in enumerate(self._levels):
+                table[i] = level
+            table[-1] = None  # code -1 indexes here
+            cells = table[np.asarray(self._codes)]
+            self._cells = cells
+        return cells
+
+    def __len__(self) -> int:
+        """Row count, read from the code array (no cell materialisation)."""
+        return int(self._codes.shape[0])
+
+    def __getitem__(self, index):
+        """One cell read from its code (no materialisation); other indexes read the cells."""
+        if self._cells is None and isinstance(index, (int, np.integer)) and not isinstance(index, bool):
+            code = int(self._codes[index])
+            return None if code < 0 else self._levels[code]
+        return self._values[index]
+
+    def take(self, indices) -> "CodedColumn":
+        """Row subset that stays lazy: sliced codes, shared level table."""
+        index_array = np.asarray(indices, dtype=int)
+        return CodedColumn(
+            self.name,
+            self.ctype,
+            self.role,
+            np.asarray(self._codes)[index_array],
+            self._levels,
+            self._missing_cache[index_array] if self._missing_cache is not None else None,
+        )
+
+    def __getstate__(self) -> tuple:
+        """Pickle the codes, level table and mask as plain arrays; the cells stay lazy.
+
+        The default slot pickling would read ``_values`` (materialising
+        every cell) and fail to set the read-only property back on load.
+        """
+        mask = self._missing_cache
+        return (self.name, self.ctype, self.role, np.array(self._codes), list(self._levels),
+                None if mask is None else np.array(mask))
+
+    def __setstate__(self, state: tuple) -> None:
+        """Rebuild from :meth:`__getstate__`'s tuple."""
+        CodedColumn.__init__(self, *state)
+
+
 class Dataset:
     """An ordered collection of equally long :class:`Column` objects.
 
@@ -632,54 +744,42 @@ class Dataset:
         """Append the rows of ``other`` (same columns required) to this dataset.
 
         When every column pair shares a ctype and this dataset already carries
-        encoded views, the result's encoding is seeded by extending those views
-        with ``other``'s encoded block (vocabulary-stable code extension, see
+        encoded views, the result is built by extending those views with
+        ``other``'s encoded block (vocabulary-stable code extension, see
         :func:`repro.tabular.encoded.extend_encoding`) — bit-identical to a
-        cold encode of the concatenation, without re-encoding existing rows.
+        cold encode of the concatenation, without re-encoding or copying
+        existing rows: its per-row arrays grow in place where this dataset
+        ends at their buffers' high-water marks, and each column whose codes
+        the encoding holds stays a :class:`CodedColumn`.  Otherwise the
+        column arrays are concatenated.
         """
         if self.column_names != other.column_names:
             raise SchemaError("cannot concatenate datasets with different columns")
-        columns = []
-        same_ctypes = True
-        for col in self.columns:
-            other_col = other[col.name]
-            if other_col.ctype == col.ctype:
-                # Both sides already hold canonical values for this type, so the
-                # underlying arrays can be joined directly without re-coercing
-                # every cell through the Column constructor.
-                merged = Column.__new__(Column)
-                merged.name = col.name
-                merged.ctype = col.ctype
-                merged.role = col.role
-                merged._values = np.concatenate([col.values, other_col.values])
-                if not col.is_numeric() and col._missing_cache is not None:
-                    merged._missing_cache = np.concatenate(
-                        [col._missing_cache, other_col.missing_mask()]
-                    )
-                else:
-                    merged._missing_cache = None
-                columns.append(merged)
-            else:
-                same_ctypes = False
-                values = col.tolist() + other_col.tolist()
-                columns.append(Column(col.name, values, ctype=col.ctype, role=col.role))
-        result = Dataset(columns, name=self.name)
-        if same_ctypes:
+        if all(col.ctype == other[col.name].ctype for col in self.columns):
             from repro.tabular.encoded import _CACHE_ATTR, encode_dataset, extend_encoding
 
             base_encoded = getattr(self, _CACHE_ATTR, None)
             if base_encoded is not None and base_encoded.owned_by(self):
-                extend_encoding(base_encoded, encode_dataset(other), result)
-        return result
+                return extend_encoding(base_encoded, encode_dataset(other))
+        columns = []
+        for col in self.columns:
+            other_col = other[col.name]
+            if other_col.ctype == col.ctype:
+                columns.append(_concatenated(col, other_col))
+            else:
+                values = col.tolist() + other_col.tolist()
+                columns.append(Column(col.name, values, ctype=col.ctype, role=col.role))
+        return Dataset(columns, name=self.name)
 
     def append_rows(self, rows: Sequence[dict[str, Any]], name: str | None = None) -> "Dataset":
         """Append row dictionaries, keeping this dataset's schema and encodings.
 
-        The rows are coerced against this dataset's column types and roles
-        (unknown keys or uncoercible cells raise
+        The rows are coded against this dataset's column types and roles in
+        one pass per column (unknown keys or uncoercible cells raise
         :class:`~repro.exceptions.SchemaError`), then appended via
         :meth:`append_dataset` — so existing encoded views are extended, not
-        recomputed.  An empty ``rows`` returns this dataset unchanged.
+        recomputed or copied.  An empty ``rows`` returns this dataset
+        unchanged.  See :func:`repro.feeds.append_rows`.
         """
         from repro.feeds import append_rows
 
@@ -690,8 +790,9 @@ class Dataset:
 
         ``delta`` must have the same column names and ctypes (roles follow
         this dataset).  Returns the merged dataset; when this dataset is
-        already encoded the merged views are seeded in O(len(delta)) and stay
-        bit-identical to a cold re-encode.
+        already encoded the merged views are seeded in O(len(delta) + new
+        levels) and stay bit-identical to a cold re-encode (see
+        :meth:`concat`).
         """
         from repro.feeds import append_dataset
 
@@ -796,6 +897,25 @@ class Dataset:
 
     def __deepcopy__(self, memo: dict) -> "Dataset":  # pragma: no cover - convenience
         return self.copy()
+
+
+def _concatenated(column: Column, other: Column) -> Column:
+    """``column`` followed by the cells of ``other``, a column of the same ctype.
+
+    Both sides already hold canonical values for the type, so the underlying
+    arrays are joined directly without re-coercing every cell through the
+    :class:`Column` constructor.
+    """
+    merged = Column.__new__(Column)
+    merged.name = column.name
+    merged.ctype = column.ctype
+    merged.role = column.role
+    merged._values = np.concatenate([column.values, other.values])
+    if not column.is_numeric() and column._missing_cache is not None:
+        merged._missing_cache = np.concatenate([column._missing_cache, other.missing_mask()])
+    else:
+        merged._missing_cache = None
+    return merged
 
 
 def _deep_copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:

@@ -36,12 +36,13 @@ statistics remain identical to encoding the slice from scratch).
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.tabular.dataset import Dataset
+from repro.tabular.dataset import CodedColumn, Column, Dataset, _concatenated
 
 #: Attribute name used to cache the encoding on a dataset instance.
 _CACHE_ATTR = "_encoded_cache"
@@ -158,6 +159,19 @@ class EncodedDataset:
         if column.is_numeric():
             values = column.values.astype(float, copy=False)
             return values, np.isnan(values)
+        if isinstance(column, CodedColumn):
+            # The same float() try, once per level on the raw level value
+            # (a BOOLEAN level is True, not "True"), gathered by code.
+            level_values = np.full(len(column._levels) + 1, np.nan)
+            level_missing = np.ones(len(column._levels) + 1, dtype=bool)
+            for i, level in enumerate(column._levels):
+                try:
+                    level_values[i] = float(level)
+                except (TypeError, ValueError):
+                    continue
+                level_missing[i] = False
+            codes = np.asarray(column._codes)
+            return level_values[codes], level_missing[codes]
         missing = column.missing_mask().copy()
         values = np.full(len(column), np.nan)
         for i, value in enumerate(column.tolist()):
@@ -504,36 +518,41 @@ def encode_dataset(dataset: Dataset) -> EncodedDataset:
     return encoded
 
 
-def extend_encoding(base: EncodedDataset, delta: EncodedDataset, merged: Dataset) -> EncodedDataset:
-    """Seed ``merged``'s encoding by extending ``base``'s cached views with ``delta``'s.
+def extend_encoding(base: EncodedDataset, delta: EncodedDataset) -> Dataset:
+    """Return ``base.dataset`` followed by ``delta.dataset``'s rows, its encoding extended.
 
-    ``merged`` must be the row-wise concatenation of ``base.dataset`` followed
-    by ``delta.dataset`` (same columns, same ctypes).  This is the
-    *vocabulary-stable code extension* at the heart of the incremental tier:
-    every view already cached on ``base`` is carried over and grown by the
-    delta's encoded block, so appending never re-encodes old rows —
+    Both datasets must have the same columns with the same ctypes; this is
+    the one extension path :meth:`Dataset.concat`, ``append_dataset`` and
+    ``append_rows`` share.  It is the *vocabulary-stable code extension* at
+    the heart of the incremental tier: every view already cached on
+    ``base`` is carried over and grown by the delta's encoded block, so
+    appending never re-encodes old rows —
 
-    * numeric views concatenate the two ``(values, missing)`` pairs;
-    * categorical views keep the base vocabulary and codes untouched, remap
-      the delta's codes through ``index.setdefault`` in delta-vocabulary
-      order (which is exactly the first-seen order a cold encode of the
-      merged column would assign) and append only the genuinely new levels;
+    * numeric views grow the ``(values, missing)`` pair, and a numeric
+      column's view is its values array, as after a cold encode;
+    * categorical views keep the base vocabulary and codes, remap the
+      delta's codes through ``index.setdefault`` in delta-vocabulary order
+      (exactly the first-seen order a cold encode of the merged column
+      would assign) and append only the genuinely new levels;
     * normalised-level caches grow by normalising only those new levels.
+
+    A non-numeric column whose codes ``base`` holds becomes a
+    :class:`~repro.tabular.dataset.CodedColumn` over the merged codes, its
+    cells materialised only when read; any other column concatenates its
+    arrays.  Every per-row array — values, codes, missing masks, numeric
+    views — grows in a capacity-doubling buffer (:func:`_grow`), so an
+    append costs O(len(delta) + new levels): only the vocabularies, their
+    index dicts and the level tables are copied per dataset.
 
     Views *not* cached on ``base`` stay lazy and cold on the result; the
     per-column group-code and composite group-key caches are never carried
     over because ``np.unique``-based numeric group codes are not stable under
-    append.  Bit-identity with a cold encode of ``merged`` holds by
-    construction for everything that is seeded.  The seeded encoding is
-    attached to ``merged`` and returned.
+    append.  Bit-identity with a cold encode of the merged rows holds by
+    construction for everything that is seeded.
     """
-    encoded = EncodedDataset(merged)
-    for name, (values, missing) in base._numeric.items():
-        d_values, d_missing = delta.numeric_view(name)
-        encoded._numeric[name] = (
-            np.concatenate([values, d_values]),
-            np.concatenate([missing, d_missing]),
-        )
+    numeric: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    categorical: dict[str, tuple[np.ndarray, list[str], dict[str, int]]] = {}
+    normalised: dict[str, list[str]] = {}
     for name, (codes, vocabulary, index) in base._categorical.items():
         d_codes, d_vocab, _ = delta.codes_view(name)
         new_index = dict(index)
@@ -542,16 +561,80 @@ def extend_encoding(base: EncodedDataset, delta: EncodedDataset, merged: Dataset
             for j, level in enumerate(d_vocab):
                 remap[j] = new_index.setdefault(level, len(new_index))
             d_codes = np.where(d_codes >= 0, remap[np.clip(d_codes, 0, None)], -1)
-        encoded._categorical[name] = (
-            np.concatenate([codes, d_codes]),
-            list(new_index),
-            new_index,
-        )
+        categorical[name] = (_grow(codes, d_codes), list(new_index), new_index)
         base_levels = base._normalised.get(name)
         if base_levels is not None:
             from repro.lod.linker import normalise_string
 
-            new_levels = list(new_index)[len(vocabulary):]
-            encoded._normalised[name] = base_levels + [normalise_string(level) for level in new_levels]
-    setattr(merged, _CACHE_ATTR, encoded)
-    return encoded
+            new_levels = categorical[name][1][len(vocabulary):]
+            normalised[name] = base_levels + [normalise_string(level) for level in new_levels]
+    columns = []
+    for column in base._columns.values():
+        other = delta._columns[column.name]
+        if column.is_numeric():
+            merged = Column.__new__(Column)
+            merged.name, merged.ctype, merged.role = column.name, column.ctype, column.role
+            merged._values = _grow(column.values, other.values)
+            merged._missing_cache = None
+        elif column.name in categorical:
+            codes, vocabulary, _ = categorical[column.name]
+            mask = column._missing_cache
+            if mask is None:  # a plain column whose mask was never asked for
+                mask = base._categorical[column.name][0] < 0
+            merged = CodedColumn.from_vocabulary(
+                column.name, column.ctype, column.role, codes, vocabulary, _grow(mask, other.missing_mask())
+            )
+        else:
+            merged = _concatenated(column, other)
+        columns.append(merged)
+    merged_dataset = Dataset(columns, name=base.dataset.name)
+    for name, (values, missing) in base._numeric.items():
+        d_values, d_missing = delta.numeric_view(name)
+        column = merged_dataset._columns.get(name)
+        grown = column.values if column is not None and column.is_numeric() else _grow(values, d_values)
+        numeric[name] = (grown, _grow(missing, d_missing))
+    encoded = EncodedDataset(merged_dataset)
+    encoded._numeric, encoded._categorical, encoded._normalised = numeric, categorical, normalised
+    setattr(merged_dataset, _CACHE_ATTR, encoded)
+    return merged_dataset
+
+
+#: Growth buffers by ``id``: a weak reference to the buffer and its high-water mark.
+_TAILS: dict[int, list] = {}
+#: Guards the check-and-advance of a high-water mark.
+_TAILS_LOCK = threading.Lock()
+
+
+def _grow(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``head`` followed by ``tail``, as a read-only view of a capacity-doubling buffer.
+
+    When ``head`` is a growth buffer's prefix that ends at the buffer's
+    high-water mark and the buffer has room, ``tail`` is written in place
+    after it and the mark advances; checking and advancing the mark is one
+    step under a lock, so of two appends to the same dataset only the first
+    extends its buffers.  Any other ``head`` — an earlier branch of the
+    buffer, a memory map, a plain array, a full buffer — is copied, with
+    ``tail``, into a fresh buffer twice the merged length.  Rows below a
+    mark are never written again, so every view stays valid; the views are
+    read-only, as memory-mapped store views are.
+    """
+    n = len(head)
+    total = n + len(tail)
+    buffer = head.base
+    entry = _TAILS.get(id(buffer))
+    with _TAILS_LOCK:
+        in_place = (
+            entry is not None and entry[0]() is buffer and entry[1] == n and total <= len(buffer)
+            and head.dtype == buffer.dtype and head.strides == buffer.strides
+        )
+        if in_place:
+            entry[1] = total
+    if not in_place:
+        buffer = np.empty(2 * total, dtype=head.dtype)
+        buffer[:n] = head
+        key = id(buffer)
+        _TAILS[key] = [weakref.ref(buffer, lambda _, key=key: _TAILS.pop(key, None)), total]
+    buffer[n:total] = tail
+    view = buffer[:total]
+    view.flags.writeable = False
+    return view

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import threading
+import tracemalloc
 import urllib.request
 
 import numpy as np
@@ -41,9 +43,8 @@ import repro.feeds.incremental as incremental_module
 from repro.quality import measure_quality
 from repro.quality.completeness import CompletenessCriterion
 from repro.quality.duplicates import DuplicationCriterion
-from repro.store.reader import StoredColumn
 from repro.tabular import read_csv, write_csv
-from repro.tabular.dataset import ColumnRole, ColumnType, Dataset
+from repro.tabular.dataset import CodedColumn, ColumnRole, ColumnType, Dataset
 from repro.tabular.encoded import _CACHE_ATTR, encode_dataset
 from repro.tabular.transforms import group_by
 from repro.tiers import reference
@@ -220,6 +221,123 @@ class TestAppend:
         _assert_identical_encodings(merged, _cold(merged))
 
 
+def _views_snapshot(dataset: Dataset) -> list:
+    """The bytes of every cached view and every cell of ``dataset``."""
+    encoded = getattr(dataset, _CACHE_ATTR)
+    snapshot = [[bits(cell) for cell in column.tolist()] for column in dataset.columns]
+    for name in dataset.column_names:
+        if not dataset[name].is_numeric():
+            codes, vocabulary, _ = encoded.codes_view(name)
+            snapshot += [codes.tobytes(), list(vocabulary), encoded.missing_view(name).tobytes()]
+        values, missing = encoded.numeric_view(name)
+        snapshot += [values.tobytes(), missing.tobytes()]
+    return snapshot
+
+
+def _assert_equals_cold(merged: Dataset, rows: list[dict], like: Dataset) -> None:
+    """``merged`` holds ``rows`` with ``like``'s schema: cells, and views equal to a cold encode."""
+    cold = Dataset.from_rows(rows, name=like.name, ctypes={c.name: c.ctype for c in like.columns},
+                             roles={c.name: c.role for c in like.columns}, column_order=like.column_names)
+    assert_identical_datasets(merged, cold)
+    _assert_identical_encodings(merged, cold)
+    for name in merged.column_names:
+        values, missing = getattr(merged, _CACHE_ATTR).numeric_view(name)
+        c_values, c_missing = encode_dataset(cold).numeric_view(name)
+        assert values.tobytes() == c_values.tobytes() and missing.tobytes() == c_missing.tobytes()
+
+
+class TestAppendBuffers:
+    """Appends grow shared buffers in place at the tail and copy everywhere else."""
+
+    def _encoded_base(self, n: int = 120) -> tuple[Dataset, list[dict]]:
+        """An encoded base that ends at its buffers' tails (an append result), and its rows."""
+        rows = _base_rows(n)
+        base = _base_dataset(n - 20)
+        encoded = encode_dataset(base)
+        for column in base.columns:
+            encoded.numeric_view(column.name)
+            if not column.is_numeric():
+                encoded.codes_view(column.name)
+        return append_rows(base, rows[n - 20:]), rows
+
+    def test_two_branches_in_sequence_equal_cold_encodes(self):
+        base, rows = self._encoded_base()
+        before = _views_snapshot(base)
+        batches = [_delta_rows(30, seed=1), _delta_rows(45, seed=2)]
+        merged = [append_rows(base, batch) for batch in batches]
+        for result, batch in zip(merged, batches):
+            _assert_equals_cold(result, rows + batch, base)
+        assert _views_snapshot(base) == before
+        assert not base["amount"].values.flags.writeable
+
+    def test_branches_from_threads_equal_cold_encodes(self):
+        batches = [_delta_rows(40, seed=seed) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                base, rows = self._encoded_base()
+                before = _views_snapshot(base)
+                results: dict[int, Dataset] = {}
+
+                def branch(i: int) -> None:
+                    results[i] = append_rows(base, batches[i])
+
+                threads = [threading.Thread(target=branch, args=(i,)) for i in range(len(batches))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert sorted(results) == list(range(len(batches)))
+                for i, batch in enumerate(batches):
+                    _assert_equals_cold(results[i], rows + batch, base)
+                assert _views_snapshot(base) == before
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chained_appends_onto_an_opened_store_copy_at_most_twice(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 100_000
+        base = Dataset.from_dict({
+            "region": [("a", "b", "c", None)[i] for i in rng.integers(4, size=n)],
+            "year": (2020.0 + rng.integers(3, size=n)).tolist(),
+            "amount": np.round(rng.normal(100, 30, size=n), 3).tolist(),
+            "score": rng.random(n).tolist(),
+        }, name="budget")
+        opened = Dataset.open(base.save(tmp_path / "base.rps"))
+        batch = _delta_rows(1_000)
+        current = opened
+        large = 0
+        tracemalloc.start()
+        try:
+            for _ in range(64):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                current = append_rows(current, batch)
+                large += tracemalloc.get_traced_memory()[1] - before > 1_000_000
+        finally:
+            tracemalloc.stop()
+            opened.close()
+        assert current.n_rows == 164_000
+        # The first append copies out of the map; the buffers then regrow at most once.
+        assert large <= 2, large
+
+    def test_a_saved_chain_is_byte_identical_to_a_cold_save(self, tmp_path):
+        base = _base_dataset(300)
+        rows = base.to_rows()
+        opened = current = Dataset.open(base.save(tmp_path / "base.rps"))
+        for seed in range(5):
+            batch = _delta_rows(40 + seed, seed=seed)
+            current = append_rows(current, batch)
+            rows += batch
+        chain = current.save(tmp_path / "chain.rps").read_bytes()
+        opened.close()
+        cold = Dataset.from_rows(rows, name=base.name, ctypes={c.name: c.ctype for c in base.columns},
+                                 column_order=base.column_names)
+        assert chain == cold.save(tmp_path / "cold.rps").read_bytes()
+
+
 class TestAppendedRows:
     """The structural check of whether a dataset is another plus appended rows."""
 
@@ -232,7 +350,7 @@ class TestAppendedRows:
         try:
             assert appended_rows(opened_base, opened_merged) == 15
             assert appended_rows(opened_base, Dataset.open(base.save(tmp_path / "same.rps"))) == 0
-            assert all(c._cells is None for c in opened_merged.columns if isinstance(c, StoredColumn))
+            assert all(c._cells is None for c in opened_merged.columns if isinstance(c, CodedColumn))
         finally:
             opened_base.close()
             opened_merged.close()
@@ -480,6 +598,44 @@ class TestConnector:
         assert dataset.n_rows == 9 and dataset.name == "delta"
         assert connector.fetch_dataset(since="2027-01-01") is None
 
+    def test_missing_cursor_is_served_only_unfiltered(self, tmp_path):
+        path = tmp_path / "feed.jsonl"
+        cursors = ['"2026-01-01"', "null", '"n/a"', None, '"2026-01-03"']
+        path.write_text("".join(
+            f'{{"n": {i}' + ("" if cursor is None else f', "datum": {cursor}') + "}\n"
+            for i, cursor in enumerate(cursors, start=1)
+        ), encoding="utf-8")
+        connector = FeedConnector(FixtureFeed(path), page_size=2)
+        assert [r["n"] for r in connector.records(since="2026-01-02")] == [5]
+        assert connector.records(since="2026-01-03") == []
+        assert [r["n"] for r in connector.records()] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("layout", ["sorted", "unsorted", "ties_across_files", "absent_and_missing"])
+    def test_page_equals_the_linear_filter(self, tmp_path, layout):
+        rng = np.random.default_rng(5)
+        days = [f"2026-03-{day:02d}" for day in range(1, 25)]
+        if layout == "sorted":
+            cursors = days
+        elif layout == "unsorted":
+            cursors = [days[i] for i in rng.permutation(len(days))]
+        elif layout == "ties_across_files":
+            cursors = sorted(days[:8] * 3)
+        else:
+            cursors = [None if i % 5 == 2 else "" if i % 7 == 3 else days[i] for i in range(len(days))]
+        records = [{"n": i} if cursor is None else {"n": i, "datum": cursor}
+                   for i, cursor in enumerate(cursors)]
+        feed = FixtureFeed(_write_feed(tmp_path / "feed", [records[:9], records[9:16], records[16:]]))
+
+        def linear(offset, limit, since):  # the reference: a filter over every record
+            loaded = feed.page(0, len(records))
+            matched = [r for r in loaded if r.get("datum") is not None and str(r["datum"]) > since]
+            return matched[offset : offset + limit]
+
+        for since in ["", "2026-01-01", "2026-03-04", "2026-03-05", "2026-03-07T12", "2026-03-24", "2027"]:
+            for offset in (0, 1, 3, 7, 30):
+                for limit in (1, 2, 5, 100):
+                    assert feed.page(offset, limit, since=since) == linear(offset, limit, since)
+
 
 # ---------------------------------------------------------------------------
 # Incremental group-by / cube / KPI board
@@ -581,7 +737,7 @@ class TestIncrementalGroupBy:
             kpis = IncrementalKPIBoard([KPI("avg_score", "score", target=0.5)], cube, "region")
             grouped_result, kpi_result = grouped.refresh(merged), kpis.refresh(merged)
             for dataset in (opened, merged):
-                assert all(c._cells is None for c in dataset.columns if isinstance(c, StoredColumn))
+                assert all(c._cells is None for c in dataset.columns if isinstance(c, CodedColumn))
             cold = _cold(merged)
             assert_identical_datasets(grouped_result, group_by(cold, ["region", "year"], cube._aggregations()))
             reference_cube = Cube(cold, dimensions=cube.dimensions, measures=cube.measures, name=cube.name)

@@ -51,29 +51,75 @@ def _dataset(rows, name="prop"):
 # -- properties ---------------------------------------------------------------
 
 
-@given(base=st.lists(_row, min_size=1, max_size=20), batches=_batches)
+#: Cells of every kind a row may hold, so the batch coder's fast paths
+#: (``float``, ``str``, ``bool``, ``None``) and its ``_coerce_value`` path both run.
+_wide_row = st.fixed_dictionaries(
+    {
+        "group": st.one_of(st.none(), st.sampled_from(_CATEGORIES), st.integers(-2, 2)),
+        "value": st.one_of(
+            st.none(),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+            st.just(float("nan")),
+            st.integers(-5, 5),
+            st.booleans(),
+            st.sampled_from(["2.5", "-0.0", "nan"]),
+        ),
+        "flag": st.one_of(
+            st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from(["yes", "no", "1", "0", "True"])
+        ),
+        "label": st.one_of(
+            st.none(), st.text(max_size=4), st.sampled_from(["1.5", "-0", "NaN"]),
+            st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
+        ),
+    }
+)
+
+_WIDE_CTYPES = {**_CTYPES, "flag": ColumnType.BOOLEAN, "label": ColumnType.STRING}
+
+
+def _wide(rows):
+    return Dataset.from_rows(rows, name="prop", ctypes=_WIDE_CTYPES, column_order=list(_WIDE_CTYPES))
+
+
+@given(
+    base=st.lists(_wide_row, min_size=1, max_size=20),
+    batches=st.lists(st.lists(_wide_row, min_size=0, max_size=12), min_size=1, max_size=5),
+    branch=st.lists(_wide_row, min_size=0, max_size=12),
+    at=st.integers(min_value=0, max_value=4),
+)
 @settings(max_examples=30, deadline=None)
-def test_appended_encoding_matches_cold_encode(base, batches):
-    """Extended encoded views equal a cold encode of the concatenated rows."""
-    merged = _dataset(base)
+def test_appended_encoding_matches_cold_encode(base, batches, branch, at):
+    """Extended encoded views equal a cold encode of the concatenated rows, on every branch."""
+    merged = _wide(base)
     encoded = encode_dataset(merged)
-    encoded.codes_view("group")
-    encoded.numeric_view("value")
+    for name in _WIDE_CTYPES:
+        encoded.numeric_view(name)
+        if _WIDE_CTYPES[name] != ColumnType.NUMERIC:
+            encoded.codes_view(name)
     all_rows = list(merged.iter_rows())
-    for batch in batches:
+    for i, batch in enumerate(batches):
+        if i == at % len(batches):
+            intermediate, intermediate_rows = merged, list(all_rows)
         merged = append_rows(merged, batch)
         all_rows.extend(batch)
-    cold = encode_dataset(_dataset(all_rows))
-    seeded = getattr(merged, _CACHE_ATTR)
-    assert seeded.dataset is merged
-    codes, vocabulary, _ = seeded.codes_view("group")
-    c_codes, c_vocab, _ = cold.codes_view("group")
-    assert vocabulary == c_vocab
-    assert np.array_equal(codes, c_codes)
-    values, missing = seeded.numeric_view("value")
-    c_values, c_missing = cold.numeric_view("value")
-    assert np.array_equal(values, c_values, equal_nan=True)
-    assert np.array_equal(missing, c_missing)
+    # A second batch onto the same intermediate: a branch that must not see the first.
+    branched = append_rows(intermediate, branch)
+    for result, rows in ((merged, all_rows), (branched, intermediate_rows + branch)):
+        cold_dataset = _wide(rows)
+        cold = encode_dataset(cold_dataset)
+        seeded = getattr(result, _CACHE_ATTR)
+        assert seeded.dataset is result
+        assert_identical_datasets(result, cold_dataset)
+        for name, ctype in _WIDE_CTYPES.items():
+            if ctype != ColumnType.NUMERIC:
+                codes, vocabulary, _ = seeded.codes_view(name)
+                c_codes, c_vocab, _ = cold.codes_view(name)
+                assert vocabulary == c_vocab
+                assert np.array_equal(codes, c_codes)
+            values, missing = seeded.numeric_view(name)
+            c_values, c_missing = cold.numeric_view(name)
+            assert np.array_equal(values, c_values, equal_nan=True)
+            assert np.array_equal(missing, c_missing)
 
 
 @given(base=st.lists(_row, min_size=1, max_size=20), batches=_batches)

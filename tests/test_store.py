@@ -133,7 +133,7 @@ def test_group_by_and_cube_identical_on_reopened_dataset(tmp_path):
 
 def test_cube_grand_total_on_reopened_dataset(tmp_path):
     """Regression: ``Cube.aggregate(None)`` built its ``__all__`` pseudo-column
-    with ``type(columns[0])``, which blew up on memory-mapped StoredColumns."""
+    with ``type(columns[0])``, which blew up on memory-mapped coded columns."""
     dataset = _source()
     opened = open_dataset(save_dataset(dataset, tmp_path / "sr.rps"))
 

@@ -7,10 +7,12 @@ import pickle
 
 import numpy as np
 import pytest
+from parity import assert_identical_datasets
 
 from repro.datasets import make_classification_dataset
 from repro.exceptions import SchemaError
 from repro.tabular.dataset import (
+    CodedColumn,
     Column,
     ColumnRole,
     ColumnType,
@@ -307,6 +309,15 @@ def test_dataset_pickle_drops_view_state(tmp_path, encodable):
     state = opened.__getstate__()
     assert "_store_file" not in state
     assert "_encoded_cache" not in state
+    # Coded columns (an opened store's, and an append's) pickle their codes, not their cells.
+    appended = opened.append_rows(list(encodable.head(7).iter_rows()))
+    for dataset in (opened, appended):
+        coded = [c for c in dataset.columns if isinstance(c, CodedColumn)]
+        assert coded
+        clone = pickle.loads(pickle.dumps(dataset))
+        assert all(c._cells is None for c in coded)
+        assert not hasattr(clone, "_encoded_cache")
+        assert_identical_datasets(clone, dataset)
     opened.close()
 
 
