@@ -94,6 +94,12 @@ def evaluate_kpis_by_level(kpis: Sequence[KPI], cube: Cube, level: str) -> Datas
     Only column KPIs are supported here: a callable ``compute`` cannot be
     pushed into the grouped aggregation and raises :class:`ReproError`.
     """
+    grouped = group_by(cube.dataset, [level], _level_means(kpis, cube, level))
+    return _scoreboard(kpis, level, grouped, f"{cube.name}_kpis_by_{level}")
+
+
+def _level_means(kpis: Sequence[KPI], cube: Cube, level: str) -> dict[str, tuple[str, str]]:
+    """Each KPI's column mean as a ``group_by`` aggregation, once the scoreboard is known to be valid."""
     if not kpis:
         raise ReproError("no KPIs to evaluate")
     aggregations: dict[str, tuple[str, str]] = {}
@@ -115,7 +121,11 @@ def evaluate_kpis_by_level(kpis: Sequence[KPI], cube: Cube, level: str) -> Datas
                 )
             out_columns.add(column)
         aggregations[kpi.name] = (kpi.compute, "mean")
-    grouped = group_by(cube.dataset, [level], aggregations)
+    return aggregations
+
+
+def _scoreboard(kpis: Sequence[KPI], level: str, grouped: Dataset, name: str) -> Dataset:
+    """The scoreboard over ``grouped``, the per-level means: each mean and its grade."""
     out_rows: list[dict[str, Any]] = []
     for row in grouped.iter_rows():
         out: dict[str, Any] = {level: row[level]}
@@ -124,8 +134,8 @@ def evaluate_kpis_by_level(kpis: Sequence[KPI], cube: Cube, level: str) -> Datas
             out[kpi.name] = value
             out[f"{kpi.name}_status"] = kpi.grade(float(value))
         out_rows.append(out)
-    ctypes = {level: cube.dataset[level].ctype}
+    ctypes = {level: grouped[level].ctype}
     for kpi in kpis:
         ctypes[kpi.name] = ColumnType.NUMERIC
         ctypes[f"{kpi.name}_status"] = ColumnType.CATEGORICAL
-    return Dataset.from_rows(out_rows, name=f"{cube.name}_kpis_by_{level}", ctypes=ctypes)
+    return Dataset.from_rows(out_rows, name=name, ctypes=ctypes)

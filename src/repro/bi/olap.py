@@ -173,7 +173,7 @@ class Cube:
             return group_by(self.dataset, list(levels), self._aggregations())
         # Grand total: group by a constant pseudo-column.  Always a plain
         # Column — the dataset's own columns may be memory-mapped
-        # StoredColumn views, which cannot be built from a value list.
+        # CodedColumn views, which cannot be built from a value list.
         working = self.dataset.add_column(Column("__all__", ["all"] * self.dataset.n_rows))
         result = group_by(working, ["__all__"], self._aggregations())
         return result.drop_columns(["__all__"]) if result.n_columns > 1 else result

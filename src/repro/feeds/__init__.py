@@ -13,10 +13,13 @@ for an O(|delta|) change.  This subpackage closes that gap end to end:
   extend the base's encoded views in place instead of re-encoding or
   copying them (:func:`repro.tabular.encoded.extend_encoding`), and the
   structural check of whether one dataset is another plus appended rows;
-* :mod:`repro.feeds.incremental` — delta maintenance of quality profiles,
-  group-by/cube aggregates and KPI scoreboards, bit-identical to the batch
-  recompute (the reference tier inside :func:`repro.tiers.reference`), with
-  automatic fallback where the math does not permit a fold.
+* :mod:`repro.feeds.incremental` — incremental refresh of quality profiles,
+  group-by/cube aggregates and KPI scoreboards.  The batch tier's fast path
+  *is* a resumable state, seeded over the rows and read once; a refresh
+  folds the appended rows into the same state, so it is bit-identical to
+  the batch recompute (the reference tier inside
+  :func:`repro.tiers.reference`), and falls back to it where there is no
+  state.  Duplication alone keeps a faster one-shot sort beside its state.
 
 The ``repro ingest`` CLI ties these to the persistence and serving tiers:
 append a feed batch to a ``.rps`` store and ``POST /reload`` a running

@@ -53,10 +53,7 @@ def append_dataset(base: Dataset, delta: Dataset, name: str | None = None) -> Da
                 f"schema-incompatible delta for dataset {base.name!r}: column "
                 f"{column_name!r} is {base_ctype} in the base but {delta_ctype} in the delta"
             )
-    merged = base.concat(delta)
-    if name is not None:
-        merged.name = name
-    return merged
+    return base._concat(delta, base.name if name is None else name)
 
 
 def append_rows(
@@ -124,10 +121,7 @@ def _code_batch(base: Dataset, rows: list[Mapping[str, Any]]) -> Dataset:
                  else _NAN if cell is None else _coerce_value(cell, ctype) for cell in cells],
                 dtype=float,
             )
-            coded = Column.__new__(Column)
-            coded.name, coded.ctype, coded.role = key, ctype, column.role
-            coded._values, coded._missing_cache = values, None
-            columns.append(coded)
+            columns.append(Column._canonical(key, ctype, column.role, values))
             continue
         codes, vocabulary = _code_cells(cells, ctype)
         columns.append(CodedColumn.from_vocabulary(key, ctype, column.role, codes, vocabulary, codes < 0))

@@ -27,10 +27,12 @@ class AccuracyCriterion(Criterion):
     description = "Estimated fraction of cells free of noise/corruption."
 
     def __init__(self, iqr_factor: float = 3.0, schema: Schema | None = None) -> None:
+        """Fence numeric cells ``iqr_factor`` IQRs out, or by ``schema``'s ranges and domains when given."""
         self.iqr_factor = iqr_factor
         self.schema = schema
 
     def measure(self, dataset: Dataset) -> CriterionMeasure:
+        """Count the suspected errors of each feature and target column, row by row."""
         columns = [c for c in dataset.columns if c.role in (ColumnRole.FEATURE, ColumnRole.TARGET)]
         if not columns:
             columns = dataset.columns

@@ -25,6 +25,7 @@ class BalanceCriterion(Criterion):
     description = "How evenly the target classes are represented."
 
     def measure(self, dataset: Dataset) -> CriterionMeasure:
+        """Count the classes of the target, or of the least balanced discrete feature, row by row."""
         if dataset.has_target():
             column = dataset.target_column()
         else:
@@ -34,26 +35,17 @@ class BalanceCriterion(Criterion):
             column = min(candidates, key=lambda c: self._normalised_entropy(c.value_counts()))
         return self._build_measure(column, {str(k): v for k, v in column.value_counts().items()})
 
-    def _measure_encoded(self, encoded: EncodedDataset) -> CriterionMeasure | None:
-        if not self._uses_reference_measure(BalanceCriterion):
+    def delta_state(self, encoded: EncodedDataset) -> _BalanceState | None:
+        """The class counts of each assessable column, read from the code views."""
+        if not self._uses_reference_tiers(BalanceCriterion):
             return None
         dataset = encoded.dataset
-        if dataset.has_target():
-            column = dataset.target_column()
-            if column.is_numeric():
-                # A numeric target's value counts key on raw floats, where
-                # -0.0 and 0.0 share one Counter bucket but two distinct
-                # string codes; the reference path keeps that corner exact.
-                return None
-        else:
-            candidates = [c for c in dataset.feature_columns() if not c.is_numeric()]
-            if not candidates:
-                return CriterionMeasure(self.name, 1.0, {"note": "no discrete column to assess"})
-            column = min(
-                candidates,
-                key=lambda c: self._normalised_entropy(self._encoded_counts(encoded, c.name)),
-            )
-        return self._build_measure(column, self._encoded_counts(encoded, column.name))
+        if dataset.has_target() and dataset.target_column().is_numeric():
+            # A numeric target's value counts key on raw floats, where -0.0
+            # and 0.0 share one Counter bucket but two distinct string codes;
+            # the reference path keeps that corner exact.
+            return None
+        return _BalanceState(self, encoded)
 
     @staticmethod
     def _encoded_counts(encoded: EncodedDataset, name: str) -> dict[str, int]:
@@ -100,3 +92,43 @@ class BalanceCriterion(Criterion):
         # 1.0000000000000004), which CriterionMeasure rejects; clamp.  Shared
         # by both measurement tiers, so bit-identity is preserved.
         return min(1.0, max(0.0, entropy / math.log2(len(counts))))
+
+
+class _BalanceState:
+    """The class counts of the target, or of every discrete feature: the balance criterion's encoded tier."""
+
+    def __init__(self, criterion: BalanceCriterion, encoded: EncodedDataset) -> None:
+        dataset = encoded.dataset
+        self._criterion = criterion
+        self._target = dataset.target_column().name if dataset.has_target() else None
+        names = [self._target] if self._target is not None else [
+            c.name for c in dataset.feature_columns() if not c.is_numeric()
+        ]
+        self._counts = {name: BalanceCriterion._encoded_counts(encoded, name) for name in names}
+
+    def update(self, encoded: EncodedDataset, start: int) -> None:
+        """Add the class codes of rows ``start:`` to the counts."""
+        for name, counts in self._counts.items():
+            codes, vocabulary, _ = encoded.codes_view(name)
+            delta_codes = codes[start:]
+            present = delta_codes[delta_codes >= 0]
+            if present.size == 0:
+                continue
+            bincount = np.bincount(present, minlength=len(vocabulary))
+            # New levels land at the end of the extended vocabulary, so
+            # walking the nonzero codes in ascending order appends them in
+            # exactly the first-seen order a fresh ``_encoded_counts`` of the
+            # merged column would use.
+            for code in np.flatnonzero(bincount).tolist():
+                level = vocabulary[code]
+                counts[level] = counts.get(level, 0) + int(bincount[code])
+
+    def build(self, encoded: EncodedDataset) -> CriterionMeasure:
+        """The measure of the target's counts, or of the least balanced column's."""
+        criterion, dataset, counts = self._criterion, encoded.dataset, self._counts
+        if self._target is not None:
+            return criterion._build_measure(dataset[self._target], counts[self._target])
+        if not counts:
+            return CriterionMeasure(criterion.name, 1.0, {"note": "no discrete column to assess"})
+        chosen = min(counts, key=lambda name: criterion._normalised_entropy(counts[name]))
+        return criterion._build_measure(dataset[chosen], counts[chosen])

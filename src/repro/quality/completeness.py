@@ -19,6 +19,7 @@ class CompletenessCriterion(Criterion):
     description = "Fraction of cells that are present (not missing)."
 
     def __init__(self, include_target: bool = True) -> None:
+        """Assess the target column too unless ``include_target`` is false."""
         self.include_target = include_target
 
     def _selected_columns(self, dataset: Dataset) -> list[Column]:
@@ -29,17 +30,15 @@ class CompletenessCriterion(Criterion):
         return columns or dataset.columns
 
     def measure(self, dataset: Dataset) -> CriterionMeasure:
+        """Count the missing cells of each assessed column, row by row."""
         counts = {c.name: c.n_missing() for c in self._selected_columns(dataset)}
         return self._build_measure(dataset, counts)
 
-    def _measure_encoded(self, encoded: EncodedDataset) -> CriterionMeasure | None:
-        if not self._uses_reference_measure(CompletenessCriterion):
+    def delta_state(self, encoded: EncodedDataset) -> _CompletenessState | None:
+        """The missing-cell count of each assessed column, read from the encoded masks."""
+        if not self._uses_reference_tiers(CompletenessCriterion):
             return None
-        counts = {
-            c.name: int(encoded.missing_view(c.name).sum())
-            for c in self._selected_columns(encoded.dataset)
-        }
-        return self._build_measure(encoded.dataset, counts)
+        return _CompletenessState(self, encoded)
 
     def _build_measure(self, dataset: Dataset, missing_counts: dict[str, int]) -> CriterionMeasure:
         per_column = {}
@@ -67,3 +66,21 @@ class CompletenessCriterion(Criterion):
         if provenance is not None:
             details["salvage"] = provenance_counts(provenance, columns=list(missing_counts))
         return CriterionMeasure(criterion=self.name, score=score, details=details)
+
+
+class _CompletenessState:
+    """The missing-cell count of each assessed column: the completeness criterion's encoded tier."""
+
+    def __init__(self, criterion: CompletenessCriterion, encoded: EncodedDataset) -> None:
+        self._criterion = criterion
+        self._counts = dict.fromkeys((c.name for c in criterion._selected_columns(encoded.dataset)), 0)
+        self.update(encoded, 0)
+
+    def update(self, encoded: EncodedDataset, start: int) -> None:
+        """Add the missing cells of rows ``start:``."""
+        for name in self._counts:
+            self._counts[name] += int(encoded.missing_view(name)[start:].sum())
+
+    def build(self, encoded: EncodedDataset) -> CriterionMeasure:
+        """The criterion measure of the counts."""
+        return self._criterion._build_measure(encoded.dataset, self._counts)

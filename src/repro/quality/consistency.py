@@ -23,9 +23,11 @@ class ConsistencyCriterion(Criterion):
     description = "Fraction of cells consistent with the declared/inferred schema."
 
     def __init__(self, schema: Schema | None = None) -> None:
+        """Validate against ``schema``, or against one inferred from each dataset."""
         self.schema = schema
 
     def measure(self, dataset: Dataset) -> CriterionMeasure:
+        """Count the schema violations, row by row."""
         schema = self.schema or infer_schema(dataset)
         violations = schema.validate(dataset)
         n_cells = dataset.n_rows * dataset.n_columns

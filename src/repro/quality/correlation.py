@@ -42,6 +42,7 @@ class CorrelationCriterion(Criterion):
     description = "Degree to which features are not redundant with each other."
 
     def __init__(self, threshold: float = 0.9, max_pairs: int = 2000) -> None:
+        """Count pairs associated above ``threshold``, examining at most ``max_pairs``."""
         self.threshold = threshold
         self.max_pairs = max_pairs
 
@@ -53,6 +54,7 @@ class CorrelationCriterion(Criterion):
         return numeric, categorical
 
     def measure(self, dataset: Dataset) -> CriterionMeasure:
+        """Measure each feature pair's association from the column values."""
         numeric, categorical = self._split_features(dataset)
         return self._measure_pairs(
             numeric,

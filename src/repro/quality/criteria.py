@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Protocol
 
 from repro.exceptions import DataQualityError
 from repro.tabular.dataset import Dataset
@@ -25,10 +25,21 @@ class CriterionMeasure:
     details: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        """Reject a score outside ``[0, 1]``."""
         if not 0.0 <= self.score <= 1.0:
             raise DataQualityError(
                 f"criterion {self.criterion!r} produced a score outside [0, 1]: {self.score}"
             )
+
+
+class CriterionState(Protocol):
+    """A criterion's running counts over a dataset's rows, which appended rows extend."""
+
+    def update(self, encoded: EncodedDataset, start: int) -> None:
+        """Fold in rows ``start:`` of ``encoded``, the rows folded so far followed by appended ones."""
+
+    def build(self, encoded: EncodedDataset) -> CriterionMeasure:
+        """The measure of the rows folded so far, whose encoding is ``encoded``."""
 
 
 class Criterion(ABC):
@@ -47,6 +58,10 @@ class Criterion(ABC):
     the encoded path first and transparently falls back to :meth:`measure`, so
     criteria opt into vectorization without changing the public API.  Inside
     :func:`repro.tiers.reference` it calls :meth:`measure` directly.
+
+    A criterion measured from running counts implements :meth:`delta_state`
+    instead: its encoded tier *is* that state, seeded and built, and
+    :class:`repro.feeds.IncrementalProfile` folds appended rows into it.
     """
 
     #: Registry key; subclasses override.
@@ -58,10 +73,22 @@ class Criterion(ABC):
     def measure(self, dataset: Dataset) -> CriterionMeasure:
         """Measure this criterion on ``dataset`` (row-at-a-time reference)."""
 
+    def delta_state(self, encoded: EncodedDataset) -> CriterionState | None:
+        """This criterion's running state, seeded over the rows of ``encoded``; ``None`` if it has none.
+
+        The state carries the encoded tier's bit-identity contract, and after
+        ``update(merged, start)`` builds what a state seeded over ``merged``
+        builds.  Implementations guard with :meth:`_uses_reference_tiers`: a
+        subclass overriding :meth:`measure` or :meth:`_measure_encoded` gets
+        no state, so one rule decides both tiers.
+        """
+        return None
+
     def _measure_encoded(self, encoded: EncodedDataset) -> CriterionMeasure | None:
         """Vectorized measurement over an encoded dataset view.
 
-        Return ``None`` (the default) to fall back to :meth:`measure`.
+        The default seeds :meth:`delta_state` and builds it, or returns
+        ``None`` without a state, to fall back to :meth:`measure`.
         Implementations must be **bit-identical** to the reference path: the
         same ``score`` float and an equal ``details`` dict (same keys, same
         key order, same plain-Python value types), which in practice means
@@ -72,7 +99,8 @@ class Criterion(ABC):
         :meth:`_uses_reference_measure` so subclasses that override
         :meth:`measure` keep their customised behaviour.
         """
-        return None
+        state = self.delta_state(encoded)
+        return None if state is None else state.build(encoded)
 
     def _uses_reference_measure(self, owner: type) -> bool:
         """True when this instance inherits ``owner``'s :meth:`measure`.
@@ -83,6 +111,10 @@ class Criterion(ABC):
         quality-side analogue of ``Classifier._uses_base_impl``).
         """
         return type(self).measure is owner.measure
+
+    def _uses_reference_tiers(self, owner: type) -> bool:
+        """True when this instance inherits ``owner``'s :meth:`measure` and :meth:`_measure_encoded`."""
+        return self._uses_reference_measure(owner) and type(self)._measure_encoded is owner._measure_encoded
 
     def measure_encoded(self, encoded: EncodedDataset) -> CriterionMeasure:
         """Measure against ``encoded``, preferring the vectorized path.
@@ -100,6 +132,7 @@ class Criterion(ABC):
         return self.measure(encoded.dataset)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        """The class name, as a call."""
         return f"{type(self).__name__}()"
 
 

@@ -29,21 +29,22 @@ class DimensionalityCriterion(Criterion):
     description = "Whether the number of attributes is small relative to the number of rows."
 
     def __init__(self, reference_ratio: float = 0.1) -> None:
+        """Score ``reference_ratio`` features per row (default 0.1) at 0.5."""
         if reference_ratio <= 0:
             raise ValueError("reference_ratio must be positive")
         self.reference_ratio = reference_ratio
 
     def measure(self, dataset: Dataset) -> CriterionMeasure:
+        """Count the feature columns and their missing cells, row by row."""
         features = [c for c in dataset.columns if c.role == ColumnRole.FEATURE]
         missing_cells = sum(c.n_missing() for c in features)
         return self._build_measure(dataset, len(features), missing_cells)
 
-    def _measure_encoded(self, encoded: EncodedDataset) -> CriterionMeasure | None:
-        if not self._uses_reference_measure(DimensionalityCriterion):
+    def delta_state(self, encoded: EncodedDataset) -> _DimensionalityState | None:
+        """The feature columns' missing-cell total, read from the encoded masks."""
+        if not self._uses_reference_tiers(DimensionalityCriterion):
             return None
-        features = [c for c in encoded.dataset.columns if c.role == ColumnRole.FEATURE]
-        missing_cells = sum(int(encoded.missing_view(c.name).sum()) for c in features)
-        return self._build_measure(encoded.dataset, len(features), missing_cells)
+        return _DimensionalityState(self, encoded)
 
     def _build_measure(self, dataset: Dataset, n_features: int, missing_cells: int) -> CriterionMeasure:
         n_rows = dataset.n_rows
@@ -61,3 +62,21 @@ class DimensionalityCriterion(Criterion):
                 "sparsity": sparsity,
             },
         )
+
+
+class _DimensionalityState:
+    """The feature columns' missing-cell total: the dimensionality criterion's encoded tier."""
+
+    def __init__(self, criterion: DimensionalityCriterion, encoded: EncodedDataset) -> None:
+        self._criterion = criterion
+        self._features = [c.name for c in encoded.dataset.columns if c.role == ColumnRole.FEATURE]
+        self._missing = 0
+        self.update(encoded, 0)
+
+    def update(self, encoded: EncodedDataset, start: int) -> None:
+        """Add the missing feature cells of rows ``start:``."""
+        self._missing += sum(int(encoded.missing_view(name)[start:].sum()) for name in self._features)
+
+    def build(self, encoded: EncodedDataset) -> CriterionMeasure:
+        """The criterion measure of the total."""
+        return self._criterion._build_measure(encoded.dataset, len(self._features), self._missing)

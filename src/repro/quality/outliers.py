@@ -21,11 +21,13 @@ class OutlierCriterion(Criterion):
     description = "Fraction of numeric values that are not extreme outliers."
 
     def __init__(self, iqr_factor: float = 1.5) -> None:
+        """Place the fences ``iqr_factor`` interquartile ranges out (default 1.5)."""
         if iqr_factor <= 0:
             raise ValueError("iqr_factor must be positive")
         self.iqr_factor = iqr_factor
 
     def measure(self, dataset: Dataset) -> CriterionMeasure:
+        """Count the cells outside their column's fences, from the column values."""
         columns = self._numeric_columns(dataset)
         if not columns:
             return CriterionMeasure(self.name, 1.0, {"note": "no numeric columns"})

@@ -50,6 +50,7 @@ class DataQualityProfile:
             raise DataQualityError(f"criterion {criterion!r} was not measured") from None
 
     def criteria(self) -> list[str]:
+        """The measured criteria, in measurement order."""
         return list(self.measures)
 
     def as_dict(self) -> dict[str, float]:
@@ -118,6 +119,7 @@ class DataQualityProfile:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "DataQualityProfile":
+        """Rebuild a profile from :meth:`to_json_dict`'s representation."""
         measures = {
             name: CriterionMeasure(criterion=name, score=float(entry["score"]), details=dict(entry.get("details", {})))
             for name, entry in payload.get("measures", {}).items()
@@ -158,6 +160,17 @@ def measure_quality(
     unknown = sorted(set(criterion_kwargs) - set(CRITERIA_REGISTRY))
     if unknown:
         raise TypeError(f"measure_quality() got unexpected keyword arguments {unknown}")
+    encoded = encode_dataset(dataset)
+    profile = DataQualityProfile(dataset_name=dataset.name)
+    for criterion in _resolve_criteria(criteria, criterion_kwargs):
+        profile.measures[criterion.name] = criterion.measure_encoded(encoded)
+    return profile
+
+
+def _resolve_criteria(
+    criteria: Sequence[str | Criterion] | None, criterion_kwargs: Mapping[str, Any] | None = None
+) -> list[Criterion]:
+    """Instances for ``criteria`` (default :data:`DEFAULT_CRITERIA`), names built with their kwargs."""
     selected: list[Criterion] = []
     for item in criteria if criteria is not None else DEFAULT_CRITERIA:
         if isinstance(item, Criterion):
@@ -165,8 +178,4 @@ def measure_quality(
         else:
             kwargs = dict(criterion_kwargs.get(item, {})) if criterion_kwargs else {}
             selected.append(get_criterion(str(item), **kwargs))
-    encoded = encode_dataset(dataset)
-    profile = DataQualityProfile(dataset_name=dataset.name)
-    for criterion in selected:
-        profile.measures[criterion.name] = criterion.measure_encoded(encoded)
-    return profile
+    return selected

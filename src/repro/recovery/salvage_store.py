@@ -42,7 +42,7 @@ from repro.lod.triples import TripleStore
 from repro.lod.terms import Triple
 from repro.store.format import KIND_DATASET, KIND_NAMES, StoreFile
 from repro.store.reader import _decode_terms, open_dataset, open_graph
-from repro.tabular.dataset import Column, ColumnType, Dataset
+from repro.tabular.dataset import CodedColumn, Column, ColumnType, Dataset
 
 
 class StoreSalvageReport:
@@ -148,23 +148,13 @@ def _salvage_dataset(store_file: StoreFile, damage: dict, report: StoreSalvageRe
             report.dropped_columns.append(name)
             continue
         _note_derived(report, damage, [f"{prefix}.{suffix}" for suffix in ("msk", "num", "nmk", "nrm")])
-        column = Column.__new__(Column)
-        column.name = name
-        column.ctype = ctype
-        column.role = role
-        column._missing_cache = None
+        # Copies of the sections: the salvaged dataset outlives the store file.
         if ctype == ColumnType.NUMERIC:
-            column._values = np.array(store_file.array(f"{prefix}.val"))
+            columns.append(Column._canonical(name, ctype, role, np.array(store_file.array(f"{prefix}.val"))))
         else:
-            codes = store_file.array(f"{prefix}.cod")
+            codes = np.array(store_file.array(f"{prefix}.cod"))
             vocabulary = store_file.strings(f"{prefix}.lev")
-            levels = [text == "True" for text in vocabulary] if ctype == ColumnType.BOOLEAN else vocabulary
-            table = np.empty(len(levels) + 1, dtype=object)
-            for i, level in enumerate(levels):
-                table[i] = level
-            table[-1] = None
-            column._values = table[np.asarray(codes)]
-        columns.append(column)
+            columns.append(CodedColumn.from_vocabulary(name, ctype, role, codes, vocabulary, None))
     if not columns:
         raise StoreError(
             f"store {store_file.path}: unsalvageable dataset — every column lost a primary section"

@@ -158,12 +158,7 @@ def open_dataset(path: Path | str, verify: bool = False) -> Dataset:
     for described in meta["columns"]:
         name, ctype, role, prefix = described["name"], described["ctype"], described["role"], described["prefix"]
         if ctype == ColumnType.NUMERIC:
-            column = Column.__new__(Column)
-            column.name = name
-            column.ctype = ctype
-            column.role = role
-            column._values = store_file.array(f"{prefix}.val")
-            column._missing_cache = None
+            column = Column._canonical(name, ctype, role, store_file.array(f"{prefix}.val"))
         else:
             codes = store_file.array(f"{prefix}.cod")
             vocabulary = store_file.strings(f"{prefix}.lev")

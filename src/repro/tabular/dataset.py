@@ -13,7 +13,6 @@ both.
 
 from __future__ import annotations
 
-import copy as _copy
 import math
 import random
 from collections import Counter
@@ -312,27 +311,27 @@ class Column:
         )
         ctype = _infer_from_present(present, n_present)
         coerced = [_coerce_value(value, ctype) for value in distinct_values]
+        dtype = float if ctype == ColumnType.NUMERIC else object
+        return cls._canonical(name, ctype, role, np.asarray(coerced, dtype=dtype)[inverse])
+
+    @classmethod
+    def _canonical(
+        cls, name: str, ctype: str, role: str, values: np.ndarray, missing: np.ndarray | None = None
+    ) -> "Column":
+        """The column over ``values``, already canonical for ``ctype`` (no coercion, no copy).
+
+        ``missing`` is its missing mask when known; a numeric column computes
+        its own.
+        """
         column = cls.__new__(cls)
-        column.name = name
-        column.ctype = ctype
-        column.role = role
-        if ctype == ColumnType.NUMERIC:
-            column._values = np.asarray(coerced, dtype=float)[inverse]
-        else:
-            column._values = np.asarray(coerced, dtype=object)[inverse]
-        column._missing_cache = None
+        column.name, column.ctype, column.role = name, ctype, role
+        column._values, column._missing_cache = values, missing
         return column
 
     def copy(self) -> "Column":
-        clone = Column.__new__(Column)
-        clone.name = self.name
-        clone.ctype = self.ctype
-        clone.role = self.role
-        clone._values = self._values.copy()
         # The values array is copied to allow independent mutation, so the
         # cached mask (which aliases this column's state) must not be carried.
-        clone._missing_cache = None
-        return clone
+        return Column._canonical(self.name, self.ctype, self.role, self._values.copy())
 
     def with_values(self, values: Iterable[Any]) -> "Column":
         """Return a new column with the same name/type/role and new values."""
@@ -341,15 +340,11 @@ class Column:
     def take(self, indices: Sequence[int]) -> "Column":
         """Return a new column containing the rows at ``indices`` (in order)."""
         index_array = np.asarray(indices, dtype=int)
-        clone = Column.__new__(Column)
-        clone.name = self.name
-        clone.ctype = self.ctype
-        clone.role = self.role
-        clone._values = self._values[index_array]
-        clone._missing_cache = (
-            self._missing_cache[index_array] if self._missing_cache is not None else None
+        mask = self._missing_cache
+        return Column._canonical(
+            self.name, self.ctype, self.role, self._values[index_array],
+            mask[index_array] if mask is not None else None,
         )
-        return clone
 
 
 class CodedColumn(Column):
@@ -753,6 +748,10 @@ class Dataset:
         the encoding holds stays a :class:`CodedColumn`.  Otherwise the
         column arrays are concatenated.
         """
+        return self._concat(other, self.name)
+
+    def _concat(self, other: "Dataset", name: str) -> "Dataset":
+        """:meth:`concat` named ``name``, which an extended encoding carries too."""
         if self.column_names != other.column_names:
             raise SchemaError("cannot concatenate datasets with different columns")
         if all(col.ctype == other[col.name].ctype for col in self.columns):
@@ -760,7 +759,7 @@ class Dataset:
 
             base_encoded = getattr(self, _CACHE_ATTR, None)
             if base_encoded is not None and base_encoded.owned_by(self):
-                return extend_encoding(base_encoded, encode_dataset(other))
+                return extend_encoding(base_encoded, encode_dataset(other), name)
         columns = []
         for col in self.columns:
             other_col = other[col.name]
@@ -769,7 +768,7 @@ class Dataset:
             else:
                 values = col.tolist() + other_col.tolist()
                 columns.append(Column(col.name, values, ctype=col.ctype, role=col.role))
-        return Dataset(columns, name=self.name)
+        return Dataset(columns, name=name)
 
     def append_rows(self, rows: Sequence[dict[str, Any]], name: str | None = None) -> "Dataset":
         """Append row dictionaries, keeping this dataset's schema and encodings.
@@ -906,18 +905,9 @@ def _concatenated(column: Column, other: Column) -> Column:
     arrays are joined directly without re-coercing every cell through the
     :class:`Column` constructor.
     """
-    merged = Column.__new__(Column)
-    merged.name = column.name
-    merged.ctype = column.ctype
-    merged.role = column.role
-    merged._values = np.concatenate([column.values, other.values])
+    mask = None
     if not column.is_numeric() and column._missing_cache is not None:
-        merged._missing_cache = np.concatenate([column._missing_cache, other.missing_mask()])
-    else:
-        merged._missing_cache = None
-    return merged
-
-
-def _deep_copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Utility used by IO writers to avoid mutating caller-provided rows."""
-    return _copy.deepcopy(rows)
+        mask = np.concatenate([column._missing_cache, other.missing_mask()])
+    return Column._canonical(
+        column.name, column.ctype, column.role, np.concatenate([column.values, other.values]), mask
+    )

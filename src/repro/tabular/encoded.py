@@ -518,8 +518,8 @@ def encode_dataset(dataset: Dataset) -> EncodedDataset:
     return encoded
 
 
-def extend_encoding(base: EncodedDataset, delta: EncodedDataset) -> Dataset:
-    """Return ``base.dataset`` followed by ``delta.dataset``'s rows, its encoding extended.
+def extend_encoding(base: EncodedDataset, delta: EncodedDataset, merged_name: str) -> Dataset:
+    """Return ``base.dataset`` followed by ``delta.dataset``'s rows as ``merged_name``, its encoding extended.
 
     Both datasets must have the same columns with the same ctypes; this is
     the one extension path :meth:`Dataset.concat`, ``append_dataset`` and
@@ -572,10 +572,8 @@ def extend_encoding(base: EncodedDataset, delta: EncodedDataset) -> Dataset:
     for column in base._columns.values():
         other = delta._columns[column.name]
         if column.is_numeric():
-            merged = Column.__new__(Column)
-            merged.name, merged.ctype, merged.role = column.name, column.ctype, column.role
-            merged._values = _grow(column.values, other.values)
-            merged._missing_cache = None
+            values = _grow(column.values, other.values)
+            merged = Column._canonical(column.name, column.ctype, column.role, values)
         elif column.name in categorical:
             codes, vocabulary, _ = categorical[column.name]
             mask = column._missing_cache
@@ -587,7 +585,7 @@ def extend_encoding(base: EncodedDataset, delta: EncodedDataset) -> Dataset:
         else:
             merged = _concatenated(column, other)
         columns.append(merged)
-    merged_dataset = Dataset(columns, name=base.dataset.name)
+    merged_dataset = Dataset(columns, name=merged_name)
     for name, (values, missing) in base._numeric.items():
         d_values, d_missing = delta.numeric_view(name)
         column = merged_dataset._columns.get(name)

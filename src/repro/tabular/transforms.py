@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.exceptions import SchemaError
 from repro.tabular.dataset import Column, ColumnRole, ColumnType, Dataset, is_missing_value
-from repro.tabular.encoded import MISSING_KEY_SENTINEL, encode_dataset
+from repro.tabular.encoded import MISSING_KEY_SENTINEL, EncodedDataset, encode_dataset
 from repro.tiers import use_reference
 
 
@@ -138,10 +138,10 @@ def fold_sum(values: np.ndarray, start: float = 0.0) -> float:
     """``start + values[0] + values[1] + ...``, added one at a time, in order.
 
     This left fold is the summation order of every ``sum`` and ``mean``
-    aggregation: both ``group_by`` tiers sum with it, and
-    :class:`repro.feeds.IncrementalGroupBy` resumes it from a running total.
-    Builtin ``sum`` is this fold on Python 3.11 and earlier but compensated
-    (Neumaier) summation since 3.12, so it is spelled out here;
+    aggregation: both ``group_by`` tiers sum with it, and the encoded tier
+    (:class:`_GroupFolds`) resumes it from a running total when rows are
+    appended.  Builtin ``sum`` is this fold on Python 3.11 and earlier but
+    compensated (Neumaier) summation since 3.12, so it is spelled out here;
     ``np.add.accumulate`` adds sequentially.  ``start=0.0`` is the fold from
     int ``0``: ``0.0 + -0.0`` is ``0.0``, as ``0 + -0.0`` is.
     """
@@ -181,12 +181,22 @@ def group_by(
     the library's two-tier protocol: when every aggregation source column is
     numeric, the groups are computed from the dataset's cached encoded views
     (:meth:`repro.tabular.encoded.EncodedDataset.group_keys`) and the measures
-    are reduced over contiguous sorted-scan segments of the float views —
-    bit-identical to the row-at-a-time reference, including the float
-    summation order, the first-seen group order and the first-row key values.
-    Inside :func:`repro.tiers.reference` it runs the retained row-at-a-time
-    reference implementation.
+    are folded over contiguous sorted-scan segments of the float views
+    (:class:`_GroupFolds`) — bit-identical to the row-at-a-time reference,
+    including the float summation order, the first-seen group order and the
+    first-row key values.  Inside :func:`repro.tiers.reference` it runs the
+    retained row-at-a-time reference implementation.
     """
+    keys = _checked_keys(dataset, keys, aggregations)
+    if use_reference() or not _foldable(dataset, aggregations):
+        return _grouped(dataset, keys, aggregations, _grouped_rows_reference(dataset, keys, aggregations))
+    return _GroupFolds(dataset, keys, aggregations).result(dataset)
+
+
+def _checked_keys(
+    dataset: Dataset, keys: Sequence[str], aggregations: Mapping[str, tuple[str, str]]
+) -> list[str]:
+    """``keys`` as a list, once every key, source column and aggregation is known."""
     keys = list(keys)
     for key in keys:
         if key not in dataset:
@@ -196,14 +206,21 @@ def group_by(
             raise SchemaError(f"aggregation {out_name!r} references unknown column {source!r}")
         if agg not in _AGGREGATIONS:
             raise SchemaError(f"unknown aggregation {agg!r}; choose from {sorted(_AGGREGATIONS)}")
+    return keys
 
-    if not use_reference() and all(
-        dataset[source].is_numeric() for source, _ in aggregations.values()
-    ):
-        out_rows = _grouped_rows_encoded(dataset, keys, aggregations)
-    else:
-        out_rows = _grouped_rows_reference(dataset, keys, aggregations)
 
+def _foldable(dataset: Dataset, aggregations: Mapping[str, tuple[str, str]]) -> bool:
+    """Whether the encoded tier applies: every source is numeric (the reference coerces other cells)."""
+    return all(dataset[source].is_numeric() for source, _ in aggregations.values())
+
+
+def _grouped(
+    dataset: Dataset,
+    keys: list[str],
+    aggregations: Mapping[str, tuple[str, str]],
+    out_rows: list[dict[str, Any]],
+) -> Dataset:
+    """The grouped dataset of ``out_rows``: keys typed as in ``dataset``, every measure numeric."""
     ctypes = {k: dataset[k].ctype for k in keys}
     for out_name in aggregations:
         ctypes[out_name] = ColumnType.NUMERIC
@@ -249,48 +266,146 @@ def group_order(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
     return np.argsort(group_ids.astype(np.min_scalar_type(max(n_groups - 1, 0))), kind="stable")
 
 
-def _grouped_rows_encoded(
-    dataset: Dataset,
-    keys: list[str],
-    aggregations: Mapping[str, tuple[str, str]],
-) -> list[dict[str, Any]]:
-    """Vectorized grouping over the cached encoded views.
+_NAN = float("nan")
 
-    Group membership comes from the composite int64 key codes (first-seen
-    order, so the output row order matches the reference) and each measure is
-    cut into per-group contiguous segments of its float view by one stable
-    sort.  The per-group reductions then apply the *same* ``_AGGREGATIONS``
-    callables to the same float sequences as the reference path, which keeps
-    every float operation — summation order included — bit-identical.
+
+class _GroupFolds:
+    """``group_by``'s encoded tier: one fold per group and measure, resumable by appended rows.
+
+    Seeding sorts the group ids once and folds each measure's per-group runs
+    of present values in row order; :meth:`update` folds appended rows the
+    same way, so it leaves the state a seed over the merged rows builds.
+    ``sum``/``mean`` carry the running :func:`fold_sum` total, ``min``/``max``
+    the earliest best value and ``count`` a count; ``std``/``median`` keep
+    their runs and reduce them when read after a change.  Groups keep
+    first-seen order and their first row's key cells, as the reference's do,
+    and only views and single key cells are read.  The key → group map an
+    update needs is built at the first update.
     """
-    encoded = encode_dataset(dataset)
-    group_ids, n_groups = encoded.group_keys(keys)
-    if n_groups == 0:
-        return []
-    order = group_order(group_ids, n_groups)
-    sorted_ids = group_ids[order]
-    counts = np.bincount(group_ids, minlength=n_groups)
-    starts = np.zeros(n_groups, dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts[1:])
-    first_rows = order[starts]
 
-    out_rows: list[dict[str, Any]] = [
-        {key: dataset[key][first_rows[g]] for key in keys} for g in range(n_groups)
-    ]
-    for out_name, (source, agg) in aggregations.items():
-        values, missing = encoded.numeric_view(source)
-        keep = ~missing[order]
-        present = values[order][keep]
-        present_counts = np.bincount(sorted_ids[keep], minlength=n_groups)
-        ends = np.cumsum(present_counts)
-        fn = _AGGREGATIONS[agg]
-        for g in range(n_groups):
-            xs = present[ends[g] - present_counts[g] : ends[g]]
-            if agg == "count":
-                out_rows[g][out_name] = float(len(xs))
+    def __init__(
+        self, dataset: Dataset, keys: list[str], aggregations: Mapping[str, tuple[str, str]]
+    ) -> None:
+        self._keys = keys
+        self._aggregations = aggregations
+        encoded = encode_dataset(dataset)
+        group_ids, n_groups = encoded.group_keys(keys)
+        order = group_order(group_ids, n_groups)
+        counts = np.bincount(group_ids, minlength=n_groups)
+        self._first_rows = order[counts.cumsum() - counts].tolist()
+        self._key_values = [{key: dataset[key][row] for key in keys} for row in self._first_rows]
+        self._groups: dict[tuple, int] | None = None
+        self._acc = {
+            out_name: self._empty(agg, n_groups) for out_name, (_source, agg) in aggregations.items()
+        }
+        self._fold(encoded, 0, group_ids, order)
+
+    @staticmethod
+    def _empty(agg: str, n_groups: int) -> tuple[list, list]:
+        """The accumulators of ``n_groups`` groups that have folded no value yet."""
+        if agg in ("sum", "mean"):
+            return [0.0] * n_groups, [0] * n_groups  # running left fold, count
+        if agg in ("std", "median"):
+            return [[] for _ in range(n_groups)], [None] * n_groups  # runs, result (None: stale)
+        return [0 if agg == "count" else None] * n_groups, []
+
+    def _fold(self, encoded: EncodedDataset, start: int, group_ids: np.ndarray, order: np.ndarray) -> None:
+        """Fold rows ``start:`` in: row ``start + i`` is in group ``group_ids[i]``, ``order`` sorts by it."""
+        n_groups = len(self._key_values)
+        sorted_ids = group_ids[order]
+        for out_name, (source, agg) in self._aggregations.items():
+            values, missing = encoded.numeric_view(source)
+            keep = ~missing[start:][order]
+            present = values[start:][order][keep]
+            counts = np.bincount(sorted_ids[keep], minlength=n_groups)
+            touched = counts.nonzero()[0]
+            bounds = [0, *counts[touched].cumsum().tolist()]
+            runs = zip(touched.tolist(), bounds[:-1], bounds[1:])
+            first, second = self._acc[out_name]
+            if agg in ("sum", "mean"):
+                for group, lo, hi in runs:
+                    first[group] = fold_sum(present[lo:hi], first[group])
+                    second[group] += hi - lo
+            elif agg == "count":
+                for group, lo, hi in runs:
+                    first[group] += hi - lo
+            elif agg in ("min", "max"):
+                pick = min if agg == "min" else max
+                for group, lo, hi in runs:
+                    best = pick(present[lo:hi].tolist())
+                    first[group] = best if first[group] is None else pick(first[group], best)
             else:
-                out_rows[g][out_name] = fn(xs) if len(xs) else float("nan")
-    return out_rows
+                for group, lo, hi in runs:
+                    first[group].append(present[lo:hi])
+                    second[group] = None
+
+    def _finalise(self, agg: str, first: list, second: list) -> list[float]:
+        """Every group's aggregate from its accumulators, in the reference's arithmetic."""
+        if agg == "sum":
+            return [total if n else _NAN for total, n in zip(first, second)]
+        if agg == "mean":
+            return [total / n if n else _NAN for total, n in zip(first, second)]
+        if agg == "count":
+            return [float(n) for n in first]
+        if agg in ("min", "max"):
+            return [_NAN if best is None else best for best in first]
+        for group, result in enumerate(second):
+            if result is None:  # stale: reduce the merged runs once
+                runs = first[group]
+                values = runs[0] if len(runs) == 1 else np.concatenate(runs) if runs else np.empty(0)
+                first[group] = [values]
+                second[group] = _AGGREGATIONS[agg](values) if values.size else _NAN
+        return list(second)
+
+    def result(self, dataset: Dataset) -> Dataset:
+        """The grouped ``dataset``, the rows folded in so far."""
+        out_rows = [dict(key_values) for key_values in self._key_values]
+        for out_name, (_source, agg) in self._aggregations.items():
+            for row, value in zip(out_rows, self._finalise(agg, *self._acc[out_name])):
+                row[out_name] = value
+        return _grouped(dataset, self._keys, self._aggregations, out_rows)
+
+    def update(self, dataset: Dataset, start: int) -> None:
+        """Fold in rows ``start:`` of ``dataset``, the rows folded so far followed by appended ones."""
+        encoded = encode_dataset(dataset)
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = {
+                key: group
+                for group, key in enumerate(self._key_cells(dataset, encoded, np.asarray(self._first_rows)))
+            }
+        group_ids = np.empty(dataset.n_rows - start, dtype=np.intp)
+        for i, key in enumerate(self._key_cells(dataset, encoded, np.arange(start, dataset.n_rows))):
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = len(self._key_values)
+                self._first_rows.append(start + i)
+                self._key_values.append({k: dataset[k][start + i] for k in self._keys})
+                for out_name, (_source, agg) in self._aggregations.items():
+                    for accumulators, slot in zip(self._acc[out_name], self._empty(agg, 1)):
+                        accumulators += slot
+            group_ids[i] = group
+        self._fold(encoded, start, group_ids, group_order(group_ids, len(self._key_values)))
+
+    def _key_cells(self, dataset: Dataset, encoded: EncodedDataset, rows: np.ndarray) -> list[tuple]:
+        """The group key of each of ``rows``, as the reference's ``_hashable`` cells partition them.
+
+        Numeric keys are their float values and non-numeric keys their
+        vocabulary level; missing cells (and a level spelling the sentinel)
+        are :data:`~repro.tabular.encoded.MISSING_KEY_SENTINEL`.
+        """
+        columns = []
+        for key in self._keys:
+            if dataset[key].is_numeric():
+                values, missing = encoded.numeric_view(key)
+                cells = values[rows].tolist()
+                for i in np.flatnonzero(missing[rows]).tolist():
+                    cells[i] = MISSING_KEY_SENTINEL
+            else:
+                codes, vocabulary, _ = encoded.codes_view(key)
+                cells = [vocabulary[c] if c >= 0 else MISSING_KEY_SENTINEL for c in codes[rows].tolist()]
+            columns.append(cells)
+        return list(zip(*columns)) if columns else [()] * len(rows)
 
 
 # ---------------------------------------------------------------------------

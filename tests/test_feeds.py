@@ -40,6 +40,7 @@ from repro.feeds import (
     read_jsonl_chunks,
 )
 import repro.feeds.incremental as incremental_module
+import repro.quality.duplicates as duplicates_module
 from repro.quality import measure_quality
 from repro.quality.completeness import CompletenessCriterion
 from repro.quality.duplicates import DuplicationCriterion
@@ -176,6 +177,15 @@ class TestAppend:
     def test_empty_delta_returns_base(self):
         base = _base_dataset(20)
         assert append_rows(base, []) is base
+
+    def test_a_renamed_append_is_encoded_under_its_name(self):
+        base = _base_dataset(20, name="base")
+        encode_dataset(base).codes_view("region")  # a materialised view takes the extension path
+        merged = base.append_rows(_delta_rows(5), name="renamed")
+        encoded = encode_dataset(merged)
+        assert merged.name == "renamed"
+        del merged  # the encoding now answers for the dataset through a facade
+        assert encoded.dataset.name == "renamed"
 
     def test_unknown_column_is_schema_error(self):
         base = _base_dataset(10)
@@ -704,14 +714,11 @@ class TestIncrementalGroupBy:
         assert len(calls) == 1
         assert_identical_datasets(result, real(_cold(merged), ["g"], {"n": ("v", "sum")}))
 
-    def test_validation_matches_group_by(self):
-        base = _base_dataset(10)
-        with pytest.raises(SchemaError, match="unknown group-by key"):
-            IncrementalGroupBy(base, ["ghost"], self.AGGS)
-        with pytest.raises(SchemaError, match="unknown column"):
-            IncrementalGroupBy(base, ["region"], {"x": ("ghost", "sum")})
-        with pytest.raises(SchemaError, match="unknown aggregation"):
-            IncrementalGroupBy(base, ["region"], {"x": ("amount", "mode")})
+    def test_no_keys_fold_every_row_into_one_group(self):
+        base = _base_dataset(30)
+        board = IncrementalGroupBy(base, [], self.AGGS)
+        merged = append_rows(base, _delta_rows(10))
+        assert_identical_datasets(board.refresh(merged), group_by(_cold(merged), [], self.AGGS))
 
     def test_sums_resume_the_left_fold(self):
         # Compensated summation (builtin sum on Python >= 3.12) gives 1.0 for
@@ -810,18 +817,47 @@ class TestIncrementalCubeAndKPIs:
             refreshed, evaluate_kpis_by_level(kpis, self._cube(_cold(merged)), "region")
         )
 
-    def test_kpi_validation_matches_batch_evaluator(self):
-        cube = self._cube(_base_dataset(10))
-        with pytest.raises(ReproError, match="no KPIs"):
-            IncrementalKPIBoard([], cube, "region")
-        with pytest.raises(ReproError, match="callable"):
-            IncrementalKPIBoard([KPI("f", lambda d: 1.0, target=1.0)], cube, "region")
-        with pytest.raises(ReproError, match="unknown column"):
-            IncrementalKPIBoard([KPI("g", "ghost", target=1.0)], cube, "region")
-        with pytest.raises(ReproError, match="non-numeric"):
-            IncrementalKPIBoard([KPI("r", "region", target=1.0)], cube, "region")
-        with pytest.raises(ReproError, match="collides"):
-            IncrementalKPIBoard([KPI("region", "amount", target=1.0)], cube, "region")
+
+# ---------------------------------------------------------------------------
+# Validation: one table per batch/incremental pair of entry points
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("entry", [group_by, IncrementalGroupBy], ids=["group_by", "IncrementalGroupBy"])
+@pytest.mark.parametrize(
+    "keys, aggregations, message",
+    [
+        (["ghost"], {"x": ("amount", "sum")}, "unknown group-by key"),
+        (["region"], {"x": ("ghost", "sum")}, "references unknown column"),
+        (["region"], {"x": ("amount", "mode")}, "unknown aggregation"),
+    ],
+    ids=["unknown_key", "unknown_source", "unknown_aggregation"],
+)
+def test_group_by_validation(entry, keys, aggregations, message):
+    with pytest.raises(SchemaError, match=message):
+        entry(_base_dataset(10), keys, aggregations)
+
+
+@pytest.mark.parametrize(
+    "entry", [evaluate_kpis_by_level, IncrementalKPIBoard], ids=["evaluate_kpis_by_level", "IncrementalKPIBoard"]
+)
+@pytest.mark.parametrize(
+    "kpis, message",
+    [
+        ([], "no KPIs"),
+        ([KPI("f", lambda d: 1.0, target=1.0)], "uses a callable"),
+        ([KPI("g", "ghost", target=1.0)], "references unknown column"),
+        ([KPI("r", "region", target=1.0)], "non-numeric"),
+        # Name collisions would silently overwrite scoreboard columns.
+        ([KPI("region", "amount", target=1.0)], "collides"),
+        ([KPI("r", "amount", target=1.0), KPI("r", "score", target=1.0)], "collides"),
+    ],
+    ids=["empty", "callable", "unknown_column", "non_numeric", "level_name", "repeated_name"],
+)
+def test_kpi_validation(entry, kpis, message):
+    cube = Cube(_base_dataset(10), dimensions=[Dimension("geo", ("region",))],
+                measures=[Measure("total", "amount", "sum")])
+    with pytest.raises(ReproError, match=message):
+        entry(kpis, cube, "region")
 
 
 # ---------------------------------------------------------------------------
@@ -875,15 +911,30 @@ class TestIncrementalProfile:
         )
 
     def test_subclassed_criterion_falls_back(self):
-        class CustomCompleteness(CompletenessCriterion):
+        # A subclass that overrides either tier keeps its own behaviour: its
+        # encoded tier is no longer the state, so it is recomputed.
+        class OwnMeasure(CompletenessCriterion):
+            def measure(self, dataset):
+                return super().measure(dataset)
+
+        class OwnEncodedTier(CompletenessCriterion):
+            def _measure_encoded(self, encoded):
+                return super()._measure_encoded(encoded)
+
+        for custom in (OwnMeasure, OwnEncodedTier):
+            profile = IncrementalProfile(_base_dataset(40), criteria=[custom()])
+            assert profile.fallback_criteria == ["completeness"]
+            merged = append_rows(profile._dataset, _delta_rows(10))
+            _assert_identical_profiles(profile.refresh(merged), measure_quality(_cold(merged), [custom()]))
+
+    def test_a_subclass_that_overrides_no_tier_refreshes_incrementally(self):
+        class Renamed(CompletenessCriterion):
             pass
 
-        profile = IncrementalProfile(_base_dataset(40), criteria=[CustomCompleteness()])
-        assert profile.fallback_criteria == ["completeness"]
+        profile = IncrementalProfile(_base_dataset(40), criteria=[Renamed()])
+        assert profile.incremental_criteria == ["completeness"]
         merged = append_rows(profile._dataset, _delta_rows(10))
-        _assert_identical_profiles(
-            profile.refresh(merged), measure_quality(_cold(merged), [CustomCompleteness()])
-        )
+        _assert_identical_profiles(profile.refresh(merged), measure_quality(_cold(merged), [Renamed()]))
 
     def test_refresh_target_validation(self):
         profile = IncrementalProfile(_base_dataset(30))
@@ -954,7 +1005,7 @@ class TestDuplicationState:
         # A hash with three values makes most keys collide, driving the paths
         # a 64-bit hash almost never takes: ties sorted by key at seeding and
         # several candidates compared per lookup.
-        monkeypatch.setattr(incremental_module, "_row_hashes", lambda cells: cells[:, 0] % np.uint64(3))
+        monkeypatch.setattr(duplicates_module, "_row_hashes", lambda cells: cells[:, 0] % np.uint64(3))
         merged = _base_dataset(120)
         profile = IncrementalProfile(merged, criteria=["duplication"])
         for seed in (5, 6, 7, 8):

@@ -16,6 +16,7 @@ import pytest
 import repro.feeds.incremental as incremental_module
 import repro.lod.query as query_module
 import repro.lod.tabulate as tabulate_module
+import repro.quality.completeness as completeness_module
 import repro.tabular.transforms as transforms_module
 from repro.bi import KPI, Cube, Dimension, Measure, evaluate_kpis_by_level
 from repro.datasets import make_classification_dataset
@@ -122,7 +123,7 @@ def _refresh(make_state):
 
 _KPIS = [KPI("spend", "num_0", target=0.0)]
 _CITIES = [TriplePattern(Variable("s"), RDF.type, EX.City)]
-_GROUP_BY = ((transforms_module, "_grouped_rows_encoded"), (transforms_module, "_grouped_rows_reference"))
+_GROUP_BY = ((transforms_module._GroupFolds, "_fold"), (transforms_module, "_grouped_rows_reference"))
 _FILTER = ((Cube, "_keep_rows"), (Dataset, "filter"))
 _REFRESH = ((IncrementalGroupBy, "result"), (incremental_module, "group_by"))
 
@@ -199,7 +200,7 @@ ROUTES = {
     ),
     "IncrementalProfile.refresh": (
         lambda: _refresh(lambda base: IncrementalProfile(base, criteria=["completeness"])),
-        ((incremental_module._CompletenessState, "update"), (incremental_module, "measure_quality")),
+        ((completeness_module._CompletenessState, "build"), (incremental_module, "measure_quality")),
     ),
 }
 
