@@ -8,10 +8,11 @@ in-memory encode of the same dataset or graph.  Two cases, each timing the
 cold path first:
 
 ``dataset``
-    Cold path (encode every numeric/code/missing/normalised view from the
-    raw cells) vs ``repro.store.open_dataset`` plus touching the same views,
-    at ≥1M cells.  Identity covers the views as raw bytes, the quality
-    profile and a cube roll-up.
+    Cold path (build every column from its raw cells — coercing and coding
+    them — then encode every numeric/code/missing/normalised view) vs
+    ``repro.store.open_dataset`` plus touching the same views, at ≥1M cells.
+    Identity covers the views as raw bytes, the quality profile and a cube
+    roll-up.
 ``graph``
     Cold path (intern the columnar snapshot and build all three index
     orderings and block tables) vs ``repro.store.open_graph``.  Identity
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from repro.lod.query import TriplePattern, Variable, select
 from repro.lod.vocabulary import RDF
 from repro.quality import measure_quality
 from repro.store import open_dataset, open_graph, save_dataset, save_graph
-from repro.tabular.dataset import ColumnType
+from repro.tabular.dataset import Column, ColumnType, Dataset
 from repro.tabular.encoded import encode_dataset
 
 try:
@@ -57,8 +59,9 @@ DATASET_CATEGORICAL = 3
 def _touch_dataset_views(dataset) -> None:
     """Materialise every encoded view (the startup work being measured).
 
-    This is the work the cold path pays per process and the store open
-    skips: float parses, first-seen code assignment, normalisation.
+    With the column build before it, this is the work the cold path pays
+    per process and the store open skips: coercion, first-seen code
+    assignment, float parses, normalisation.
     """
     encoded = encode_dataset(dataset)
     for column in dataset.columns:
@@ -112,17 +115,33 @@ def _cube_rollup(dataset):
     return cube.rollup(categorical)
 
 
-def _open_vs_cold(payload, path: Path, open_payload, touch, repeats: int):
-    """Time a cold rebuild of ``payload``'s views, then ``open_payload(path)`` plus the same touch.
+def _cold_dataset(dataset) -> Callable[[], None]:
+    """The dataset's cold path: build each column from its raw cells, then touch the views."""
+    cells = dataset.to_dict()
+
+    def cold():
+        columns = [Column(c.name, cells[c.name], ctype=c.ctype, role=c.role) for c in dataset.columns]
+        _touch_dataset_views(Dataset(columns, name=dataset.name))
+
+    return cold
+
+
+def _cold_graph(graph) -> Callable[[], None]:
+    """The graph's cold path: forget the columnar snapshot, then rebuild its orders."""
+
+    def cold():
+        _harness.drop_caches(graph)
+        _touch_graph_orders(graph)
+
+    return cold
+
+
+def _open_vs_cold(cold, path: Path, open_payload, touch, repeats: int):
+    """Time ``cold()``, then ``open_payload(path)`` plus ``touch`` of the opened payload.
 
     Every opened payload stays alive until the timing ends, so no run pays
     for unmapping the one before it.
     """
-
-    def cold():
-        _harness.drop_caches(payload)
-        touch(payload)
-
     opened: list = []
 
     def open_and_touch():
@@ -141,7 +160,9 @@ def cases(dataset_rows: int, graph_rows: int, repeats: int) -> dict:
             n_rows=dataset_rows, n_numeric=DATASET_NUMERIC, n_categorical=DATASET_CATEGORICAL, seed=0
         )
         path = save_dataset(dataset, Path(tmp) / "dataset.rps")
-        opened, open_s, cold_s = _open_vs_cold(dataset, path, open_dataset, _touch_dataset_views, repeats)
+        opened, open_s, cold_s = _open_vs_cold(
+            _cold_dataset(dataset), path, open_dataset, _touch_dataset_views, repeats
+        )
         results = {
             "dataset": _harness.case(
                 open_s,
@@ -156,7 +177,9 @@ def cases(dataset_rows: int, graph_rows: int, repeats: int) -> dict:
             make_classification_dataset(n_rows=graph_rows, n_numeric=2, n_categorical=2, seed=0)
         )
         path = save_graph(graph, Path(tmp) / "graph.rps")
-        opened, open_s, cold_s = _open_vs_cold(graph, path, open_graph, _touch_graph_orders, repeats)
+        opened, open_s, cold_s = _open_vs_cold(
+            _cold_graph(graph), path, open_graph, _touch_graph_orders, repeats
+        )
         results["graph"] = _harness.case(
             open_s,
             cold_s,

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import OLAPError, SchemaError
-from repro.tabular.dataset import Column, Dataset, is_missing_value
+from repro.tabular.dataset import Dataset, is_missing_value
 from repro.tabular.encoded import encode_dataset
 from repro.tabular.transforms import group_by
 from repro.tiers import use_reference
@@ -171,12 +171,7 @@ class Cube:
                 if level not in self.dataset:
                     raise OLAPError(f"unknown group-by level {level!r}")
             return group_by(self.dataset, list(levels), self._aggregations())
-        # Grand total: group by a constant pseudo-column.  Always a plain
-        # Column — the dataset's own columns may be memory-mapped
-        # CodedColumn views, which cannot be built from a value list.
-        working = self.dataset.add_column(Column("__all__", ["all"] * self.dataset.n_rows))
-        result = group_by(working, ["__all__"], self._aggregations())
-        return result.drop_columns(["__all__"]) if result.n_columns > 1 else result
+        return group_by(self.dataset, [], self._aggregations())
 
     def rollup(self, dimension_name: str, to_level: str | None = None) -> Dataset:
         """Aggregate along one dimension at a coarser level (default: coarsest)."""

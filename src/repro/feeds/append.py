@@ -3,12 +3,13 @@
 A feed batch arriving against a 100k-row base must cost work in proportion
 to the batch: no per-cell encoding of the base's columns, and no copy of
 its rows.  ``append_dataset`` appends a schema-compatible delta onto a base
-dataset and — when the base already carries encoded views — builds the
-merged dataset by extending those views with the delta's encoded block,
-growing its per-row arrays in place (see
+dataset through :meth:`~repro.tabular.dataset.Dataset.concat`: each column
+keeps its codes and appends the delta's, and — when the base already
+carries encoded views — the merged views extend the base's by the delta's
+block, growing their per-row arrays in place (see
 :func:`repro.tabular.encoded.extend_encoding`).  ``append_rows`` is the
-row-dictionary front end the CLI and connectors use: it codes the raw
-records against the base's schema in one pass per column, so a
+row-dictionary front end the CLI and connectors use: it builds the raw
+records into columns of the base's schema, each coded in one pass, so a
 schema-incompatible delta fails loudly as a
 :class:`~repro.exceptions.SchemaError` before anything is merged.
 ``appended_rows`` is the converse check: whether a dataset, however it was
@@ -23,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import SchemaError
-from repro.tabular.dataset import CodedColumn, Column, ColumnType, Dataset, _coerce_value, is_missing_value
+from repro.tabular.dataset import Column, Dataset
 from repro.tabular.encoded import encode_dataset
 
 
@@ -67,13 +68,11 @@ def append_rows(
     dataset before anything is merged.  An empty ``rows`` sequence returns
     ``base`` itself unchanged.
 
-    The batch is coded in one pass per column (:func:`_code_batch`): each
-    cell is coerced exactly as :class:`~repro.tabular.dataset.Column` would,
-    and a non-numeric column comes out as codes in first-seen order, its
-    missing mask and its vocabulary, which seed the delta's encoding.
-    :func:`append_dataset` then extends the base through the one extension
-    path, so the whole append costs O(len(rows) + new levels): on an encoded
-    base no existing row is re-encoded or copied
+    Each column of the batch is a :class:`~repro.tabular.dataset.Column` of
+    the base's ctype and role, coerced and coded in one pass per column.
+    :func:`append_dataset` then appends it through the one concatenation,
+    so the whole append costs O(len(rows) + new levels): on an encoded base
+    no existing row is re-encoded or copied
     (:func:`repro.tabular.encoded.extend_encoding`).
     """
     rows = rows if isinstance(rows, list) else list(rows)
@@ -88,71 +87,14 @@ def append_rows(
                 f"unknown column(s) {unknown}; expected a subset of {base.column_names}"
             )
     try:
-        delta = _code_batch(base, rows)
+        columns = [Column(c.name, [row.get(c.name) for row in rows], ctype=c.ctype, role=c.role)
+                   for c in base.columns]
+        delta = Dataset(columns, name=f"{base.name}_delta")
     except (TypeError, ValueError) as exc:
         raise SchemaError(
             f"schema-incompatible rows for dataset {base.name!r}: {exc}"
         ) from exc
     return append_dataset(base, delta, name=name)
-
-
-_NAN = float("nan")
-
-
-def _code_batch(base: Dataset, rows: list[Mapping[str, Any]]) -> Dataset:
-    """``rows`` as a dataset of ``base``'s schema, each column coded in one pass.
-
-    Numeric cells coerce through ``float()`` (so ``True`` is ``1.0`` and a
-    non-numeric string raises ``ValueError``).  Every other column becomes a
-    :class:`~repro.tabular.dataset.CodedColumn` whose codes, mask and
-    vocabulary — ``str`` of each coerced cell, in first-seen order — are
-    exactly what a cold encode of ``Column(name, cells, ctype)`` computes;
-    they seed the returned dataset's categorical views.  The fast paths
-    below cover the cells a JSON feed holds; any other cell goes through
-    ``_coerce_value`` itself.
-    """
-    columns, seeds = [], []
-    for column in base.columns:
-        key, ctype = column.name, column.ctype
-        cells = [row.get(key) for row in rows]
-        if ctype == ColumnType.NUMERIC:
-            values = np.array(
-                [cell if type(cell) is float and cell == cell
-                 else _NAN if cell is None else _coerce_value(cell, ctype) for cell in cells],
-                dtype=float,
-            )
-            columns.append(Column._canonical(key, ctype, column.role, values))
-            continue
-        codes, vocabulary = _code_cells(cells, ctype)
-        columns.append(CodedColumn.from_vocabulary(key, ctype, column.role, codes, vocabulary, codes < 0))
-        seeds.append((key, codes, vocabulary))
-    delta = Dataset(columns, name=f"{base.name}_delta")
-    encoded = encode_dataset(delta)
-    for key, codes, vocabulary in seeds:
-        encoded.seed_categorical(key, codes, vocabulary)
-    return delta
-
-
-def _code_cells(cells: list[Any], ctype: str) -> tuple[np.ndarray, list[str]]:
-    """Codes (``-1`` missing) and first-seen ``str`` vocabulary of non-numeric ``cells``."""
-    index: dict[str, int] = {}
-    setdefault = index.setdefault
-
-    def code(cell: Any) -> int:
-        """The code of a cell no fast path takes: ``-1`` if missing, else its coerced level's."""
-        if is_missing_value(cell):
-            return -1
-        return setdefault(str(_coerce_value(cell, ctype)), len(index))
-
-    if ctype == ColumnType.BOOLEAN:
-        listed = [-1 if cell is None
-                  else setdefault("True" if cell else "False", len(index)) if type(cell) is bool
-                  else code(cell) for cell in cells]
-    else:
-        listed = [-1 if cell is None
-                  else setdefault(cell, len(index)) if type(cell) is str
-                  else code(cell) for cell in cells]
-    return np.array(listed, dtype=np.int64), list(index)
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:

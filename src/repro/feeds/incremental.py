@@ -103,9 +103,9 @@ class IncrementalGroupBy:
 def incremental_cube_aggregate(cube: Cube, levels: Sequence[str]) -> IncrementalGroupBy:
     """An :class:`IncrementalGroupBy` maintaining ``cube.aggregate(levels)``.
 
-    ``levels`` must be non-empty (the grand-total pseudo-level of
-    ``aggregate([])`` has no delta structure worth maintaining — recompute
-    it).
+    ``levels`` must be non-empty: the grand total ``aggregate([])`` is one
+    keyless group, with no delta structure worth maintaining — recompute
+    it.
     """
     levels = list(levels)
     if not levels:

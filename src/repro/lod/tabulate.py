@@ -14,11 +14,10 @@ Assembly follows the two-tier protocol (``docs/encoded-core.md``):
   (:func:`_tabulate_rows_reference`);
 * the **columnar tier** (default) cuts each property column directly out of
   the interned id arrays of :class:`~repro.lod.triples.ColumnarTriples`,
-  converts each *distinct* object term to a cell once, and — because the
-  assembly already knows every cell's category id — pre-seeds the resulting
-  dataset's cached :class:`~repro.tabular.encoded.EncodedDataset` so the
-  downstream pipeline (quality profile → advisor → mining → cube) never
-  re-encodes what the tabulation already encoded.
+  converts and codes each *distinct* object term once, and gathers every
+  column's codes from the per-cell distinct indices, so the downstream
+  pipeline (quality profile → advisor → mining → cube) reads the codes the
+  tabulation built instead of coding cells again.
 
 Both tiers produce bit-identical datasets (cells, column order, ctypes,
 roles); inside :func:`repro.tiers.reference` ``tabulate_entities`` runs the
@@ -35,8 +34,8 @@ from repro.exceptions import LODError
 from repro.lod.graph import Graph
 from repro.lod.terms import IRI, BNode, Literal, Object
 from repro.lod.vocabulary import OWL, RDF, RDFS
-from repro.tabular.dataset import Column, ColumnRole, Dataset, is_missing_value
-from repro.tabular.encoded import distinct_sorted, encode_dataset
+from repro.tabular.dataset import Column, ColumnRole, Dataset
+from repro.tabular.encoded import distinct_sorted
 from repro.tiers import use_reference
 
 
@@ -260,9 +259,8 @@ def _tabulate_encoded(
     first object and the object count in exactly the order the reference
     tier's ``objects()`` calls observe; ``owl:sameAs`` sources are resolved
     through one flattened (row, source) table.  Distinct object terms are
-    converted to cells — and coerced by :meth:`Column.from_distinct` — once
-    per distinct value, and the per-cell distinct indices seed the dataset's
-    cached encoding (:func:`_seed_encoding`).
+    converted to cells — and coerced and coded by :meth:`Column.from_distinct`
+    — once per distinct value, so each column comes out holding its codes.
     """
     columnar = graph.store.columnar()
     terms = columnar.terms
@@ -294,13 +292,11 @@ def _tabulate_encoded(
     if labels[0] is not None:
         column_specs["label"] = ("values", labels)
 
-    seeds: dict[str, np.ndarray] = {}
     for predicate in properties:
         name = names[predicate]
         pid = columnar.term_id(predicate)
         if pid < 0:  # predicate never used in the graph: an all-missing column
             column_specs[name] = ("distinct", [None], np.zeros(n_rows, dtype=np.intp))
-            seeds[name] = np.zeros(n_rows, dtype=np.intp)
             continue
         selector = p_arr == pid
         sub_s = s_arr[selector]
@@ -334,7 +330,6 @@ def _tabulate_encoded(
             None if oid < 0 else _object_to_cell(terms[oid]) for oid in distinct_ids.tolist()
         ]
         column_specs[name] = ("distinct", cells, inverse)
-        seeds[name] = inverse
 
     if has_any_label and labels[0] is None:
         column_specs["label"] = ("values", labels)
@@ -347,35 +342,7 @@ def _tabulate_encoded(
             columns.append(Column.from_distinct(name, spec[1], spec[2], role=role))
         else:
             columns.append(Column(name, spec[1], role=role))
-    dataset = Dataset(columns, name=rdf_type.local_name())
-    _seed_encoding(dataset, seeds)
-    return dataset
-
-
-def _seed_encoding(dataset: Dataset, seeds: dict[str, np.ndarray]) -> None:
-    """Pre-seed the dataset's cached encoding from the per-cell distinct indices.
-
-    Distinct values are visited in first-occurrence row order and merged by
-    ``str(coerced cell)`` — exactly the level assignment
-    ``EncodedDataset._encode_categorical`` performs cell by cell — so the
-    seeded views are bit-identical to what a cold encoding would compute.
-    Numeric columns are skipped: their float views are already array slices.
-    """
-    encoded = encode_dataset(dataset)
-    for name, inverse in seeds.items():
-        column = dataset[name]
-        if column.is_numeric():
-            continue
-        _, first_at = np.unique(inverse, return_index=True)
-        index: dict[str, int] = {}
-        code_of = np.empty(first_at.size, dtype=np.int64)
-        for position in np.argsort(first_at, kind="stable").tolist():
-            coerced = column[int(first_at[position])]
-            if is_missing_value(coerced):
-                code_of[position] = -1
-            else:
-                code_of[position] = index.setdefault(str(coerced), len(index))
-        encoded.seed_categorical(name, code_of[inverse], list(index))
+    return Dataset(columns, name=rdf_type.local_name())
 
 
 def dimensionality_report(graph: Graph, rdf_type: IRI) -> dict[str, float]:

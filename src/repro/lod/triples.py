@@ -137,71 +137,6 @@ class ColumnarTriples:
         """The interned id of ``term``, or ``-1`` when it is not in the store."""
         return self.term_ids.get(term, -1)
 
-    def _extend(self, new_subjects: Iterable[Subject]) -> None:
-        """Append freshly-added subjects' SPO rows to this snapshot in place.
-
-        Called by :meth:`TripleStore.append` after it has inserted triples
-        whose subjects were all new to the store: the fresh columnar build
-        would walk the old subjects first (producing exactly the rows this
-        snapshot already holds) and then the new subjects in first-add order,
-        so extending the term table and the SPO arrays by just the new
-        subjects' blocks is bit-identical to rebuilding — in O(new rows).
-        The SPO block table gains the new subjects' runs and is re-sorted;
-        the POS and OSP orderings cannot be extended (their buckets grow in
-        the middle of the array), so they are dropped and lazily rebuilt
-        from the mutated dict indexes on next use.
-        """
-        spo = self._store()._spo  # the caller holds the store
-        term_ids = self.term_ids
-        terms = self.terms
-
-        def intern(term) -> int:
-            code = term_ids.get(term)
-            if code is None:
-                code = len(term_ids)
-                term_ids[term] = code
-                terms.append(term)
-            return code
-
-        s_col: list[int] = []
-        p_col: list[int] = []
-        o_col: list[int] = []
-        for s in new_subjects:
-            by_predicate = spo.get(s)
-            if not by_predicate:
-                continue
-            s_code = intern(s)
-            for p, objects in by_predicate.items():
-                p_code = intern(p)
-                o_codes = [intern(o) for o in objects]
-                s_col += [s_code] * len(o_codes)
-                p_col += [p_code] * len(o_codes)
-                o_col += o_codes
-        spo_blocks = self._blocks.get("spo")
-        self._orders.pop("pos", None)
-        self._orders.pop("osp", None)
-        self._blocks = {}
-        if not s_col:
-            return
-        old_s, old_p, old_o = self._orders["spo"]
-        base_len = int(old_s.shape[0])
-        added = tuple(np.asarray(col, dtype=np.int64) for col in (s_col, p_col, o_col))
-        self._orders["spo"] = tuple(
-            np.concatenate([old, new]) for old, new in zip((old_s, old_p, old_o), added)
-        )
-        if spo_blocks is not None:
-            keys, starts, ends = spo_blocks
-            primary = added[0]
-            boundaries = np.flatnonzero(primary[1:] != primary[:-1]) + 1
-            new_starts = np.concatenate(([0], boundaries)) + base_len
-            new_ends = np.concatenate((boundaries, [primary.size])) + base_len
-            new_keys = primary[new_starts - base_len]
-            keys = np.concatenate([keys, new_keys])
-            starts = np.concatenate([starts, new_starts])
-            ends = np.concatenate([ends, new_ends])
-            by_key = np.argsort(keys)  # primary runs are unique per key
-            self._blocks["spo"] = (keys[by_key], starts[by_key], ends[by_key])
-
     def _block_table(self, index: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, starts, ends)`` of the primary-key runs, sorted by key id."""
         cached = self._blocks.get(index)
@@ -304,36 +239,6 @@ class TripleStore:
     def update(self, triples: Iterable[Triple]) -> int:
         """Add many triples; return how many were new."""
         return sum(1 for t in triples if self.add(t))
-
-    def append(self, triples: Iterable[Triple]) -> int:
-        """Add many triples, extending the columnar snapshot when possible.
-
-        Behaves exactly like :meth:`update` (same dict-index mutations, same
-        return value), but when a columnar snapshot is already materialised
-        and every incoming triple's subject is new to the store, the snapshot
-        is *extended* in place — new terms interned at the end of the term
-        table, the new subjects' rows appended to the SPO arrays, the SPO
-        block table repaired — instead of being dropped and rebuilt from
-        scratch on next use.  The extended snapshot is bit-identical to a
-        fresh :class:`ColumnarTriples` build of the mutated store.
-
-        When any subject already exists (its SPO rows would have to grow in
-        the middle of the array) or when no snapshot is materialised, the
-        call falls back to :meth:`update` and the snapshot is rebuilt lazily
-        as usual.
-        """
-        triples = list(triples)
-        for triple in triples:
-            if not isinstance(triple, Triple):
-                raise LODError("TripleStore.append expects Triples")
-        snapshot = self._columnar
-        if snapshot is None or any(t.subject in self._spo for t in triples):
-            return self.update(triples)
-        new_subjects = list(dict.fromkeys(t.subject for t in triples))
-        added = sum(1 for t in triples if self.add(t))  # clears self._columnar
-        snapshot._extend(new_subjects)
-        self._columnar = snapshot
-        return added
 
     # -- inspection ------------------------------------------------------------
 

@@ -42,7 +42,7 @@ from repro.lod.triples import TripleStore
 from repro.lod.terms import Triple
 from repro.store.format import KIND_DATASET, KIND_NAMES, StoreFile
 from repro.store.reader import _decode_terms, open_dataset, open_graph
-from repro.tabular.dataset import CodedColumn, Column, ColumnType, Dataset
+from repro.tabular.dataset import Column, ColumnType, Dataset
 
 
 class StoreSalvageReport:
@@ -154,7 +154,7 @@ def _salvage_dataset(store_file: StoreFile, damage: dict, report: StoreSalvageRe
         else:
             codes = np.array(store_file.array(f"{prefix}.cod"))
             vocabulary = store_file.strings(f"{prefix}.lev")
-            columns.append(CodedColumn.from_vocabulary(name, ctype, role, codes, vocabulary, None))
+            columns.append(Column.from_vocabulary(name, ctype, role, codes, vocabulary, None))
     if not columns:
         raise StoreError(
             f"store {store_file.path}: unsalvageable dataset — every column lost a primary section"

@@ -9,10 +9,10 @@ path is bit-identical to a cold in-memory encode of the same data.
 
 Two lazy types bridge the gap to the object tiers:
 
-* :class:`~repro.tabular.dataset.CodedColumn` — the library's one coded
-  column, whose Python object cells are materialised from the code array
-  and level table only when something actually asks for them (appends to
-  an encoded dataset build the same class);
+* the coded :class:`~repro.tabular.dataset.Column` — every non-numeric
+  column holds int64 codes into a level table, so an opened column wraps
+  the mapped code section and builds its Python object cells only when
+  something actually asks for them;
 * :class:`StoredTripleStore` — a :class:`~repro.lod.triples.TripleStore`
   whose three dict indexes are replayed from the saved order arrays on
   first access, so reference-tier scans see the exact iteration order the
@@ -41,7 +41,7 @@ from repro.store.writer import (
     VTAG_INT,
     VTAG_STR,
 )
-from repro.tabular.dataset import CodedColumn, Column, ColumnType, Dataset
+from repro.tabular.dataset import Column, ColumnType, Dataset
 from repro.tabular.encoded import encode_dataset
 
 
@@ -142,14 +142,15 @@ def _open_store(path: Path | str, expected_kind: int) -> StoreFile:
 def open_dataset(path: Path | str, verify: bool = False) -> Dataset:
     """Open a dataset store file; see :meth:`repro.tabular.dataset.Dataset.open`.
 
-    Numeric columns alias the mapped ``float64`` sections directly; object
-    columns become lazy :class:`~repro.tabular.dataset.CodedColumn` instances
-    over the mapped codes; and the dataset's
-    :class:`~repro.tabular.encoded.EncodedDataset` cache is pre-seeded with
-    the saved code arrays, vocabularies, numeric views and normalised level
-    tables — so the encoding step every hot path starts with is skipped
-    entirely.  ``verify=True`` additionally checksums every array section
-    (metadata sections are always checked).
+    Numeric columns alias the mapped ``float64`` sections directly; other
+    columns are coded columns over the mapped codes, their saved level
+    tables and missing masks, which the file is trusted to keep in
+    first-seen order (its writer saved a categorical view); and the
+    dataset's :class:`~repro.tabular.encoded.EncodedDataset` cache is
+    pre-seeded with the saved numeric views and normalised level tables — so
+    the encoding step every hot path starts with is skipped entirely.
+    ``verify=True`` additionally checksums every array section (metadata
+    sections are always checked).
     """
     store_file = _open_store(path, KIND_DATASET)
     meta = store_file.json("meta")
@@ -160,15 +161,13 @@ def open_dataset(path: Path | str, verify: bool = False) -> Dataset:
         if ctype == ColumnType.NUMERIC:
             column = Column._canonical(name, ctype, role, store_file.array(f"{prefix}.val"))
         else:
-            codes = store_file.array(f"{prefix}.cod")
-            vocabulary = store_file.strings(f"{prefix}.lev")
-            mask = store_file.array(f"{prefix}.msk")
-            column = CodedColumn.from_vocabulary(name, ctype, role, codes, vocabulary, mask)
+            column = Column.from_vocabulary(
+                name, ctype, role, store_file.array(f"{prefix}.cod"), store_file.strings(f"{prefix}.lev"),
+                store_file.array(f"{prefix}.msk"),
+            )
             seeds.append(
                 (
                     name,
-                    codes,
-                    vocabulary,
                     store_file.array(f"{prefix}.num"),
                     store_file.array(f"{prefix}.nmk"),
                     store_file.strings(f"{prefix}.nrm"),
@@ -177,8 +176,7 @@ def open_dataset(path: Path | str, verify: bool = False) -> Dataset:
         columns.append(column)
     dataset = Dataset(columns, name=meta["name"])
     encoded = encode_dataset(dataset)
-    for name, codes, vocabulary, num_values, num_missing, normalised in seeds:
-        encoded.seed_categorical(name, codes, vocabulary)
+    for name, num_values, num_missing, normalised in seeds:
         encoded.seed_numeric(name, num_values, num_missing)
         encoded.seed_normalised(name, normalised)
     if verify:

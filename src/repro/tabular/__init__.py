@@ -6,11 +6,12 @@ into, plus the relational transforms and descriptive statistics that the data
 quality and mining layers are built on.
 
 The central classes are :class:`~repro.tabular.dataset.Column` and
-:class:`~repro.tabular.dataset.Dataset`; :class:`~repro.tabular.dataset.CodedColumn`
-is the lazy coded column that opened stores and appends share.
+:class:`~repro.tabular.dataset.Dataset`.  A numeric column holds ``float64``
+values; every other column holds int64 codes into a first-seen level table,
+and builds its object cells only when something reads them.
 """
 
-from repro.tabular.dataset import CodedColumn, Column, Dataset, ColumnType, ColumnRole
+from repro.tabular.dataset import Column, Dataset, ColumnType, ColumnRole
 from repro.tabular.encoded import EncodedDataset, encode_dataset
 from repro.tabular.schema import ColumnSpec, Schema, infer_schema
 from repro.tabular.io_csv import read_csv, read_csv_text, write_csv, write_csv_text
@@ -20,7 +21,6 @@ from repro.tabular.io_html import read_html_table, write_html_table
 from repro.tabular import transforms, stats
 
 __all__ = [
-    "CodedColumn",
     "Column",
     "Dataset",
     "ColumnType",

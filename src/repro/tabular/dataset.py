@@ -156,6 +156,51 @@ def _coerce_value(value: Any, ctype: str) -> Any:
     return str(value) if not isinstance(value, str) else value
 
 
+def code_cells(cells: Sequence[Any], ctype: str) -> tuple[np.ndarray, list]:
+    """Coerce non-numeric ``cells`` to ``ctype`` and code them, in one pass.
+
+    Returns the int64 codes (``-1`` for a missing cell) and the level table
+    of the coerced cells in first-seen order.  A BOOLEAN level is a
+    ``bool``; every other level is a plain ``str``, so two cells share a
+    code exactly when their ``str`` forms are equal.  ``None`` cells,
+    ``bool`` cells of a BOOLEAN column and ``str`` cells of any other take
+    fast paths; every other cell goes through :func:`_coerce_value`.
+    """
+    index: dict[Any, int] = {}
+    setdefault = index.setdefault
+
+    def code(cell: Any) -> int:
+        """The code of a cell no fast path takes."""
+        if is_missing_value(cell):
+            return -1
+        level = _coerce_value(cell, ctype)
+        return setdefault(level if ctype == ColumnType.BOOLEAN else str(level), len(index))
+
+    fast = bool if ctype == ColumnType.BOOLEAN else str
+    listed = [-1 if cell is None else setdefault(cell, len(index)) if type(cell) is fast else code(cell)
+              for cell in cells]
+    return np.array(listed, dtype=np.int64), list(index)
+
+
+def first_seen_codes(codes: np.ndarray, levels: Sequence[Any]) -> tuple[np.ndarray, list]:
+    """``codes`` over ``levels`` recoded over the levels they use, in first-seen order.
+
+    The result satisfies the coded-column invariant (see :class:`Column`)
+    whatever level table ``codes`` index: a row subset of a coded column,
+    or codes over a table of distinct values.  ``-1`` stays ``-1``.
+    """
+    n = codes.shape[0]
+    first_at = np.full(len(levels) + 1, n, dtype=np.intp)  # the last slot takes code -1
+    np.minimum.at(first_at, codes, np.arange(n))
+    used = np.flatnonzero(first_at[:-1] < n)
+    ordered = used[np.argsort(first_at[used])]
+    if used.size == len(levels) and np.array_equal(ordered, used):  # already dense, in order
+        return codes, levels
+    remap = np.full(len(levels) + 1, -1, dtype=np.int64)  # the last slot maps code -1
+    remap[ordered] = np.arange(ordered.size)
+    return remap[codes], [levels[code] for code in ordered.tolist()]
+
+
 class Column:
     """A single named, typed column of a :class:`Dataset`.
 
@@ -170,9 +215,18 @@ class Column:
         One of :class:`ColumnType`; inferred from the values when omitted.
     role:
         One of :class:`ColumnRole`; defaults to ``feature``.
+
+    A numeric column holds its cells as a ``float64`` array.  Every other
+    column holds int64 codes (``-1`` marking a missing cell) into a level
+    table, coded by :func:`code_cells` in the same pass that coerces the
+    cells.  Every constructor keeps one invariant: the level table holds
+    exactly the levels present in the rows, in first-seen row order, so the
+    codes are the column's categorical view.  The object cells every
+    cell-level API reads are built from the codes on first read and cached;
+    the encoded hot paths never read them.
     """
 
-    __slots__ = ("name", "ctype", "role", "_values", "_missing_cache")
+    __slots__ = ("name", "ctype", "role", "_cells", "_codes", "_levels", "_missing_cache")
 
     def __init__(
         self,
@@ -181,6 +235,7 @@ class Column:
         ctype: str | None = None,
         role: str = ColumnRole.FEATURE,
     ) -> None:
+        """Coerce ``values`` to ``ctype`` (inferred when ``None``), coding non-numeric cells."""
         if not name:
             raise SchemaError("column name must be a non-empty string")
         if role not in ColumnRole.ALL:
@@ -193,32 +248,45 @@ class Column:
         self.name = name
         self.ctype = ctype
         self.role = role
-        coerced = [_coerce_value(v, ctype) for v in values]
-        if ctype == ColumnType.NUMERIC:
-            self._values = np.asarray(coerced, dtype=float)
-        else:
-            self._values = np.asarray(coerced, dtype=object)
         self._missing_cache: np.ndarray | None = None
+        if ctype == ColumnType.NUMERIC:
+            self._cells = np.array(
+                [v if type(v) is float and v == v else _coerce_value(v, ctype) for v in values], dtype=float
+            )
+            self._codes = self._levels = None
+        else:
+            self._cells = None
+            self._codes, self._levels = code_cells(values, ctype)
 
     # -- basic protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        return int(self._values.shape[0])
+        """Row count (read from the codes of a coded column)."""
+        return int((self._cells if self._codes is None else self._codes).shape[0])
 
     def __iter__(self):
-        return iter(self._values.tolist())
+        """Iterate over the cells."""
+        return iter(self.tolist())
 
     def __getitem__(self, index: int) -> Any:
-        return self._values[index]
+        """One cell, read from its code while the cells are unbuilt; other indexes read the cells."""
+        cells = self._cells
+        if cells is not None:
+            return cells[index]
+        if isinstance(index, (int, np.integer)) and not isinstance(index, bool):
+            code = int(self._codes[index])
+            return None if code < 0 else self._levels[code]
+        return self.values[index]
 
     def __eq__(self, other: object) -> bool:
+        """Same name, ctype, role and cells (missing cells compare equal)."""
         if not isinstance(other, Column):
             return NotImplemented
         if (self.name, self.ctype, self.role) != (other.name, other.ctype, other.role):
             return False
         if len(self) != len(other):
             return False
-        for a, b in zip(self._values.tolist(), other._values.tolist()):
+        for a, b in zip(self.tolist(), other.tolist()):
             if is_missing_value(a) and is_missing_value(b):
                 continue
             if a != b:
@@ -226,49 +294,71 @@ class Column:
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        """Name, type, role and length, for debugging."""
         return f"Column({self.name!r}, type={self.ctype}, role={self.role}, n={len(self)})"
+
+    def __getstate__(self) -> tuple:
+        """Pickle plain arrays: a coded column's codes, levels and mask, its cells left unbuilt."""
+        if self._codes is None:
+            return (self.name, self.ctype, self.role, np.array(self._cells), None, None, None)
+        mask = self._missing_cache
+        return (self.name, self.ctype, self.role, None, np.array(self._codes), list(self._levels),
+                None if mask is None else np.array(mask))
+
+    def __setstate__(self, state: tuple) -> None:
+        """Rebuild from :meth:`__getstate__`'s tuple."""
+        (self.name, self.ctype, self.role, self._cells, self._codes, self._levels,
+         self._missing_cache) = state
 
     # -- accessors ----------------------------------------------------------
 
     @property
     def values(self) -> np.ndarray:
-        """The underlying numpy array (float64 for numeric, object otherwise)."""
-        return self._values
+        """The cell array: ``float64`` values, or object cells built once from the codes."""
+        cells = self._cells
+        if cells is None:
+            table = np.empty(len(self._levels) + 1, dtype=object)
+            table[:-1] = self._levels
+            table[-1] = None  # code -1 indexes here
+            cells = self._cells = table[np.asarray(self._codes)]
+        return cells
 
     def tolist(self) -> list[Any]:
         """Return the column as a plain Python list."""
-        return self._values.tolist()
+        return self.values.tolist()
 
     def is_numeric(self) -> bool:
+        """Whether the column is NUMERIC (held as ``float64`` values, not codes)."""
         return self.ctype == ColumnType.NUMERIC
 
     def missing_mask(self) -> np.ndarray:
         """Boolean mask that is ``True`` where the cell is missing.
 
-        For object-dtype columns the per-cell scan is computed once and cached
-        (column values are immutable by convention: every dataset operation
+        A coded column's mask is ``codes < 0``, computed once and cached
+        (column arrays are immutable by convention: every dataset operation
         returns new columns).  Callers must not mutate the returned array.
         """
-        if self.is_numeric():
-            return np.isnan(self._values)
+        if self._codes is None:
+            return np.isnan(self._cells)
         if self._missing_cache is None:
-            self._missing_cache = np.asarray(
-                [is_missing_value(v) for v in self._values.tolist()], dtype=bool
-            )
+            self._missing_cache = np.asarray(self._codes) < 0
         return self._missing_cache
 
     def n_missing(self) -> int:
+        """Number of missing cells."""
         return int(self.missing_mask().sum())
 
     def non_missing(self) -> list[Any]:
         """Return the non-missing values, preserving order."""
         mask = self.missing_mask()
         if not mask.any():
-            return self._values.tolist()
-        return self._values[~mask].tolist()
+            return self.tolist()
+        return self.values[~mask].tolist()
 
     def distinct(self) -> list[Any]:
         """Return the distinct non-missing values in first-seen order."""
+        if self._codes is not None:
+            return list(self._levels)
         seen: dict[Any, None] = {}
         for value in self.non_missing():
             seen.setdefault(value, None)
@@ -292,7 +382,7 @@ class Column:
 
         Equivalent to ``Column(name, [distinct_values[i] for i in inverse])``
         — same inferred type, same coerced cells — but the per-value Python
-        work (missing checks, type sniffing, coercion) runs once per
+        work (missing checks, type sniffing, coercion, coding) runs once per
         *distinct* value instead of once per cell.  Producers that already
         know each cell's distinct-value index (the LOD tabulation reads them
         off the interned object ids) use this to assemble columns in
@@ -310,83 +400,11 @@ class Column:
             sum(int(counts[i]) for i, value in enumerate(distinct_values) if not is_missing_value(value))
         )
         ctype = _infer_from_present(present, n_present)
-        coerced = [_coerce_value(value, ctype) for value in distinct_values]
-        dtype = float if ctype == ColumnType.NUMERIC else object
-        return cls._canonical(name, ctype, role, np.asarray(coerced, dtype=dtype)[inverse])
-
-    @classmethod
-    def _canonical(
-        cls, name: str, ctype: str, role: str, values: np.ndarray, missing: np.ndarray | None = None
-    ) -> "Column":
-        """The column over ``values``, already canonical for ``ctype`` (no coercion, no copy).
-
-        ``missing`` is its missing mask when known; a numeric column computes
-        its own.
-        """
-        column = cls.__new__(cls)
-        column.name, column.ctype, column.role = name, ctype, role
-        column._values, column._missing_cache = values, missing
-        return column
-
-    def copy(self) -> "Column":
-        # The values array is copied to allow independent mutation, so the
-        # cached mask (which aliases this column's state) must not be carried.
-        return Column._canonical(self.name, self.ctype, self.role, self._values.copy())
-
-    def with_values(self, values: Iterable[Any]) -> "Column":
-        """Return a new column with the same name/type/role and new values."""
-        return Column(self.name, list(values), ctype=self.ctype, role=self.role)
-
-    def take(self, indices: Sequence[int]) -> "Column":
-        """Return a new column containing the rows at ``indices`` (in order)."""
-        index_array = np.asarray(indices, dtype=int)
-        mask = self._missing_cache
-        return Column._canonical(
-            self.name, self.ctype, self.role, self._values[index_array],
-            mask[index_array] if mask is not None else None,
-        )
-
-
-class CodedColumn(Column):
-    """A non-numeric column held as int64 codes into a level table.
-
-    Holds the codes (``-1`` marking a missing cell), the raw level table and
-    the missing mask; the object-cell array every :class:`Column` API is
-    defined over is materialised lazily (``levels[code]``, ``None`` for
-    ``-1``) the first time something reads it.  The encoded hot paths never
-    do — their views are seeded with the same codes — so CV folds,
-    group-bys and profiles run without paying the object materialisation.
-
-    Two producers build it: :func:`repro.store.open_dataset`, over the
-    memory-mapped sections of a store file, and the append path
-    (:meth:`Dataset.concat` on an encoded base), over growth buffers shared
-    with the merged dataset's encoding.  Both derive the raw level table
-    from the ctype and the ``str`` vocabulary (:meth:`from_vocabulary`).
-
-    Mutating operations inherit the copy-on-write semantics of the plain
-    column API: they read the cells through the ``_values`` property and
-    build ordinary in-memory columns, leaving the codes untouched.
-    """
-
-    __slots__ = ("_codes", "_levels", "_cells")
-
-    def __init__(
-        self,
-        name: str,
-        ctype: str,
-        role: str,
-        codes: np.ndarray,
-        levels: list,
-        missing: np.ndarray | None,
-    ) -> None:
-        """Wrap ``codes`` into the raw ``levels`` (no validation, no per-cell work)."""
-        self.name = name
-        self.ctype = ctype
-        self.role = role
-        self._codes = codes
-        self._levels = levels
-        self._cells = None
-        self._missing_cache = missing
+        if ctype == ColumnType.NUMERIC:
+            coerced = [_coerce_value(value, ctype) for value in distinct_values]
+            return cls._canonical(name, ctype, role, np.asarray(coerced, dtype=float)[inverse])
+        codes, levels = code_cells(distinct_values, ctype)
+        return cls._coded(name, ctype, role, *first_seen_codes(codes[inverse], levels))
 
     @classmethod
     def from_vocabulary(
@@ -397,66 +415,80 @@ class CodedColumn(Column):
         codes: np.ndarray,
         vocabulary: list[str],
         missing: np.ndarray | None,
-    ) -> "CodedColumn":
-        """The column whose cells are ``vocabulary[code]`` as ``ctype`` holds them.
+    ) -> "Column":
+        """The coded column whose cells are ``vocabulary[code]`` as ``ctype`` holds them.
 
-        ``vocabulary`` lists ``str(cell)`` per level, as a categorical view
-        does.  A BOOLEAN column's cells are ``bool``, so its raw levels are
-        ``level == "True"``; every other non-numeric ctype holds ``str``
-        cells, which are their own levels.
+        ``vocabulary`` lists ``str(level)`` per level, as a store file saves
+        a categorical view, and is trusted to keep the invariant.  A BOOLEAN
+        column's levels are ``bool``, so they are ``level == "True"``; every
+        other non-numeric ctype's levels are the strings themselves.
         """
         levels = [level == "True" for level in vocabulary] if ctype == ColumnType.BOOLEAN else vocabulary
-        return cls(name, ctype, role, codes, levels, missing)
+        return cls._coded(name, ctype, role, codes, levels, missing)
 
-    @property
-    def _values(self) -> np.ndarray:
-        """The object-cell array, materialised on first access and cached."""
-        cells = self._cells
-        if cells is None:
-            table = np.empty(len(self._levels) + 1, dtype=object)
-            for i, level in enumerate(self._levels):
-                table[i] = level
-            table[-1] = None  # code -1 indexes here
-            cells = table[np.asarray(self._codes)]
-            self._cells = cells
-        return cells
+    @classmethod
+    def _canonical(cls, name: str, ctype: str, role: str, values: np.ndarray) -> "Column":
+        """The numeric column over the ``float64`` array ``values`` (no coercion, no copy)."""
+        column = cls.__new__(cls)
+        column.name, column.ctype, column.role = name, ctype, role
+        column._cells, column._codes, column._levels, column._missing_cache = values, None, None, None
+        return column
 
-    def __len__(self) -> int:
-        """Row count, read from the code array (no cell materialisation)."""
-        return int(self._codes.shape[0])
+    @classmethod
+    def _coded(
+        cls, name: str, ctype: str, role: str, codes: np.ndarray, levels: list,
+        missing: np.ndarray | None = None,
+    ) -> "Column":
+        """The non-numeric column over ``codes`` into ``levels``, which keep the invariant (no copy).
 
-    def __getitem__(self, index):
-        """One cell read from its code (no materialisation); other indexes read the cells."""
-        if self._cells is None and isinstance(index, (int, np.integer)) and not isinstance(index, bool):
-            code = int(self._codes[index])
-            return None if code < 0 else self._levels[code]
-        return self._values[index]
+        ``missing`` is its missing mask (``codes < 0``) when known.
+        """
+        column = cls.__new__(cls)
+        column.name, column.ctype, column.role = name, ctype, role
+        column._cells, column._codes, column._levels, column._missing_cache = None, codes, levels, missing
+        return column
 
-    def take(self, indices) -> "CodedColumn":
-        """Row subset that stays lazy: sliced codes, shared level table."""
+    def copy(self) -> "Column":
+        """A copy whose arrays may be mutated independently."""
+        if self._codes is None:
+            return Column._canonical(self.name, self.ctype, self.role, self._cells.copy())
+        return Column._coded(self.name, self.ctype, self.role, np.array(self._codes), list(self._levels))
+
+    def with_values(self, values: Iterable[Any]) -> "Column":
+        """Return a new column with the same name/type/role and new values."""
+        return Column(self.name, list(values), ctype=self.ctype, role=self.role)
+
+    def take(self, indices: Sequence[int]) -> "Column":
+        """Return a new column containing the rows at ``indices`` (in order)."""
         index_array = np.asarray(indices, dtype=int)
-        return CodedColumn(
-            self.name,
-            self.ctype,
-            self.role,
-            np.asarray(self._codes)[index_array],
-            self._levels,
-            self._missing_cache[index_array] if self._missing_cache is not None else None,
+        if self._codes is None:
+            return Column._canonical(self.name, self.ctype, self.role, self._cells[index_array])
+        codes, levels = first_seen_codes(np.asarray(self._codes)[index_array], self._levels)
+        mask = self._missing_cache
+        return Column._coded(
+            self.name, self.ctype, self.role, codes, levels, None if mask is None else mask[index_array]
         )
 
-    def __getstate__(self) -> tuple:
-        """Pickle the codes, level table and mask as plain arrays; the cells stay lazy.
+    def _extended(self, other: "Column", join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "Column":
+        """This column followed by ``other``'s cells; ``join`` concatenates two per-row arrays.
 
-        The default slot pickling would read ``_values`` (materialising
-        every cell) and fail to set the read-only property back on load.
+        A coded column keeps its levels and appends ``other``'s new levels
+        in their first-seen order, remapping ``other``'s codes, so the
+        invariant holds without reading a cell.  A column of another ctype
+        is re-coerced to this column's.
         """
-        mask = self._missing_cache
-        return (self.name, self.ctype, self.role, np.array(self._codes), list(self._levels),
-                None if mask is None else np.array(mask))
-
-    def __setstate__(self, state: tuple) -> None:
-        """Rebuild from :meth:`__getstate__`'s tuple."""
-        CodedColumn.__init__(self, *state)
+        if other.ctype != self.ctype:
+            return Column(self.name, self.tolist() + other.tolist(), ctype=self.ctype, role=self.role)
+        if self._codes is None:
+            return Column._canonical(self.name, self.ctype, self.role, join(self._cells, other._cells))
+        index = {level: code for code, level in enumerate(self._levels)}
+        remap = np.array(
+            [index.setdefault(level, len(index)) for level in other._levels] + [-1], dtype=np.int64
+        )
+        return Column._coded(
+            self.name, self.ctype, self.role, join(self._codes, remap[other._codes]), list(index),
+            join(self.missing_mask(), other.missing_mask()),
+        )
 
 
 class Dataset:
@@ -467,6 +499,7 @@ class Dataset:
     """
 
     def __init__(self, columns: Iterable[Column], name: str = "dataset") -> None:
+        """Check the columns are equally long and uniquely named, and keep them in order."""
         columns = list(columns)
         if not columns:
             raise SchemaError("a dataset needs at least one column")
@@ -542,37 +575,46 @@ class Dataset:
 
     @property
     def n_rows(self) -> int:
+        """Number of rows."""
         return len(next(iter(self._columns.values())))
 
     @property
     def n_columns(self) -> int:
+        """Number of columns."""
         return len(self._columns)
 
     @property
     def shape(self) -> tuple[int, int]:
+        """``(n_rows, n_columns)``."""
         return (self.n_rows, self.n_columns)
 
     @property
     def column_names(self) -> list[str]:
+        """Column names, in order."""
         return list(self._columns)
 
     @property
     def columns(self) -> list[Column]:
+        """Columns, in order."""
         return list(self._columns.values())
 
     def __len__(self) -> int:
+        """Number of rows."""
         return self.n_rows
 
     def __contains__(self, name: str) -> bool:
+        """Whether a column is called ``name``."""
         return name in self._columns
 
     def __getitem__(self, name: str) -> Column:
+        """The column called ``name``; :class:`SchemaError` if there is none."""
         try:
             return self._columns[name]
         except KeyError:
             raise SchemaError(f"no column named {name!r} in dataset {self.name!r}") from None
 
     def __eq__(self, other: object) -> bool:
+        """Same column names in the same order, and equal columns."""
         if not isinstance(other, Dataset):
             return NotImplemented
         if self.column_names != other.column_names:
@@ -580,6 +622,7 @@ class Dataset:
         return all(self[n] == other[n] for n in self.column_names)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        """Name and shape, for debugging."""
         return f"Dataset({self.name!r}, rows={self.n_rows}, columns={self.n_columns})"
 
     # -- row access ----------------------------------------------------------
@@ -591,9 +634,10 @@ class Dataset:
         return {name: col[index] for name, col in self._columns.items()}
 
     def iter_rows(self) -> Iterable[dict[str, Any]]:
-        """Iterate over rows as dictionaries."""
+        """Iterate over rows as dictionaries, reading each column's cell array once per scan."""
+        columns = [(name, column.values) for name, column in self._columns.items()]
         for i in range(self.n_rows):
-            yield self.row(i)
+            yield {name: cells[i] for name, cells in columns}
 
     def to_rows(self) -> list[dict[str, Any]]:
         """Materialise all rows as a list of dictionaries."""
@@ -684,6 +728,7 @@ class Dataset:
         return [c for c in self.columns if c.role == ColumnRole.FEATURE]
 
     def feature_names(self) -> list[str]:
+        """Names of the ``feature`` columns."""
         return [c.name for c in self.feature_columns()]
 
     def target_column(self) -> Column:
@@ -697,6 +742,7 @@ class Dataset:
         return targets[0]
 
     def has_target(self) -> bool:
+        """Whether some column is the target."""
         return any(c.role == ColumnRole.TARGET for c in self.columns)
 
     # -- row manipulation ---------------------------------------------------------
@@ -738,15 +784,14 @@ class Dataset:
     def concat(self, other: "Dataset") -> "Dataset":
         """Append the rows of ``other`` (same columns required) to this dataset.
 
-        When every column pair shares a ctype and this dataset already carries
-        encoded views, the result is built by extending those views with
-        ``other``'s encoded block (vocabulary-stable code extension, see
-        :func:`repro.tabular.encoded.extend_encoding`) — bit-identical to a
-        cold encode of the concatenation, without re-encoding or copying
-        existing rows: its per-row arrays grow in place where this dataset
-        ends at their buffers' high-water marks, and each column whose codes
-        the encoding holds stays a :class:`CodedColumn`.  Otherwise the
-        column arrays are concatenated.
+        Each column keeps its levels and appends ``other``'s new levels in
+        their first-seen order, so no cell is re-coded.  When every column
+        pair shares a ctype and this dataset already carries encoded views,
+        its per-row arrays grow in place where this dataset ends at their
+        buffers' high-water marks, and the merged dataset's encoding is
+        seeded with this one's views grown by ``other``'s
+        (:func:`repro.tabular.encoded.extend_encoding`) — bit-identical to a
+        cold encode of the concatenation.
         """
         return self._concat(other, self.name)
 
@@ -754,21 +799,18 @@ class Dataset:
         """:meth:`concat` named ``name``, which an extended encoding carries too."""
         if self.column_names != other.column_names:
             raise SchemaError("cannot concatenate datasets with different columns")
-        if all(col.ctype == other[col.name].ctype for col in self.columns):
-            from repro.tabular.encoded import _CACHE_ATTR, encode_dataset, extend_encoding
+        from repro.tabular.encoded import _CACHE_ATTR, _grow, encode_dataset, extend_encoding
 
-            base_encoded = getattr(self, _CACHE_ATTR, None)
-            if base_encoded is not None and base_encoded.owned_by(self):
-                return extend_encoding(base_encoded, encode_dataset(other), name)
-        columns = []
-        for col in self.columns:
-            other_col = other[col.name]
-            if other_col.ctype == col.ctype:
-                columns.append(_concatenated(col, other_col))
-            else:
-                values = col.tolist() + other_col.tolist()
-                columns.append(Column(col.name, values, ctype=col.ctype, role=col.role))
-        return Dataset(columns, name=name)
+        base_encoded = getattr(self, _CACHE_ATTR, None)
+        if base_encoded is None or not base_encoded.owned_by(self) or any(
+            col.ctype != other[col.name].ctype for col in self.columns
+        ):
+            base_encoded = None
+        join = _grow if base_encoded is not None else _joined
+        merged = Dataset([col._extended(other[col.name], join) for col in self.columns], name=name)
+        if base_encoded is not None:
+            extend_encoding(base_encoded, encode_dataset(other), merged)
+        return merged
 
     def append_rows(self, rows: Sequence[dict[str, Any]], name: str | None = None) -> "Dataset":
         """Append row dictionaries, keeping this dataset's schema and encodings.
@@ -895,19 +937,10 @@ class Dataset:
         return out
 
     def __deepcopy__(self, memo: dict) -> "Dataset":  # pragma: no cover - convenience
+        """A deep copy, as :meth:`copy` makes it."""
         return self.copy()
 
 
-def _concatenated(column: Column, other: Column) -> Column:
-    """``column`` followed by the cells of ``other``, a column of the same ctype.
-
-    Both sides already hold canonical values for the type, so the underlying
-    arrays are joined directly without re-coercing every cell through the
-    :class:`Column` constructor.
-    """
-    mask = None
-    if not column.is_numeric() and column._missing_cache is not None:
-        mask = np.concatenate([column._missing_cache, other.missing_mask()])
-    return Column._canonical(
-        column.name, column.ctype, column.role, np.concatenate([column.values, other.values]), mask
-    )
+def _joined(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``head`` followed by ``tail`` in a new array."""
+    return np.concatenate([head, tail])

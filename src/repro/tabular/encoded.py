@@ -20,6 +20,11 @@ the vectorized paths can broadcast over:
     index.  Codes compare equal exactly when the row-at-a-time estimators'
     ``str(a) == str(b)`` comparison would.
 
+A non-numeric column holds its codes over a first-seen level table (see
+:class:`~repro.tabular.dataset.Column`), so its views are read off the
+codes and levels — the categorical view is the codes themselves, the
+numeric view one ``float()`` try per level — and no view walks cells.
+
 Encodings are cached on the dataset instance via :func:`encode_dataset`.  This
 is safe because every ``Dataset``/``Column`` operation returns a new object;
 nothing in the library mutates column arrays in place.  The dataset owns its
@@ -28,10 +33,10 @@ reference back, so reference counting frees a dropped dataset and its
 encoded arrays at once, without waiting for the cyclic garbage collector.
 
 Fold slicing is supported without re-encoding: :meth:`EncodedDataset.take`
-returns a new dataset whose encoded views are produced by slicing the parent's
-cached arrays with an index array (categorical vocabularies are re-restricted
-to the levels present in the slice, preserving first-seen order, so per-fold
-statistics remain identical to encoding the slice from scratch).
+returns a new dataset whose columns are the parent's row subsets (a coded
+column's levels re-restricted to the levels present in the slice, preserving
+first-seen order, so per-fold statistics remain identical to encoding the
+slice from scratch) and whose numeric views slice the parent's cached arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.tabular.dataset import CodedColumn, Column, Dataset, _concatenated
+from repro.tabular.dataset import Column, ColumnType, Dataset, first_seen_codes
 
 #: Attribute name used to cache the encoding on a dataset instance.
 _CACHE_ATTR = "_encoded_cache"
@@ -86,6 +91,7 @@ class EncodedDataset:
         _parent: "EncodedDataset | None" = None,
         _parent_indices: np.ndarray | None = None,
     ) -> None:
+        """Start with no view cached; a fold gets the parent encoding and its row indices."""
         self._columns = dataset._columns
         self._name = dataset.name
         self._owner = weakref.ref(dataset)
@@ -134,6 +140,7 @@ class EncodedDataset:
 
     @property
     def n_rows(self) -> int:
+        """Number of rows of the encoded dataset."""
         return len(next(iter(self._columns.values())))
 
     # -- numeric view --------------------------------------------------------
@@ -143,45 +150,20 @@ class EncodedDataset:
         cached = self._numeric.get(name)
         if cached is not None:
             return cached
-        if name not in self._columns:
+        column = self._columns.get(name)
+        if column is None:
             n = self.n_rows
             view = (np.full(n, np.nan), np.ones(n, dtype=bool))
+        elif column.is_numeric():
+            values = column.values
+            view = (values, np.isnan(values))
         elif self._parent is not None:
             values, missing = self._parent.numeric_view(name)
             view = (values[self._parent_indices], missing[self._parent_indices])
         else:
-            view = self._encode_numeric(name)
+            view = _level_floats(column)
         self._numeric[name] = view
         return view
-
-    def _encode_numeric(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        column = self._columns[name]
-        if column.is_numeric():
-            values = column.values.astype(float, copy=False)
-            return values, np.isnan(values)
-        if isinstance(column, CodedColumn):
-            # The same float() try, once per level on the raw level value
-            # (a BOOLEAN level is True, not "True"), gathered by code.
-            level_values = np.full(len(column._levels) + 1, np.nan)
-            level_missing = np.ones(len(column._levels) + 1, dtype=bool)
-            for i, level in enumerate(column._levels):
-                try:
-                    level_values[i] = float(level)
-                except (TypeError, ValueError):
-                    continue
-                level_missing[i] = False
-            codes = np.asarray(column._codes)
-            return level_values[codes], level_missing[codes]
-        missing = column.missing_mask().copy()
-        values = np.full(len(column), np.nan)
-        for i, value in enumerate(column.tolist()):
-            if missing[i]:
-                continue
-            try:
-                values[i] = float(value)
-            except (TypeError, ValueError):
-                missing[i] = True
-        return values, missing
 
     # -- categorical view ----------------------------------------------------
 
@@ -190,43 +172,24 @@ class EncodedDataset:
 
         ``codes`` is an int64 array with ``-1`` for missing cells;
         ``vocabulary[codes[i]]`` is ``str(raw_value)`` and ``index`` inverts it.
+        A non-numeric column's codes are its own and its vocabulary is
+        ``str`` of its levels.
         """
         cached = self._categorical.get(name)
         if cached is not None:
             return cached
-        if name not in self._columns:
-            view = (np.full(self.n_rows, -1, dtype=np.int64), [], {})
-        elif self._parent is not None:
-            view = self._slice_codes(name)
+        column = self._columns.get(name)
+        if column is None:
+            codes, vocabulary = np.full(self.n_rows, -1, dtype=np.int64), []
+        elif column.is_numeric():
+            codes, vocabulary = _float_codes(column.values)
+        elif column.ctype == ColumnType.BOOLEAN:
+            codes, vocabulary = column._codes, [str(level) for level in column._levels]
         else:
-            view = self._encode_categorical(name)
+            codes, vocabulary = column._codes, column._levels
+        view = (codes, vocabulary, {level: i for i, level in enumerate(vocabulary)})
         self._categorical[name] = view
         return view
-
-    def _encode_categorical(self, name: str) -> tuple[np.ndarray, list[str], dict[str, int]]:
-        column = self._columns[name]
-        missing = column.missing_mask()
-        codes = np.full(len(column), -1, dtype=np.int64)
-        index: dict[str, int] = {}
-        for i, value in enumerate(column.tolist()):
-            if missing[i]:
-                continue
-            codes[i] = index.setdefault(str(value), len(index))
-        return codes, list(index), index
-
-    def seed_categorical(self, name: str, codes: np.ndarray, vocabulary: Sequence[str]) -> None:
-        """Pre-populate the categorical view of column ``name``.
-
-        Producers that already know each cell's category — the LOD
-        tabulation assembles columns from interned object ids, so the codes
-        fall out of the assembly — can seed the view and spare the per-cell
-        encoding scan.  The seeded ``(codes, vocabulary)`` must be exactly
-        what :meth:`_encode_categorical` would compute: ``str(value)``
-        levels in first-seen row order with ``-1`` marking missing cells.
-        Seeding an already-encoded column is a no-op (the cached view wins).
-        """
-        if name not in self._categorical:
-            self._categorical[name] = (codes, list(vocabulary), {level: i for i, level in enumerate(vocabulary)})
 
     def seed_numeric(self, name: str, values: np.ndarray, missing: np.ndarray) -> None:
         """Pre-populate the numeric view of column ``name``.
@@ -236,7 +199,7 @@ class EncodedDataset:
         in-memory encoder produced at save time, so reopening wires the
         memory-mapped arrays straight into the cache and skips the per-cell
         ``float(value)`` scan.  The seeded pair must be exactly what
-        :meth:`_encode_numeric` would compute.  Seeding an already-encoded
+        :meth:`numeric_view` would compute.  Seeding an already-encoded
         column is a no-op (the cached view wins).
         """
         if name not in self._numeric:
@@ -260,7 +223,7 @@ class EncodedDataset:
         """Boolean mask that is ``True`` where column ``name`` is missing.
 
         For numeric columns this is the nan mask of the numeric view; for
-        object columns it is the column's cached missing mask.  Both are the
+        coded columns it is the column's mask, ``codes < 0``.  Both are the
         exact masks the row-at-a-time criteria derive cell by cell, so counts
         taken from this view are bit-identical to the row path.
         """
@@ -373,38 +336,55 @@ class EncodedDataset:
         self._group_keys[key] = result
         return result
 
-    def _slice_codes(self, name: str) -> tuple[np.ndarray, list[str], dict[str, int]]:
-        parent_codes, parent_vocab, _ = self._parent.codes_view(name)
-        codes = parent_codes[self._parent_indices]
-        present = codes[codes >= 0]
-        if present.size == 0:
-            return np.full(codes.shape, -1, dtype=np.int64), [], {}
-        # Restrict the vocabulary to the levels present in this slice, in
-        # first-seen order, so per-fold category statistics match what a fresh
-        # encoding of the slice would produce.
-        unique, first_position = np.unique(present, return_index=True)
-        ordered = unique[np.argsort(first_position, kind="stable")]
-        remap = np.full(len(parent_vocab), -1, dtype=np.int64)
-        remap[ordered] = np.arange(ordered.size)
-        sliced = np.where(codes >= 0, remap[np.clip(codes, 0, None)], -1)
-        vocabulary = [parent_vocab[code] for code in ordered.tolist()]
-        return sliced, vocabulary, {level: i for i, level in enumerate(vocabulary)}
-
     # -- fold slicing --------------------------------------------------------
 
     def take(self, indices: Sequence[int] | np.ndarray) -> Dataset:
         """Return ``dataset.take(indices)`` with its encoding pre-wired.
 
-        The returned dataset carries an :class:`EncodedDataset` whose views are
-        computed by slicing this encoding's cached arrays, so repeated fold
-        extraction (as in cross-validation) never re-encodes columns from
-        Python objects.
+        The returned dataset carries an :class:`EncodedDataset` whose numeric
+        views slice this encoding's cached arrays, and its coded columns
+        carry their own codes, so repeated fold extraction (as in
+        cross-validation) never re-encodes columns from Python objects.
         """
         indices = np.asarray(indices, dtype=np.intp)
         subset = self.dataset.take(indices)
         encoded = EncodedDataset(subset, _parent=self, _parent_indices=indices)
         setattr(subset, _CACHE_ATTR, encoded)
         return subset
+
+
+def _level_floats(column: Column) -> tuple[np.ndarray, np.ndarray]:
+    """The numeric view of a coded column: one ``float()`` try per level, gathered by code.
+
+    A level ``float()`` rejects is missing, as is code ``-1`` (the extra
+    last slot).  A BOOLEAN level is ``True``/``False`` and reads ``1.0``/``0.0``,
+    as its cell does.
+    """
+    levels = column._levels
+    values = np.full(len(levels) + 1, np.nan)
+    missing = np.ones(len(levels) + 1, dtype=bool)
+    for i, level in enumerate(levels):
+        try:
+            values[i] = float(level)
+        except (TypeError, ValueError):
+            continue
+        missing[i] = False
+    codes = np.asarray(column._codes)
+    return values[codes], missing[codes]
+
+
+def _float_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The categorical view of a ``float64`` array: first-seen codes and ``str(float)`` levels.
+
+    Cells are told apart by their bits, so ``0.0`` and ``-0.0`` get two
+    levels, as their ``str`` forms differ; ``nan`` is missing.
+    """
+    present = ~np.isnan(values)
+    codes = np.full(values.shape, -1, dtype=np.int64)
+    distinct, inverse = np.unique(values[present].view(np.int64), return_inverse=True)
+    codes[present] = inverse
+    codes, levels = first_seen_codes(codes, distinct.view(np.float64).tolist())
+    return codes, [str(level) for level in levels]
 
 
 #: Exclusive upper bound of an int64 row key: ``2**63``.
@@ -518,83 +498,41 @@ def encode_dataset(dataset: Dataset) -> EncodedDataset:
     return encoded
 
 
-def extend_encoding(base: EncodedDataset, delta: EncodedDataset, merged_name: str) -> Dataset:
-    """Return ``base.dataset`` followed by ``delta.dataset``'s rows as ``merged_name``, its encoding extended.
+def extend_encoding(base: EncodedDataset, delta: EncodedDataset, merged: Dataset) -> None:
+    """Seed ``merged``'s encoding with ``base``'s cached views grown by ``delta``'s.
 
-    Both datasets must have the same columns with the same ctypes; this is
-    the one extension path :meth:`Dataset.concat`, ``append_dataset`` and
-    ``append_rows`` share.  It is the *vocabulary-stable code extension* at
-    the heart of the incremental tier: every view already cached on
-    ``base`` is carried over and grown by the delta's encoded block, so
-    appending never re-encodes old rows —
+    ``merged`` is ``base.dataset`` followed by ``delta.dataset``'s rows, as
+    :meth:`Dataset.concat` builds it for an encoded base: its columns
+    already carry the merged codes, so this adds only what an encoded base
+    has beyond them, without re-encoding old rows —
 
-    * numeric views grow the ``(values, missing)`` pair, and a numeric
-      column's view is its values array, as after a cold encode;
-    * categorical views keep the base vocabulary and codes, remap the
-      delta's codes through ``index.setdefault`` in delta-vocabulary order
-      (exactly the first-seen order a cold encode of the merged column
-      would assign) and append only the genuinely new levels;
-    * normalised-level caches grow by normalising only those new levels.
+    * numeric views grow the ``(values, missing)`` pair (a numeric
+      column's view is its grown values array, as after a cold encode);
+    * normalised-level caches of non-numeric columns grow by normalising
+      only the levels the delta added.
 
-    A non-numeric column whose codes ``base`` holds becomes a
-    :class:`~repro.tabular.dataset.CodedColumn` over the merged codes, its
-    cells materialised only when read; any other column concatenates its
-    arrays.  Every per-row array — values, codes, missing masks, numeric
-    views — grows in a capacity-doubling buffer (:func:`_grow`), so an
-    append costs O(len(delta) + new levels): only the vocabularies, their
-    index dicts and the level tables are copied per dataset.
-
-    Views *not* cached on ``base`` stay lazy and cold on the result; the
-    per-column group-code and composite group-key caches are never carried
-    over because ``np.unique``-based numeric group codes are not stable under
-    append.  Bit-identity with a cold encode of the merged rows holds by
+    Every per-row array grows in a capacity-doubling buffer (:func:`_grow`),
+    so an append costs O(len(delta) + new levels).  Views *not* cached on
+    ``base`` stay lazy on the result; the per-column group-code and
+    composite group-key caches are never carried over because
+    ``np.unique``-based numeric group codes are not stable under append.
+    Bit-identity with a cold encode of the merged rows holds by
     construction for everything that is seeded.
     """
-    numeric: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    categorical: dict[str, tuple[np.ndarray, list[str], dict[str, int]]] = {}
-    normalised: dict[str, list[str]] = {}
-    for name, (codes, vocabulary, index) in base._categorical.items():
-        d_codes, d_vocab, _ = delta.codes_view(name)
-        new_index = dict(index)
-        if d_vocab:
-            remap = np.empty(len(d_vocab), dtype=np.int64)
-            for j, level in enumerate(d_vocab):
-                remap[j] = new_index.setdefault(level, len(new_index))
-            d_codes = np.where(d_codes >= 0, remap[np.clip(d_codes, 0, None)], -1)
-        categorical[name] = (_grow(codes, d_codes), list(new_index), new_index)
-        base_levels = base._normalised.get(name)
-        if base_levels is not None:
-            from repro.lod.linker import normalise_string
-
-            new_levels = categorical[name][1][len(vocabulary):]
-            normalised[name] = base_levels + [normalise_string(level) for level in new_levels]
-    columns = []
-    for column in base._columns.values():
-        other = delta._columns[column.name]
-        if column.is_numeric():
-            values = _grow(column.values, other.values)
-            merged = Column._canonical(column.name, column.ctype, column.role, values)
-        elif column.name in categorical:
-            codes, vocabulary, _ = categorical[column.name]
-            mask = column._missing_cache
-            if mask is None:  # a plain column whose mask was never asked for
-                mask = base._categorical[column.name][0] < 0
-            merged = CodedColumn.from_vocabulary(
-                column.name, column.ctype, column.role, codes, vocabulary, _grow(mask, other.missing_mask())
-            )
-        else:
-            merged = _concatenated(column, other)
-        columns.append(merged)
-    merged_dataset = Dataset(columns, name=merged_name)
+    encoded = encode_dataset(merged)
     for name, (values, missing) in base._numeric.items():
         d_values, d_missing = delta.numeric_view(name)
-        column = merged_dataset._columns.get(name)
+        column = merged._columns.get(name)
         grown = column.values if column is not None and column.is_numeric() else _grow(values, d_values)
-        numeric[name] = (grown, _grow(missing, d_missing))
-    encoded = EncodedDataset(merged_dataset)
-    encoded._numeric, encoded._categorical, encoded._normalised = numeric, categorical, normalised
-    setattr(merged_dataset, _CACHE_ATTR, encoded)
-    return merged_dataset
+        encoded._numeric[name] = (grown, _grow(missing, d_missing))
+    for name, levels in base._normalised.items():
+        column = merged._columns.get(name)
+        if column is None or column.is_numeric():
+            continue
+        from repro.lod.linker import normalise_string
+
+        vocabulary = encoded.codes_view(name)[1]
+        encoded._normalised[name] = levels + [normalise_string(level) for level in vocabulary[len(levels):]]
 
 
 #: Growth buffers by ``id``: a weak reference to the buffer and its high-water mark.

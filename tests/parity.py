@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
+from repro.lod.linker import normalise_string
+from repro.tabular.dataset import is_missing_value
 from repro.tiers import reference
 
 
@@ -38,3 +42,40 @@ def on_reference(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` run inside :func:`repro.tiers.reference`."""
     with reference():
         return fn(*args, **kwargs)
+
+
+# -- the per-cell walks the encoded views must equal -------------------------
+
+def reference_missing(cells):
+    """The missing mask of ``cells``, one ``is_missing_value`` per cell."""
+    return np.asarray([is_missing_value(value) for value in cells], dtype=bool)
+
+
+def reference_codes(cells):
+    """``(codes, vocabulary, index)``: ``str`` of each present cell coded in first-seen order, ``-1`` missing."""
+    missing = reference_missing(cells)
+    codes = np.full(len(cells), -1, dtype=np.int64)
+    index: dict[str, int] = {}
+    for i, value in enumerate(cells):
+        if not missing[i]:
+            codes[i] = index.setdefault(str(value), len(index))
+    return codes, list(index), index
+
+
+def reference_numeric(cells):
+    """``(values, missing)``: ``float()`` of each present cell; a cell it rejects is missing."""
+    missing = reference_missing(cells)
+    values = np.full(len(cells), np.nan)
+    for i, value in enumerate(cells):
+        if missing[i]:
+            continue
+        try:
+            values[i] = float(value)
+        except (TypeError, ValueError):
+            missing[i] = True
+    return values, missing
+
+
+def reference_normalised_levels(cells):
+    """``normalise_string`` of every level of :func:`reference_codes`'s vocabulary."""
+    return [normalise_string(level) for level in reference_codes(cells)[1]]

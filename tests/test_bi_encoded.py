@@ -23,7 +23,7 @@ from parity import assert_identical_datasets, on_reference
 
 from repro.bi import Cube, Dimension, KPI, Measure, cube_report, evaluate_kpis_by_level
 from repro.exceptions import ReproError, SchemaError
-from repro.tabular.dataset import ColumnType, Dataset
+from repro.tabular.dataset import Column, ColumnType, Dataset
 from repro.tabular.encoded import encode_dataset
 from repro.tabular.transforms import group_by
 from repro.tiers import reference
@@ -270,6 +270,15 @@ def test_cube_aggregate_and_grand_total_identical(cube):
         cube.aggregate(["region", "year"]), on_reference(cube.aggregate, ["region", "year"])
     )
     assert_identical_datasets(cube.aggregate(), on_reference(cube.aggregate))
+
+
+def test_grand_total_of_a_dataset_with_an_all_column(cube):
+    """A column named ``__all__`` is an ordinary column to the grand total."""
+    dataset = cube.dataset.add_column(Column("__all__", ["x"] * cube.dataset.n_rows))
+    clashing = Cube(dataset, cube.dimensions, cube.measures)
+    total = clashing.aggregate()
+    assert_identical_datasets(total, cube.aggregate())
+    assert_identical_datasets(total, on_reference(clashing.aggregate))
 
 
 def test_cube_rollup_and_drill_down_identical(cube):

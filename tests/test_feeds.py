@@ -24,7 +24,7 @@ import pytest
 from parity import assert_identical_datasets, bits
 
 from repro.bi import KPI, Cube, Dimension, Measure, evaluate_kpis_by_level
-from repro.exceptions import FeedError, FeedTransientError, LODError, OLAPError, ReproError, SchemaError
+from repro.exceptions import FeedError, FeedTransientError, OLAPError, ReproError, SchemaError
 from repro.feeds import (
     FeedConnector,
     FixtureFeed,
@@ -45,7 +45,8 @@ from repro.quality import measure_quality
 from repro.quality.completeness import CompletenessCriterion
 from repro.quality.duplicates import DuplicationCriterion
 from repro.tabular import read_csv, write_csv
-from repro.tabular.dataset import CodedColumn, ColumnRole, ColumnType, Dataset
+from repro.tabular import encoded as encoded_module
+from repro.tabular.dataset import Column, ColumnRole, ColumnType, Dataset
 from repro.tabular.encoded import _CACHE_ATTR, encode_dataset
 from repro.tabular.transforms import group_by
 from repro.tiers import reference
@@ -155,11 +156,14 @@ class TestAppend:
         merged = append_dataset(base, delta)
         seeded = getattr(merged, _CACHE_ATTR)
 
-        def _boom(self, name):  # pragma: no cover - only runs on regression
-            raise AssertionError(f"column {name!r} was re-encoded after append")
+        def _boom(*args):  # pragma: no cover - only runs on regression
+            raise AssertionError(f"a view was recomputed after append: {args!r}")
 
-        monkeypatch.setattr(type(seeded), "_encode_numeric", _boom)
-        monkeypatch.setattr(type(seeded), "_encode_categorical", _boom)
+        # The numeric views are seeded, the codes are the merged columns' own,
+        # and no cell is read.
+        monkeypatch.setattr(encoded_module, "_level_floats", _boom)
+        monkeypatch.setattr(encoded_module, "_float_codes", _boom)
+        monkeypatch.setattr(Column, "values", property(_boom))
         for column in merged.columns:
             if column.is_numeric():
                 seeded.numeric_view(column.name)
@@ -360,7 +364,7 @@ class TestAppendedRows:
         try:
             assert appended_rows(opened_base, opened_merged) == 15
             assert appended_rows(opened_base, Dataset.open(base.save(tmp_path / "same.rps"))) == 0
-            assert all(c._cells is None for c in opened_merged.columns if isinstance(c, CodedColumn))
+            assert all(c._cells is None for c in opened_merged.columns if not c.is_numeric())
         finally:
             opened_base.close()
             opened_merged.close()
@@ -389,13 +393,14 @@ class TestAppendedRows:
             ctypes["year"] = ColumnType.CATEGORICAL
         merged = Dataset.from_rows(rows, name=name, ctypes=ctypes, roles=roles,
                                    column_order=list(rows[0]))
-        if change == "vocabulary_reordered":
+        if change == "vocabulary_reordered":  # as a store file may hold it
             codes, vocabulary, _ = encode_dataset(merged).codes_view("region")
             reordered = vocabulary[::-1]
             remap = np.asarray([reordered.index(level) for level in vocabulary] + [-1])
-            fresh = Dataset.from_rows(rows, name=name, ctypes=ctypes, roles=roles)
-            encode_dataset(fresh).seed_categorical("region", remap[codes], reordered)
-            merged = fresh
+            region = merged["region"]
+            merged = merged.replace_column(
+                Column.from_vocabulary("region", region.ctype, region.role, remap[codes], reordered, None)
+            )
         elif change == "nan_payload":  # still missing, but not the same bytes
             values = merged["amount"].values
             values[np.flatnonzero(np.isnan(values))[0]] = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
@@ -744,7 +749,7 @@ class TestIncrementalGroupBy:
             kpis = IncrementalKPIBoard([KPI("avg_score", "score", target=0.5)], cube, "region")
             grouped_result, kpi_result = grouped.refresh(merged), kpis.refresh(merged)
             for dataset in (opened, merged):
-                assert all(c._cells is None for c in dataset.columns if isinstance(c, CodedColumn))
+                assert all(c._cells is None for c in dataset.columns if not c.is_numeric())
             cold = _cold(merged)
             assert_identical_datasets(grouped_result, group_by(cold, ["region", "year"], cube._aggregations()))
             reference_cube = Cube(cold, dimensions=cube.dimensions, measures=cube.measures, name=cube.name)
@@ -1012,81 +1017,6 @@ class TestDuplicationState:
             merged = append_rows(merged, _delta_rows(30, seed=seed) + _base_rows(10, seed=seed))
             _assert_identical_profiles(profile.refresh(merged), measure_quality(_cold(merged), ["duplication"]))
         assert profile.profile().details("duplication")["n_exact_duplicates"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Columnar triple-index appends
-# ---------------------------------------------------------------------------
-
-def _graph_triples(n: int, prefix: str = "s"):
-    from repro.lod.terms import IRI, Literal, Triple
-
-    triples = []
-    for i in range(n):
-        subject = IRI(f"http://ex/{prefix}{i}")
-        triples.append(Triple(subject, IRI("http://ex/p"), Literal(str(i))))
-        triples.append(Triple(subject, IRI("http://ex/q"), IRI(f"http://ex/o{i % 5}")))
-    return triples
-
-
-class TestTripleStoreAppend:
-    def _store(self, n=30):
-        from repro.lod.triples import TripleStore
-
-        store = TripleStore()
-        for triple in _graph_triples(n):
-            store.add(triple)
-        return store
-
-    def test_append_extends_snapshot_bit_identically(self):
-        from repro.lod.triples import TripleStore
-
-        store = self._store(30)
-        snapshot = store.columnar()
-        snapshot.order("spo")  # materialise the primary order + blocks
-        added = store.append(_graph_triples(10, prefix="new"))
-        assert added == 20
-        assert store.columnar() is snapshot  # kept, not rebuilt
-        reference = TripleStore()
-        for triple in _graph_triples(30):
-            reference.add(triple)
-        for triple in _graph_triples(10, prefix="new"):
-            reference.add(triple)
-        fresh = reference.columnar()
-        assert snapshot.terms == fresh.terms
-        for kind in ("spo", "pos", "osp"):
-            for extended, rebuilt in zip(snapshot.order(kind), fresh.order(kind)):
-                assert np.array_equal(extended, rebuilt)
-            for extended, rebuilt in zip(snapshot._block_table(kind), fresh._block_table(kind)):
-                assert np.array_equal(extended, rebuilt)
-
-    def test_append_existing_subject_falls_back(self):
-        from repro.lod.terms import IRI, Literal, Triple
-
-        store = self._store(10)
-        snapshot = store.columnar()
-        # A new triple under an existing subject would grow SPO mid-array, so
-        # the append falls back to update() and invalidates the snapshot.
-        added = store.append([Triple(IRI("http://ex/s0"), IRI("http://ex/extra"), Literal("x"))])
-        assert added == 1
-        assert store._columnar is not snapshot
-
-    def test_append_duplicates_keep_snapshot(self):
-        store = self._store(10)
-        snapshot = store.columnar()
-        assert store.append(_graph_triples(3)) == 0  # all already present
-        assert store._columnar is snapshot
-
-    def test_append_force_rebuild_invalidates(self):
-        store = self._store(10)
-        store.columnar()
-        store.update(_graph_triples(2, prefix="fresh"))
-        assert store._columnar is None
-
-    def test_append_rejects_non_triples(self):
-        store = self._store(5)
-        with pytest.raises(LODError, match="expects Triples"):
-            store.append(["not-a-triple"])
 
 
 # ---------------------------------------------------------------------------

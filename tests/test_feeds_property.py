@@ -17,8 +17,6 @@ from parity import assert_identical_datasets
 
 from repro.bi import KPI, Cube, Dimension, Measure, evaluate_kpis_by_level
 from repro.feeds import IncrementalGroupBy, IncrementalKPIBoard, IncrementalProfile, append_rows
-from repro.lod.terms import IRI, Literal, Triple
-from repro.lod.triples import TripleStore
 from repro.quality import measure_quality
 from repro.tabular.dataset import ColumnType, Dataset
 from repro.tabular.encoded import _CACHE_ATTR, encode_dataset
@@ -172,45 +170,3 @@ def test_incremental_kpi_board_matches_one_shot_rebuild(base, batches):
         all_rows.extend(batch)
         result = board.refresh(merged)
     assert_identical_datasets(result, evaluate_kpis_by_level(kpis, _cube(_dataset(all_rows)), "group"))
-
-
-@given(
-    base_subjects=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=15, unique=True),
-    new_batches=st.lists(
-        st.lists(st.integers(min_value=100, max_value=130), min_size=1, max_size=6, unique=True),
-        min_size=1,
-        max_size=3,
-    ),
-)
-@settings(max_examples=20, deadline=None)
-def test_triple_append_matches_one_shot_rebuild(base_subjects, new_batches):
-    """Extending the columnar snapshot equals rebuilding it, for any batch split."""
-    def _triples(ids):
-        out = []
-        for i in ids:
-            subject = IRI(f"http://ex/s{i}")
-            out.append(Triple(subject, IRI("http://ex/p"), Literal(str(i))))
-            out.append(Triple(subject, IRI("http://ex/q"), IRI(f"http://ex/o{i % 4}")))
-        return out
-
-    store = TripleStore()
-    for triple in _triples(base_subjects):
-        store.add(triple)
-    snapshot = store.columnar()
-    snapshot.order("spo")
-    seen = set(base_subjects)
-    appended = []
-    for batch in new_batches:
-        fresh = [i for i in batch if i not in seen]
-        seen.update(fresh)
-        appended.extend(fresh)
-        store.append(_triples(fresh))
-    reference = TripleStore()
-    for triple in _triples(base_subjects) + _triples(appended):
-        reference.add(triple)
-    rebuilt = reference.columnar()
-    extended = store.columnar()
-    assert extended.terms == rebuilt.terms
-    for kind in ("spo", "pos", "osp"):
-        for left, right in zip(extended.order(kind), rebuilt.order(kind)):
-            assert np.array_equal(left, right)

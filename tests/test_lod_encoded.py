@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from parity import assert_identical_bindings, assert_identical_datasets, bits, on_reference
+from parity import assert_identical_bindings, assert_identical_datasets, bits, on_reference, reference_codes
 
 from repro.datasets import air_quality
 from repro.datasets.civic import CIVIC, civic_lod_graph
@@ -30,7 +30,6 @@ from repro.lod.tabulate import tabulate_entities
 from repro.lod.terms import BNode, Literal, Triple
 from repro.lod.vocabulary import Namespace, OWL, RDF
 from repro.quality import measure_quality
-from repro.tabular import encoded as encoded_module
 from repro.tabular.encoded import EncodedDataset, encode_dataset
 
 EX = Namespace("http://example.org/")
@@ -139,6 +138,10 @@ class TestSelectEquivalence:
         triple = Triple(EX["fresh"], RDF.type, EX.City)
         city_graph.remove(triple)
         assert len(select(city_graph, patterns)) == before
+        city_graph.store.update([Triple(EX["bulk"], RDF.type, EX.City)])
+        assert city_graph.store._columnar is None
+        assert len(select(city_graph, patterns)) == before + 1
+        city_graph.remove(Triple(EX["bulk"], RDF.type, EX.City))
         assert_identical_bindings(
             select(city_graph, patterns), on_reference(select, city_graph, patterns)
         )
@@ -442,15 +445,14 @@ class TestTabulateEquivalence:
 
 class TestEncodedSeeding:
     def test_seeded_views_match_a_cold_encode(self, lod_graph):
+        """The codes the tabulation gathers are the per-cell walk's."""
         dataset = tabulate_entities(lod_graph, CIVIC.AirQualityReading)
-        assert hasattr(dataset, encoded_module._CACHE_ATTR)
         seeded = encode_dataset(dataset)
-        cold = EncodedDataset(dataset)
         for name in dataset.column_names:
             if dataset[name].is_numeric():
                 continue
             codes, vocabulary, index = seeded.codes_view(name)
-            cold_codes, cold_vocabulary, cold_index = cold._encode_categorical(name)
+            cold_codes, cold_vocabulary, cold_index = reference_codes(dataset[name].tolist())
             assert vocabulary == cold_vocabulary
             assert index == cold_index
             assert np.array_equal(codes, cold_codes)

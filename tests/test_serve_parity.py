@@ -36,7 +36,7 @@ from repro.serve import (
     fingerprint_path,
 )
 from repro.store import open_dataset, open_graph
-from repro.tabular.dataset import ColumnRole, ColumnType, Dataset
+from repro.tabular.dataset import Column, ColumnRole, ColumnType, Dataset
 from repro.tabular.encoded import encode_dataset
 from rawhttp import exchange
 
@@ -582,12 +582,14 @@ class TestAppendedSnapshots:
             elif change == "same_file":
                 new_rows = rows
             replacement = Dataset.from_rows(new_rows, name=name, ctypes=ctypes, roles=roles)
-            if change == "vocabulary_reordered":
+            if change == "vocabulary_reordered":  # as a store file may hold it
                 codes, vocabulary, _ = encode_dataset(replacement).codes_view("district")
                 reordered = vocabulary[::-1]
                 remap = np.asarray([reordered.index(level) for level in vocabulary] + [-1])
-                replacement = Dataset.from_rows(new_rows, name=name, ctypes=ctypes)
-                encode_dataset(replacement).seed_categorical("district", remap[codes], reordered)
+                district = replacement["district"]
+                replacement = replacement.replace_column(Column.from_vocabulary(
+                    "district", district.ctype, district.role, remap[codes], reordered, None
+                ))
             if change != "same_file":
                 _replace(replacement, target)
             params = {"name": "budget"} if target == store else {"name": "budget", "path": str(target)}
