@@ -1,23 +1,26 @@
 """BENCH-PERF-STORE — memory-mapped store open vs cold in-memory encode.
 
 The persistence tier (:mod:`repro.store`) promises two things: opening a
-saved store file costs O(metadata) instead of O(cells) — the encoded views
-come back as zero-copy memory maps with every instance cache pre-seeded —
-and everything computed on those views is **bit-identical** to a cold
-in-memory encode of the same dataset or graph.  Two cases, each timing the
-cold path first:
+saved store file costs O(metadata) instead of O(cells) — the columns' codes
+and values and the graph's index orders come back as zero-copy memory maps,
+so no cell is coerced or coded again — and everything computed on them is
+**bit-identical** to a cold in-memory encode of the same dataset or graph.
+Two cases, each timing the cold path first:
 
 ``dataset``
     Cold path (build every column from its raw cells — coercing and coding
     them — then encode every numeric/code/missing/normalised view) vs
     ``repro.store.open_dataset`` plus touching the same views, at ≥1M cells.
-    Identity covers the views as raw bytes, the quality profile and a cube
-    roll-up.
+    The open skips the coercing and coding; the first touch pays, per coded
+    column, one ``float()`` and one normalisation per level and a gather by
+    code (none when no level parses as a float, as here).  Identity covers
+    the views as raw bytes, the quality profile and a cube roll-up.
 ``graph``
     Cold path (intern the columnar snapshot and build all three index
-    orderings and block tables) vs ``repro.store.open_graph``.  Identity
-    covers the orderings and block tables as raw bytes and a vectorized
-    ``rdf:type`` select.
+    orderings and block tables) vs ``repro.store.open_graph`` plus building
+    the block tables from the mapped orderings.  Identity covers the
+    orderings and block tables as raw bytes and a vectorized ``rdf:type``
+    select.
 
 ``benchmarks/_harness.py`` runs it, records ``BENCH_perf_store.json`` and
 guards it with ``--quick``.
@@ -60,8 +63,10 @@ def _touch_dataset_views(dataset) -> None:
     """Materialise every encoded view (the startup work being measured).
 
     With the column build before it, this is the work the cold path pays
-    per process and the store open skips: coercion, first-seen code
-    assignment, float parses, normalisation.
+    per process.  The store open skips the column build, coercion and
+    first-seen code assignment; on an opened store this pays, per coded
+    column, one ``float()`` and one normalisation per level and a gather by
+    code (none when no level parses as a float).
     """
     encoded = encode_dataset(dataset)
     for column in dataset.columns:

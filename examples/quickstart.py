@@ -19,9 +19,9 @@ The script walks the whole OpenBI loop on a small synthetic civic source:
    dataset on the columnar LOD tier, and cube the tabulation — the
    tabulated dataset arrives with its encoding pre-seeded, so the whole
    LOD → profile → cube chain encodes it exactly once;
-8. persist the encoded source and the published graph to binary store
-   files and reopen them as zero-copy memory maps — no re-encoding, with
-   every result bit-identical (see docs/store-format.md).
+8. persist the source's coded columns and the published graph to binary
+   store files and reopen them as zero-copy memory maps — no cell is coded
+   again, and every result is bit-identical (see docs/store-format.md).
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def main() -> None:
     print(dataset_to_table_text(lod_cube.rollup("topic")))
 
     # 8. Persist to the binary store and reopen as memory-mapped views.
-    # The reopened dataset arrives with its encoding pre-seeded from the
-    # file, so profiling or cubing it skips the encode step entirely —
-    # and stays bit-identical to the in-memory original.
+    # The file holds the coded columns, so reopening codes no cell again;
+    # profiling or cubing the reopened dataset builds each view it reads
+    # the way the in-memory original does, and stays bit-identical to it.
     store_path = source.save(workdir / "service_requests.rps")
     reopened = type(source).open(store_path)
     graph_path = graph.save(workdir / "service_requests_lod.rps")

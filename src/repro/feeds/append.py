@@ -112,9 +112,10 @@ def appended_rows(base: Dataset, merged: Dataset) -> int | None:
     names and the column names, order, ctypes and roles must be equal; each
     numeric column's first ``n = base.n_rows`` values byte-equal; and for
     every other column the base's vocabulary a prefix of the merged one,
-    with the codes and the missing mask byte-equal over the first ``n``
-    rows.  On opened stores this reads each primary section's first ``n``
-    rows once and materialises nothing.  Equal datasets append ``0`` rows.
+    with the codes (which determine the missing mask) byte-equal over the
+    first ``n`` rows.  On opened stores this reads each primary section's
+    first ``n`` rows once and materialises nothing.  Equal datasets append
+    ``0`` rows.
     """
     n = base.n_rows
     if merged.name != base.name or merged.n_rows < n or merged.n_columns != base.n_columns:
@@ -129,10 +130,6 @@ def appended_rows(base: Dataset, merged: Dataset) -> int | None:
             continue
         codes, vocabulary, _ = base_views.codes_view(old.name)
         new_codes, new_vocabulary, _ = merged_views.codes_view(new.name)
-        if (
-            new_vocabulary[: len(vocabulary)] != vocabulary
-            or not _same_bytes(codes, new_codes[:n])
-            or not _same_bytes(base_views.missing_view(old.name), merged_views.missing_view(new.name)[:n])
-        ):
+        if new_vocabulary[: len(vocabulary)] != vocabulary or not _same_bytes(codes, new_codes[:n]):
             return None
     return merged.n_rows - n

@@ -173,9 +173,9 @@ class Graph:
         """Write this graph and its columnar snapshot to a binary store file.
 
         The file (format: ``docs/store-format.md``) captures the interned
-        term table, all three index orderings and their block tables, so
-        :meth:`open` can memory-map the snapshot back without re-interning.
-        Returns the path written.
+        term table and all three index orderings, so :meth:`open` can
+        memory-map the snapshot back without re-interning; the block tables
+        are built from the orderings on first use.  Returns the path written.
         """
         from repro.store import save_graph
 

@@ -7,10 +7,11 @@ that fails bounds or checksum validation.  This module is the matching
 salvage tier: it CRC-walks *every* section of the file, then recovers
 whatever the surviving sections determine:
 
-* **derived sections** (missing masks, numeric views, normalised level
-  tables, POS/OSP orderings, block tables — flagged ``FLAG_DERIVED`` in the
-  directory) are rebuilt from the primaries they were derived from; damage
-  there costs recompute time, never data;
+* **derived sections** (a graph's POS/OSP orderings; in version-1 files
+  also missing masks, numeric views, normalised level tables and block
+  tables — every section flagged ``FLAG_DERIVED`` in the directory) are
+  rebuilt from the primaries they were derived from; damage there costs
+  recompute time, never data;
 * **primary dataset sections** (a column's value/code/level payloads) that
   are damaged drop that column — the rest of the dataset survives, and the
   report names every dropped column;
@@ -57,7 +58,7 @@ class StoreSalvageReport:
         self.damaged_sections: dict[str, str] = {}
         #: Columns dropped because a primary section of theirs was damaged.
         self.dropped_columns: list[str] = []
-        #: Damaged *derived* sections recovered by recomputation.
+        #: Damaged sections flagged derived: recomputation replaces them, so they cost no data.
         self.rebuilt_sections: list[str] = []
 
     @property
@@ -122,16 +123,15 @@ def salvage_store(path: Path | str, strict: bool = False) -> StoreSalvageResult:
         damage = store_file.verify()
         report = StoreSalvageReport(path, KIND_NAMES[store_file.kind])
         report.damaged_sections = dict(damage)
+        # Pseudo-sections such as "header" have no directory entry.
+        report.rebuilt_sections = [
+            name for name in damage if name in store_file.sections and store_file.sections[name].derived
+        ]
         if store_file.kind == KIND_DATASET:
             payload = _salvage_dataset(store_file, damage, report)
         else:
             payload = _salvage_graph(store_file, damage, report)
     return StoreSalvageResult(payload, report)
-
-
-def _note_derived(report: StoreSalvageReport, damage: dict, names: list[str]) -> None:
-    """Record which of ``names`` were damaged-but-derived, hence rebuilt."""
-    report.rebuilt_sections += [name for name in names if name in damage]
 
 
 def _salvage_dataset(store_file: StoreFile, damage: dict, report: StoreSalvageReport) -> Dataset:
@@ -147,14 +147,13 @@ def _salvage_dataset(store_file: StoreFile, damage: dict, report: StoreSalvageRe
         if any(section in damage for section in primaries):
             report.dropped_columns.append(name)
             continue
-        _note_derived(report, damage, [f"{prefix}.{suffix}" for suffix in ("msk", "num", "nmk", "nrm")])
         # Copies of the sections: the salvaged dataset outlives the store file.
         if ctype == ColumnType.NUMERIC:
             columns.append(Column._canonical(name, ctype, role, np.array(store_file.array(f"{prefix}.val"))))
         else:
             codes = np.array(store_file.array(f"{prefix}.cod"))
             vocabulary = store_file.strings(f"{prefix}.lev")
-            columns.append(Column.from_vocabulary(name, ctype, role, codes, vocabulary, None))
+            columns.append(Column.from_vocabulary(name, ctype, role, codes, vocabulary))
     if not columns:
         raise StoreError(
             f"store {store_file.path}: unsalvageable dataset — every column lost a primary section"
@@ -172,9 +171,6 @@ def _salvage_graph(store_file: StoreFile, damage: dict, report: StoreSalvageRepo
         raise StoreError(
             f"store {store_file.path}: unsalvageable graph — primary section(s) damaged: {', '.join(lost)}"
         )
-    derived = [f"{index}.{suffix}" for index in ("pos", "osp") for suffix in "spo"]
-    derived += [f"{index}.{suffix}" for index in ("spo", "pos", "osp") for suffix in ("bk", "bs", "be")]
-    _note_derived(report, damage, derived)
     terms = _decode_terms(store_file)
     s_ids = store_file.array("spo.s")
     p_ids = store_file.array("spo.p")

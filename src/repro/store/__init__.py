@@ -1,13 +1,14 @@
 """The persistence tier: a memory-mapped on-disk format for encoded data.
 
-``repro.store`` serializes a dataset together with its encoded views
-(:class:`~repro.tabular.encoded.EncodedDataset`) or a graph together with
-its columnar snapshot (:class:`~repro.lod.triples.ColumnarTriples`) into a
-single ``.rps`` file — magic, versioned header, checksummed section
-directory, 64-byte-aligned little-endian payloads — and reopens it as
-zero-copy read-only ``np.memmap`` views wired straight into the instance
-caches the execution core consumes.  Opening therefore skips encoding
-entirely and costs O(metadata), not O(cells); the views can exceed RAM.
+``repro.store`` serializes a dataset's columns (``float64`` values, or
+int64 codes and a level table) or a graph's columnar snapshot
+(:class:`~repro.lod.triples.ColumnarTriples`: its term table and three
+index orders) into a single ``.rps`` file — magic, versioned header,
+checksummed section directory, 64-byte-aligned little-endian payloads — and
+reopens it as zero-copy read-only ``np.memmap`` views.  Opening therefore
+codes no cell and costs O(metadata), not O(cells); the views can exceed
+RAM.  Every derived view is built on first use, as for an in-memory
+payload.
 
 The tier follows the library-wide two-tier protocol: everything computed on
 a reopened (memmap) payload is bit-identical to a cold in-memory encode of

@@ -42,8 +42,12 @@ from repro.exceptions import StoreCorruptionError, StoreError
 #: magic, not the version — the version lives in the header proper.
 MAGIC = b"RPRSTOR1"
 
-#: Format version written by this library.  Readers reject other majors.
-FORMAT_VERSION = 1
+#: Format version written by this library: primaries only.
+FORMAT_VERSION = 2
+
+#: Versions this library reads.  A version-1 file holds the same primaries
+#: plus derived copies, which the reader does not read.
+READ_VERSIONS = (1, 2)
 
 #: Header ``kind`` values: what the file's payload is.
 KIND_DATASET = 1
@@ -254,8 +258,11 @@ class StoreFile:
             raise StoreCorruptionError(self.path, "header", f"bad magic {magic!r} (expected {MAGIC!r})")
         if zlib.crc32(head[: HEADER_STRUCT.size - 4]) != head_crc:
             raise StoreCorruptionError(self.path, "header", "header checksum mismatch")
-        if version != FORMAT_VERSION:
-            raise StoreError(f"store {self.path}: unsupported format version {version} (this library reads {FORMAT_VERSION})")
+        if version not in READ_VERSIONS:
+            raise StoreError(
+                f"store {self.path}: unsupported format version {version} "
+                f"(this library reads versions {', '.join(map(str, READ_VERSIONS))})"
+            )
         if kind not in KIND_NAMES:
             raise StoreCorruptionError(self.path, "header", f"unknown payload kind {kind}")
         self.version = version

@@ -1,11 +1,13 @@
 """Open ``.rps`` store files as memory-mapped datasets and graphs.
 
 Opening does no per-cell work: array sections become zero-copy read-only
-:class:`numpy.memmap` views wired straight into the instance caches the
-execution core already consumes (:class:`~repro.tabular.encoded.EncodedDataset`
-for datasets, :class:`~repro.lod.triples.ColumnarTriples` for graphs), so a
-reopened payload starts in microseconds regardless of size and every hot
-path is bit-identical to a cold in-memory encode of the same data.
+:class:`numpy.memmap` views of the primaries, a dataset's columns and a
+graph's index orders (:class:`~repro.lod.triples.ColumnarTriples`), so a
+reopened payload starts in microseconds regardless of size.  Every derived
+view — missing masks, numeric views, normalised levels, block tables — is
+built on first use by the code an in-memory payload runs, so every hot path
+is bit-identical to a cold in-memory encode of the same data.  Version-1
+files also hold derived copies of those views; they are not read.
 
 Two lazy types bridge the gap to the object tiers:
 
@@ -143,42 +145,29 @@ def open_dataset(path: Path | str, verify: bool = False) -> Dataset:
     """Open a dataset store file; see :meth:`repro.tabular.dataset.Dataset.open`.
 
     Numeric columns alias the mapped ``float64`` sections directly; other
-    columns are coded columns over the mapped codes, their saved level
-    tables and missing masks, which the file is trusted to keep in
-    first-seen order (its writer saved a categorical view); and the
-    dataset's :class:`~repro.tabular.encoded.EncodedDataset` cache is
-    pre-seeded with the saved numeric views and normalised level tables — so
-    the encoding step every hot path starts with is skipped entirely.
+    columns are coded columns over the mapped codes and their saved level
+    tables, which the file is trusted to keep in first-seen order (its
+    writer saved a categorical view).  Nothing else is read: every encoded
+    view is built on first use, as for an in-memory dataset.
     ``verify=True`` additionally checksums every array section (metadata
     sections are always checked).
     """
     store_file = _open_store(path, KIND_DATASET)
     meta = store_file.json("meta")
     columns: list[Column] = []
-    seeds: list[tuple] = []
     for described in meta["columns"]:
         name, ctype, role, prefix = described["name"], described["ctype"], described["role"], described["prefix"]
         if ctype == ColumnType.NUMERIC:
             column = Column._canonical(name, ctype, role, store_file.array(f"{prefix}.val"))
         else:
             column = Column.from_vocabulary(
-                name, ctype, role, store_file.array(f"{prefix}.cod"), store_file.strings(f"{prefix}.lev"),
-                store_file.array(f"{prefix}.msk"),
-            )
-            seeds.append(
-                (
-                    name,
-                    store_file.array(f"{prefix}.num"),
-                    store_file.array(f"{prefix}.nmk"),
-                    store_file.strings(f"{prefix}.nrm"),
-                )
+                name, ctype, role, store_file.array(f"{prefix}.cod"), store_file.strings(f"{prefix}.lev")
             )
         columns.append(column)
     dataset = Dataset(columns, name=meta["name"])
-    encoded = encode_dataset(dataset)
-    for name, num_values, num_missing, normalised in seeds:
-        encoded.seed_numeric(name, num_values, num_missing)
-        encoded.seed_normalised(name, normalised)
+    # An encoded dataset is what Dataset.concat grows in place; without an
+    # encoding, every append onto an opened store would copy every column.
+    encode_dataset(dataset)
     if verify:
         store_file.verify()
     dataset._store_file = store_file  # keeps the map alive; provenance for tools
@@ -240,11 +229,11 @@ def _new_iri(value: str) -> IRI:
 def open_graph(path: Path | str, verify: bool = False) -> Graph:
     """Open a graph store file; see :meth:`repro.lod.graph.Graph.open`.
 
-    The columnar snapshot is rebuilt directly from the mapped id arrays and
-    block tables (no interning pass), and the dict indexes stay unbuilt
-    until a reference-tier scan or a mutation needs them — so the vectorized
-    query path runs on a just-opened multi-million-triple graph without any
-    per-triple Python.
+    The columnar snapshot is rebuilt directly from the mapped id arrays (no
+    interning pass); its block tables are built from them on first use, and
+    the dict indexes stay unbuilt until a reference-tier scan or a mutation
+    needs them — so the vectorized query path runs on a just-opened
+    multi-million-triple graph without any per-triple Python.
     """
     store_file = _open_store(path, KIND_GRAPH)
     meta = store_file.json("meta")
@@ -256,17 +245,13 @@ def open_graph(path: Path | str, verify: bool = False) -> Graph:
         index: tuple(store_file.array(f"{index}.{position}") for position in "spo")
         for index in ("spo", "pos", "osp")
     }
-    blocks = {
-        index: tuple(store_file.array(f"{index}.{suffix}") for suffix in ("bk", "bs", "be"))
-        for index in ("spo", "pos", "osp")
-    }
     store = StoredTripleStore(terms, orders, int(meta["n_triples"]))
     snapshot = ColumnarTriples.__new__(ColumnarTriples)
     snapshot.terms = terms
     snapshot.term_ids = term_ids
     snapshot._store = weakref.ref(store)
     snapshot._orders = orders
-    snapshot._blocks = blocks
+    snapshot._blocks = {}
     store._columnar = snapshot
     graph = Graph(meta["identifier"])
     graph.store = store

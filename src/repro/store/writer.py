@@ -1,11 +1,12 @@
 """Serialize datasets and graphs into ``.rps`` store files.
 
-The writer saves not just the raw data but the *encoded views* the execution
-core runs on — exactly as the in-memory encoder produced them — so that
-reopening (:mod:`repro.store.reader`) can wire memory-mapped arrays straight
-into the instance caches and stay bit-identical to a cold encode without
-re-running any per-cell Python.  See ``docs/store-format.md`` for the byte
-layout and :mod:`repro.store.format` for the framing primitives.
+The writer saves only primaries: a dataset's columns as they are held in
+memory (``float64`` values, or int64 codes and a level table) and a graph's
+term table with its three index orders.  Every other view is a function of
+those, which reopening (:mod:`repro.store.reader`) leaves to the code an
+unsaved payload runs, so a reopened payload is bit-identical to a cold
+encode because there is one derivation.  See ``docs/store-format.md`` for
+the byte layout and :mod:`repro.store.format` for the framing primitives.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.exceptions import StoreError
 from repro.lod.graph import Graph
 from repro.lod.terms import BNode, IRI, Literal
 from repro.store.format import (
-    DTYPE_BOOL,
     DTYPE_F8,
     DTYPE_I8,
     DTYPE_NONE,
@@ -61,39 +61,28 @@ def _json_section(document: dict) -> tuple[str, int, int, int, bytes, int]:
 
 
 def save_dataset(dataset: Dataset, path: Path | str) -> Path:
-    """Write ``dataset`` and its encoded views to a store file at ``path``.
+    """Write ``dataset``'s columns to a store file at ``path``.
 
-    Every column contributes its primary representation (the ``float64``
-    values for numeric columns; the int64 codes plus the level string table
-    for object columns) and, for object columns, the derived views the
-    in-memory encoder would otherwise recompute per process: the missing
-    mask, the numeric view pair, and the normalised level table.  The
-    derived sections are written from the encoder's own output at save time,
-    which is what makes a reopened dataset bit-identical to a cold encode by
-    construction.
+    A numeric column writes its ``float64`` values; any other column writes
+    its int64 codes and the ``str`` of each level, its categorical view.
+    Nothing derived is written: the missing mask, the numeric view and the
+    normalised levels of a reopened column are built on first use, from the
+    same codes, by the code that builds them for an unsaved one.
     """
     encoded = encode_dataset(dataset)
     sections: list[tuple[str, int, int, int, bytes, int]] = []
     columns_meta: list[dict] = []
-    for i, name in enumerate(dataset.column_names):
-        column = dataset[name]
+    for i, column in enumerate(dataset.columns):
         prefix = f"c{i}"
-        columns_meta.append({"name": name, "ctype": column.ctype, "role": column.role, "prefix": prefix})
+        columns_meta.append({"name": column.name, "ctype": column.ctype, "role": column.role, "prefix": prefix})
         if column.is_numeric():
-            values, _ = encoded.numeric_view(name)
+            values = column.values
             sections.append((f"{prefix}.val", SECTION_ARRAY, DTYPE_F8, 0, _array_payload(values, "<f8"), len(values)))
             continue
-        codes, vocabulary, _ = encoded.codes_view(name)
-        mask = column.missing_mask()
-        num_values, num_missing = encoded.numeric_view(name)
-        normalised = encoded.normalised_levels(name)
+        codes, vocabulary, _ = encoded.codes_view(column.name)
         sections += [
             (f"{prefix}.cod", SECTION_ARRAY, DTYPE_I8, 0, _array_payload(codes, "<i8"), len(codes)),
             (f"{prefix}.lev", SECTION_STRINGS, DTYPE_NONE, 0, encode_string_table(vocabulary), len(vocabulary)),
-            (f"{prefix}.msk", SECTION_ARRAY, DTYPE_BOOL, FLAG_DERIVED, _array_payload(mask, "|b1"), len(mask)),
-            (f"{prefix}.num", SECTION_ARRAY, DTYPE_F8, FLAG_DERIVED, _array_payload(num_values, "<f8"), len(num_values)),
-            (f"{prefix}.nmk", SECTION_ARRAY, DTYPE_BOOL, FLAG_DERIVED, _array_payload(num_missing, "|b1"), len(num_missing)),
-            (f"{prefix}.nrm", SECTION_STRINGS, DTYPE_NONE, FLAG_DERIVED, encode_string_table(normalised), len(normalised)),
         ]
     meta = {
         "payload": "dataset",
@@ -173,15 +162,16 @@ def _encode_terms(terms: list) -> tuple[list[tuple], list[str], list[str]]:
 
 
 def save_graph(graph: Graph, path: Path | str) -> Path:
-    """Write ``graph`` and its columnar snapshot to a store file at ``path``.
+    """Write ``graph``'s term table and three index orders to a store file at ``path``.
 
-    The snapshot's three orderings and block tables are forced before
-    writing, so the file captures the exact row orders of the live store's
-    dict indexes; reopening replays those arrays into identical dict
-    indexes, keeping the reference tier (and therefore every query result
-    order) bit-identical across the save/open boundary.  The POS/OSP
-    orderings and all block tables are flagged derived: the salvage tier can
-    rebuild a working store from the SPO arrays alone.
+    The snapshot's three orderings are forced before writing, so the file
+    captures the exact row orders of the live store's dict indexes;
+    reopening replays those arrays into identical dict indexes, keeping the
+    reference tier (and therefore every query result order) bit-identical
+    across the save/open boundary.  The POS/OSP orderings are flagged
+    derived: the salvage tier can rebuild a working store from the SPO
+    arrays alone.  The block tables are not written; a reopened snapshot
+    builds them from the orders on first use, as an unsaved one does.
     """
     columnar = graph.store.columnar()
     sections: list[tuple[str, int, int, int, bytes, int]] = []
@@ -192,16 +182,10 @@ def save_graph(graph: Graph, path: Path | str) -> Path:
         ("lng.tab", SECTION_STRINGS, DTYPE_NONE, 0, encode_string_table(language_table), len(language_table)),
     ]
     for index in ("spo", "pos", "osp"):
-        order = columnar.order(index)
         flags = 0 if index == "spo" else FLAG_DERIVED
-        for position, ids in zip("spo", order):
+        for position, ids in zip("spo", columnar.order(index)):
             sections.append(
                 (f"{index}.{position}", SECTION_ARRAY, DTYPE_I8, flags, _array_payload(ids, "<i8"), len(ids))
-            )
-        keys, starts, ends = columnar._block_table(index)
-        for suffix, table in (("bk", keys), ("bs", starts), ("be", ends)):
-            sections.append(
-                (f"{index}.{suffix}", SECTION_ARRAY, DTYPE_I8, FLAG_DERIVED, _array_payload(table, "<i8"), len(table))
             )
     meta = {
         "payload": "graph",

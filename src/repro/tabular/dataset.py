@@ -298,17 +298,15 @@ class Column:
         return f"Column({self.name!r}, type={self.ctype}, role={self.role}, n={len(self)})"
 
     def __getstate__(self) -> tuple:
-        """Pickle plain arrays: a coded column's codes, levels and mask, its cells left unbuilt."""
+        """Pickle plain arrays: a coded column's codes and levels, its cells and mask left unbuilt."""
         if self._codes is None:
-            return (self.name, self.ctype, self.role, np.array(self._cells), None, None, None)
-        mask = self._missing_cache
-        return (self.name, self.ctype, self.role, None, np.array(self._codes), list(self._levels),
-                None if mask is None else np.array(mask))
+            return (self.name, self.ctype, self.role, np.array(self._cells), None, None)
+        return (self.name, self.ctype, self.role, None, np.array(self._codes), list(self._levels))
 
     def __setstate__(self, state: tuple) -> None:
         """Rebuild from :meth:`__getstate__`'s tuple."""
-        (self.name, self.ctype, self.role, self._cells, self._codes, self._levels,
-         self._missing_cache) = state
+        self.name, self.ctype, self.role, self._cells, self._codes, self._levels = state
+        self._missing_cache = None
 
     # -- accessors ----------------------------------------------------------
 
@@ -334,14 +332,16 @@ class Column:
     def missing_mask(self) -> np.ndarray:
         """Boolean mask that is ``True`` where the cell is missing.
 
-        A coded column's mask is ``codes < 0``, computed once and cached
-        (column arrays are immutable by convention: every dataset operation
-        returns new columns).  Callers must not mutate the returned array.
+        A coded column's mask is ``codes < 0``, computed once, cached and
+        read-only (column arrays are immutable by convention: every dataset
+        operation returns new columns).
         """
         if self._codes is None:
             return np.isnan(self._cells)
         if self._missing_cache is None:
-            self._missing_cache = np.asarray(self._codes) < 0
+            mask = np.asarray(self._codes) < 0
+            mask.flags.writeable = False
+            self._missing_cache = mask
         return self._missing_cache
 
     def n_missing(self) -> int:
@@ -414,7 +414,6 @@ class Column:
         role: str,
         codes: np.ndarray,
         vocabulary: list[str],
-        missing: np.ndarray | None,
     ) -> "Column":
         """The coded column whose cells are ``vocabulary[code]`` as ``ctype`` holds them.
 
@@ -424,7 +423,7 @@ class Column:
         other non-numeric ctype's levels are the strings themselves.
         """
         levels = [level == "True" for level in vocabulary] if ctype == ColumnType.BOOLEAN else vocabulary
-        return cls._coded(name, ctype, role, codes, levels, missing)
+        return cls._coded(name, ctype, role, codes, levels)
 
     @classmethod
     def _canonical(cls, name: str, ctype: str, role: str, values: np.ndarray) -> "Column":
@@ -464,10 +463,7 @@ class Column:
         if self._codes is None:
             return Column._canonical(self.name, self.ctype, self.role, self._cells[index_array])
         codes, levels = first_seen_codes(np.asarray(self._codes)[index_array], self._levels)
-        mask = self._missing_cache
-        return Column._coded(
-            self.name, self.ctype, self.role, codes, levels, None if mask is None else mask[index_array]
-        )
+        return Column._coded(self.name, self.ctype, self.role, codes, levels)
 
     def _extended(self, other: "Column", join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "Column":
         """This column followed by ``other``'s cells; ``join`` concatenates two per-row arrays.
@@ -485,9 +481,10 @@ class Column:
         remap = np.array(
             [index.setdefault(level, len(index)) for level in other._levels] + [-1], dtype=np.int64
         )
+        mask = join(self.missing_mask(), other.missing_mask())
+        mask.flags.writeable = False
         return Column._coded(
-            self.name, self.ctype, self.role, join(self._codes, remap[other._codes]), list(index),
-            join(self.missing_mask(), other.missing_mask()),
+            self.name, self.ctype, self.role, join(self._codes, remap[other._codes]), list(index), mask
         )
 
 
@@ -866,12 +863,12 @@ class Dataset:
     # -- persistence ------------------------------------------------------------------
 
     def save(self, path) -> Any:
-        """Write this dataset and its encoded views to a binary store file.
+        """Write this dataset's columns to a binary store file.
 
-        The file (format: ``docs/store-format.md``) captures the raw columns
-        *and* the encoded views the hot paths run on, so :meth:`open` can
-        memory-map them back with near-zero startup cost.  Returns the path
-        written.
+        The file (format: ``docs/store-format.md``) holds each column as it
+        is held in memory — ``float64`` values, or codes and a level table —
+        so :meth:`open` can memory-map them back with near-zero startup
+        cost.  Returns the path written.
         """
         from repro.store import save_dataset
 
@@ -881,12 +878,12 @@ class Dataset:
     def open(cls, path, verify: bool = False) -> "Dataset":
         """Open a dataset store file as zero-copy memory-mapped views.
 
-        The returned dataset skips encoding entirely: its
-        :class:`~repro.tabular.encoded.EncodedDataset` cache is pre-seeded
-        with the saved arrays, and every hot path is bit-identical to a cold
-        in-memory encode of the same data.  The mapped views are read-only;
-        mutating operations copy-on-write into memory.  ``verify=True``
-        checksums every array section up front.
+        The returned dataset's columns map the saved codes and values, so
+        no cell is coerced or coded again; every encoded view is built on
+        first use, as for an in-memory dataset, and every hot path is
+        bit-identical to a cold in-memory encode of the same data.  The
+        mapped views are read-only; mutating operations copy-on-write into
+        memory.  ``verify=True`` checksums every array section up front.
         """
         from repro.store import open_dataset
 

@@ -159,7 +159,7 @@ class EncodedDataset:
             view = (values, np.isnan(values))
         elif self._parent is not None:
             values, missing = self._parent.numeric_view(name)
-            view = (values[self._parent_indices], missing[self._parent_indices])
+            view = _read_only(values[self._parent_indices], missing[self._parent_indices])
         else:
             view = _level_floats(column)
         self._numeric[name] = view
@@ -190,32 +190,6 @@ class EncodedDataset:
         view = (codes, vocabulary, {level: i for i, level in enumerate(vocabulary)})
         self._categorical[name] = view
         return view
-
-    def seed_numeric(self, name: str, values: np.ndarray, missing: np.ndarray) -> None:
-        """Pre-populate the numeric view of column ``name``.
-
-        Used by the persistence tier (:mod:`repro.store`): a store file
-        carries the ``float64`` values and bool missing mask that the
-        in-memory encoder produced at save time, so reopening wires the
-        memory-mapped arrays straight into the cache and skips the per-cell
-        ``float(value)`` scan.  The seeded pair must be exactly what
-        :meth:`numeric_view` would compute.  Seeding an already-encoded
-        column is a no-op (the cached view wins).
-        """
-        if name not in self._numeric:
-            self._numeric[name] = (values, missing)
-
-    def seed_normalised(self, name: str, levels: Sequence[str]) -> None:
-        """Pre-populate the normalised-levels cache of column ``name``.
-
-        The persistence tier saves ``normalise_string`` of every vocabulary
-        level so reopened datasets skip the per-level normalisation pass.
-        The seeded list must be exactly what :meth:`normalised_levels` would
-        compute for the column's vocabulary.  Seeding an already-normalised
-        column is a no-op (the cached list wins).
-        """
-        if name not in self._normalised:
-            self._normalised[name] = list(levels)
 
     # -- shared derived views -------------------------------------------------
 
@@ -358,7 +332,8 @@ def _level_floats(column: Column) -> tuple[np.ndarray, np.ndarray]:
 
     A level ``float()`` rejects is missing, as is code ``-1`` (the extra
     last slot).  A BOOLEAN level is ``True``/``False`` and reads ``1.0``/``0.0``,
-    as its cell does.
+    as its cell does.  When no level parses, the view is all missing: two
+    broadcast scalars, which read no code and hold no per-row memory.
     """
     levels = column._levels
     values = np.full(len(levels) + 1, np.nan)
@@ -369,8 +344,17 @@ def _level_floats(column: Column) -> tuple[np.ndarray, np.ndarray]:
         except (TypeError, ValueError):
             continue
         missing[i] = False
+    if missing.all():
+        return np.broadcast_to(np.nan, len(column)), np.broadcast_to(True, len(column))
     codes = np.asarray(column._codes)
-    return values[codes], missing[codes]
+    return _read_only(values[codes], missing[codes])
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, flagged read-only, as memory-mapped store views are."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _float_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:

@@ -7,6 +7,9 @@ still exercising the real code paths.
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.core import ExperimentPlan, ExperimentRunner, UserProfile
@@ -20,7 +23,50 @@ from repro.datasets import (
     service_requests,
 )
 from repro.datasets.civic import civic_lod_graph
+from repro.lod.graph import Graph
+from repro.lod.terms import Literal
+from repro.lod.vocabulary import Namespace, RDF
 from repro.tabular.dataset import Column, ColumnRole, ColumnType, Dataset
+
+#: Store files a version-1 writer made of :func:`tiny_store_dataset` and :func:`tiny_store_graph`.
+STORE_V1 = Path(__file__).parent / "data"
+
+
+def tiny_store_dataset() -> Dataset:
+    """The two-column, three-row dataset of docs/store-format.md §6."""
+    return Dataset(
+        [
+            Column("price", [1.5, None, 4.0], ctype=ColumnType.NUMERIC),
+            Column("city", ["oslo", "bonn", None], ctype=ColumnType.CATEGORICAL),
+        ],
+        name="tiny",
+    )
+
+
+def tiny_store_graph() -> Graph:
+    """A six-triple graph whose POS and OSP orders differ from its SPO order."""
+    ex = Namespace("http://example.org/")
+    graph = Graph("http://example.org/tiny")
+    graph.bind("ex", ex)
+    graph.add(ex.oslo, ex.name, Literal("Oslo", language="no"))
+    graph.add(ex.bonn, RDF.type, ex.City)
+    graph.add(ex.oslo, RDF.type, ex.City)
+    graph.add(ex.bonn, ex.population, 331_885)
+    graph.add(ex.oslo, ex.area, 454.0)
+    graph.add(ex.bonn, ex.capital, False)
+    return graph
+
+
+@pytest.fixture
+def tiny_store_v1(tmp_path):
+    """:func:`tiny_store_dataset` and a copy of its 1,248-byte version-1 file."""
+    return tiny_store_dataset(), Path(shutil.copy(STORE_V1 / "tiny_v1.rps", tmp_path))
+
+
+@pytest.fixture
+def tiny_graph_store_v1(tmp_path):
+    """:func:`tiny_store_graph` and a copy of its version-1 file, which holds block tables."""
+    return tiny_store_graph(), Path(shutil.copy(STORE_V1 / "tiny_graph_v1.rps", tmp_path))
 
 
 @pytest.fixture

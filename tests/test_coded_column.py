@@ -74,6 +74,7 @@ def _check(column: Column, views, expected: list) -> None:
     assert value_missing.tobytes() == ref_value_missing.tobytes()
     assert views.normalised_levels(name) == reference_normalised_levels(expected)
     if not column.is_numeric():  # the invariant: the codes are the categorical view
+        assert not any(view.flags.writeable for view in (missing, values, value_missing))  # as mapped views
         assert np.asarray(column._codes).tobytes() == ref_codes.tobytes()
         assert [str(level) for level in column._levels] == ref_vocabulary
         level_type = bool if column.ctype == ColumnType.BOOLEAN else str

@@ -399,7 +399,7 @@ class TestAppendedRows:
             remap = np.asarray([reordered.index(level) for level in vocabulary] + [-1])
             region = merged["region"]
             merged = merged.replace_column(
-                Column.from_vocabulary("region", region.ctype, region.role, remap[codes], reordered, None)
+                Column.from_vocabulary("region", region.ctype, region.role, remap[codes], reordered)
             )
         elif change == "nan_payload":  # still missing, but not the same bytes
             values = merged["amount"].values

@@ -588,7 +588,7 @@ class TestAppendedSnapshots:
                 remap = np.asarray([reordered.index(level) for level in vocabulary] + [-1])
                 district = replacement["district"]
                 replacement = replacement.replace_column(Column.from_vocabulary(
-                    "district", district.ctype, district.role, remap[codes], reordered, None
+                    "district", district.ctype, district.role, remap[codes], reordered
                 ))
             if change != "same_file":
                 _replace(replacement, target)

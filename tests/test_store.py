@@ -26,7 +26,9 @@ from repro.lod.vocabulary import Namespace, RDF
 from repro.mining import NaiveBayesClassifier, cross_validate
 from repro.quality import measure_quality
 from repro.store import (
+    FORMAT_VERSION,
     StoreFile,
+    inspect_store,
     open_dataset,
     open_graph,
     save_dataset,
@@ -286,6 +288,65 @@ def test_store_file_inspection_surface(tmp_path):
     assert info["payload"] == "dataset"
     assert not info["damaged"]
     json.dumps(info)  # must stay JSON-serialisable
+
+
+# -- format versions ----------------------------------------------------------
+
+
+def test_version_2_writes_only_primaries(tmp_path, tiny_store_v1):
+    tiny, _ = tiny_store_v1
+    info = inspect_store(save_dataset(tiny, tmp_path / "tiny.rps"))
+    assert info["format_version"] == FORMAT_VERSION == 2
+    assert (info["file_length"], info["n_sections"]) == (736, 4)  # docs/store-format.md §6
+    dataset = _source()
+    sections = StoreFile(save_dataset(dataset, tmp_path / "sr.rps")).sections
+    expected = {"meta"}
+    for i, column in enumerate(dataset.columns):
+        expected |= {f"c{i}.val"} if column.is_numeric() else {f"c{i}.cod", f"c{i}.lev"}
+    assert set(sections) == expected
+    assert not any(section.derived for section in sections.values())
+    graph_sections = StoreFile(save_graph(publish_dataset(_source(20)), tmp_path / "g.rps")).sections
+    assert "spo.s" in graph_sections
+    assert not [name for name in graph_sections if name.rsplit(".", 1)[-1] in ("bk", "bs", "be")]
+
+
+def test_version_1_dataset_opens_like_a_cold_encode(tiny_store_v1):
+    dataset, path = tiny_store_v1
+    assert path.stat().st_size == 1248
+    assert inspect_store(path)["format_version"] == 1
+    opened = open_dataset(path, verify=True)
+    assert opened == dataset
+    assert opened["price"].tolist()[::2] == [1.5, 4.0] and opened["city"].tolist() == ["oslo", "bonn", None]
+    assert _view_bytes(opened) == _view_bytes(dataset)
+    opened.close()
+
+
+def test_ingest_rewrites_a_version_1_store_as_version_2(tmp_path, tiny_store_v1):
+    from repro.cli.main import main
+
+    dataset, path = tiny_store_v1
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text('{"price": 2.5, "city": "rome"}\n')
+    assert main(["ingest", str(feed), str(path), "--cursor-field", "price"]) == 0
+    assert inspect_store(path)["format_version"] == FORMAT_VERSION
+    opened = open_dataset(path)
+    assert opened == dataset.append_rows([{"price": 2.5, "city": "rome"}])
+    opened.close()
+
+
+def test_version_1_graph_opens_order_identical(tiny_graph_store_v1):
+    graph, path = tiny_graph_store_v1
+    assert inspect_store(path)["format_version"] == 1
+    opened = open_graph(path, verify=True)
+    assert [t.n3() for t in opened] == [t.n3() for t in graph]
+    for index in ("spo", "pos", "osp"):
+        saved, built = opened.store.columnar(), graph.store.columnar()
+        assert [a.tobytes() for a in saved.order(index)] == [a.tobytes() for a in built.order(index)]
+        assert [a.tobytes() for a in saved._block_table(index)] == [a.tobytes() for a in built._block_table(index)]
+    patterns = [TriplePattern(Variable("s"), RDF.type, Variable("t"))]
+    assert select(opened, patterns) == select(graph, patterns)
+    assert on_reference(select, opened, patterns) == on_reference(select, graph, patterns)
+    opened.close()
 
 
 # -- property suite -----------------------------------------------------------

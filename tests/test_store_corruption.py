@@ -72,16 +72,17 @@ def test_unsupported_version_rejected(tmp_path):
     _, path = _dataset_store(tmp_path)
     data = bytearray(path.read_bytes())
     assert data[8] == FORMAT_VERSION
-    # bump the version *and* refresh the header CRC so only the version is bad
+    # set the version *and* refresh the header CRC so only the version is bad
     import struct
     import zlib
 
-    data[8:10] = struct.pack("<H", FORMAT_VERSION + 1)
-    data[44:48] = struct.pack("<I", zlib.crc32(bytes(data[:44])))
-    path.write_bytes(bytes(data))
-    with pytest.raises(StoreError) as excinfo:
-        open_dataset(path)
-    assert "version" in str(excinfo.value)
+    for version in (0, FORMAT_VERSION + 1):
+        data[8:10] = struct.pack("<H", version)
+        data[44:48] = struct.pack("<I", zlib.crc32(bytes(data[:44])))
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError) as excinfo:
+            open_dataset(path)
+        assert "version" in str(excinfo.value)
 
 
 def test_directory_damage_is_detected(tmp_path):
@@ -145,8 +146,8 @@ def test_inspect_reports_damage(tmp_path):
 # -- salvage: derived rebuilt, primaries drop, vitals abort -------------------
 
 
-def test_salvage_rebuilds_damaged_derived_sections(tmp_path):
-    dataset, path = _dataset_store(tmp_path)
+def test_salvage_rebuilds_damaged_derived_sections(tiny_store_v1):
+    dataset, path = tiny_store_v1  # version 2 writes no derived dataset section
     _corrupt_section(path, "c1.msk", seed=5)
     _corrupt_section(path, "c1.nrm", seed=6)
     result = salvage_store(path)
@@ -193,13 +194,13 @@ def test_salvage_raises_when_every_column_lost(tmp_path):
 def test_salvage_graph_rebuilds_derived_orders(tmp_path):
     graph, path = _graph_store(tmp_path)
     _corrupt_section(path, "pos.s", seed=8)
-    _corrupt_section(path, "osp.bk", seed=9)
+    _corrupt_section(path, "osp.o", seed=9)
     result = salvage_store(path)
     salvaged = result.payload
     assert len(salvaged) == len(graph)
     assert {t.n3() for t in salvaged} == {t.n3() for t in graph}
     assert "pos.s" in result.report.rebuilt_sections
-    assert "osp.bk" in result.report.rebuilt_sections
+    assert "osp.o" in result.report.rebuilt_sections
 
 
 @pytest.mark.parametrize("vital", ["term.txt", "spo.s", "dty.tab"])

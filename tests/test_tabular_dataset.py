@@ -317,6 +317,9 @@ def test_dataset_pickle_drops_view_state(tmp_path, encodable):
         assert all(c._cells is None for c in coded)
         assert not hasattr(clone, "_encoded_cache")
         assert_identical_datasets(clone, dataset)
+        # The mask is not pickled: it is built again, as ``codes < 0``.
+        for c in (clone[column.name] for column in coded):
+            assert c._missing_cache is None and c.missing_mask().tobytes() == (np.asarray(c._codes) < 0).tobytes()
     opened.close()
 
 
